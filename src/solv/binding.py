@@ -44,14 +44,6 @@ class AttentionRecord:
     kept_grid: np.ndarray     # N' x 2
 
 
-@dataclass
-class TemporalSlots:
-    """Per-frame slots entering temporal binding."""
-    slots: list            # per frame: K x D_slot tensors
-    availability: np.ndarray  # bool per frame; center is always available
-    embeddings: Tensor     # (2n+1) x D_slot learnable frame encodings
-
-
 def relative_grid(g_abs, s_p, s_s, delta: float):
     """Slot-relative coordinates: (G_abs - S_p) / (delta * S_s).
 

@@ -15,7 +15,8 @@ from . import ablate as ablate_mod
 from . import datagen
 from .config import DataConfig, RunConfig, load_config
 from .diffcore import ConfigError
-from .train import evaluate_dirs, load_pipeline, segment_clip, train
+from .model import infer_video
+from .train import evaluate_dirs, load_pipeline, train
 
 
 def _load_cfg(path: str | None) -> RunConfig:
@@ -47,14 +48,12 @@ def cmd_infer(args) -> int:
                                     d.frames, (d.sprite_min, d.sprite_max))
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
                                        d.sigma_noise)
-        clip = datagen.render_clip(spec, oracle)
-        tracked, _ = segment_clip(pipe, clip)
+        feats = datagen.render_clip(spec, oracle).features
         vid = f"synthetic_{seed}"
     else:
-        feats = datagen.read_features(args.features)
-        from .model import infer_video
-        tracked, _ = infer_video(pipe, feats.astype(np.float64))
+        feats = datagen.read_features(args.features).astype(np.float64)
         vid = os.path.splitext(os.path.basename(args.features))[0]
+    tracked, _ = infer_video(pipe, feats)
     out_path = os.path.join(args.out, vid + ".mask")
     datagen.write_masks(out_path, tracked.frames.astype(np.uint16))
     print(f"wrote {out_path} ({tracked.frames.shape[0]} frames, "

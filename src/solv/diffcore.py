@@ -570,11 +570,17 @@ class ParamStore:
                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> float:
         """Clip the global gradient norm, apply one Adam update, zero grads.
 
-        Returns the pre-clip gradient norm (useful for logging).
+        Returns the pre-clip gradient norm (useful for logging). When that
+        norm is not finite the update is skipped: parameters, moments and
+        the step count stay as they were, and the caller sees the
+        non-finite norm.
         """
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         norm = self.grad_global_norm()
+        if not np.isfinite(norm):
+            self.zero_grads()
+            return norm
         scale = 1.0
         if clip_norm is not None and norm > clip_norm:
             scale = clip_norm / (norm + 1e-12)

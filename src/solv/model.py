@@ -1,9 +1,10 @@
 """Pipeline assembly: parameter initialization and window-level forward.
 
-One forward covers a (2n+1)-frame window: encode each available frame
-with token drop, bind spatially per frame from the shared slot
-initialization, relate slots temporally, merge, and decode the center
-frame over the full grid.
+One forward covers a (2n+1)-frame window in two stages: per frame,
+encode the available frame with token drop and bind it spatially from the
+shared slot initialization; per window, relate slots temporally, merge,
+and decode the center frame over the full grid. Inference runs the first
+stage once per frame and the second once per window.
 """
 
 from __future__ import annotations
@@ -111,39 +112,38 @@ class Pipeline:
         d = cfg.data
         self.grid = encoder.build_position_grid(d.grid_rows, d.grid_cols)
 
-    def forward_window(self, features: np.ndarray, availability: np.ndarray,
-                       kept_indices: list, apply_merge: bool,
-                       init_jitter: np.ndarray | None = None) -> WindowOutput:
-        """features: (window, N, D) with arbitrary content on unavailable
-        frames (they are masked out of temporal attention).
+    def bind_frame(self, features: np.ndarray, kept: np.ndarray,
+                   init_z: Tensor | None = None):
+        """Per-frame stage: encode one frame's kept tokens and bind them to
+        slots. Returns (K x D_slot slots, attention record).
 
-        ``init_jitter`` (K x D_slot) perturbs the shared slot
-        initialization for this whole window; training draws one per clip
-        so slot identities cannot act as a fixed code across clips.
+        Without ``init_z`` the result depends on the frame alone, so
+        inference binds each frame once and reuses it in every window.
         """
         m = self.cfg.model
-        t_frames = features.shape[0]
-        center = t_frames // 2
+        enc = encoder.encode_frame(features, self.grid, kept, self.store)
+        z, _, record = binding.spatial_bind(
+            enc.tokens, enc.kept_grid, self.store, m.delta,
+            n_iters=m.isa_iters, invariant=m.use_invariant_attention,
+            kept_indices=enc.kept_indices, init_z=init_z)
+        return z, record
+
+    def decode_window(self, frame_slots: list, center_record: binding.AttentionRecord,
+                      apply_merge: bool) -> WindowOutput:
+        """Per-window stage: temporal binding, merge and decode of the
+        center frame.
+
+        ``frame_slots`` holds one entry per window frame: the frame's
+        slots, or None where the frame is unavailable (zero slots that
+        temporal attention masks out).
+        """
+        m = self.cfg.model
+        center = len(frame_slots) // 2
+        availability = np.array([z is not None for z in frame_slots])
         if not availability[center]:
             raise ValueError("center frame must be available")
-        init_z = None
-        if init_jitter is not None:
-            init_z = dc.add(self.store["bind.init.z"], Tensor(init_jitter))
-        slots = []
-        center_record = None
-        for t in range(t_frames):
-            if availability[t]:
-                enc = encoder.encode_frame(
-                    features[t], self.grid, kept_indices[t], self.store)
-                z, _, record = binding.spatial_bind(
-                    enc.tokens, enc.kept_grid, self.store, m.delta,
-                    n_iters=m.isa_iters, invariant=m.use_invariant_attention,
-                    kept_indices=enc.kept_indices, init_z=init_z)
-                if t == center:
-                    center_record = record
-            else:
-                z = Tensor(np.zeros((m.k_slots, m.d_slot)))
-            slots.append(z)
+        empty = Tensor(np.zeros((m.k_slots, m.d_slot)))
+        slots = [empty if z is None else z for z in frame_slots]
         if m.use_temporal_binding:
             c, _ = binding.temporal_bind(
                 slots, availability, self.store,
@@ -162,39 +162,55 @@ class Pipeline:
         return WindowOutput(decoded=decoded, merged=merged,
                             attention=center_record, center_slots=c)
 
+    def forward_window(self, features: np.ndarray, availability: np.ndarray,
+                       kept_indices: list, apply_merge: bool,
+                       init_jitter: np.ndarray | None = None) -> WindowOutput:
+        """features: (window, N, D) with arbitrary content on unavailable
+        frames (they are masked out of temporal attention).
+
+        ``init_jitter`` (K x D_slot) perturbs the shared slot
+        initialization for this whole window; training draws one per clip
+        so slot identities cannot act as a fixed code across clips.
+        """
+        init_z = None
+        if init_jitter is not None:
+            init_z = dc.add(self.store["bind.init.z"], Tensor(init_jitter))
+        slots, records = [], []
+        for t, available in enumerate(availability):
+            z, record = (self.bind_frame(features[t], kept_indices[t], init_z)
+                         if available else (None, None))
+            slots.append(z)
+            records.append(record)
+        return self.decode_window(slots, records[len(slots) // 2], apply_merge)
+
     def window_loss(self, out: WindowOutput, center_features: np.ndarray) -> Tensor:
         return objecthead.reconstruction_loss(out.decoded.y, center_features)
-
-
-def full_keep_plan(window: int, n_tokens: int) -> list:
-    keep = np.arange(n_tokens, dtype=np.int64)
-    return [keep] * window
 
 
 def infer_video(pipe: Pipeline, features: np.ndarray):
     """Sliding center-frame inference over the whole video.
 
     Every frame becomes the center of its own window; frames outside the
-    video are masked via availability. Token drop is off and merging is
-    always applied. Returns (tracked segmentation, per-frame slot counts).
+    video are masked via availability. Token drop is off, so each frame
+    is bound once and every window containing it reuses those slots.
+    Merging is always applied. Returns (tracked segmentation, per-frame
+    slot counts).
     """
     from . import evalkit
 
     cfg = pipe.cfg
     n = cfg.model.n_window
-    window = cfg.model.window
     f_total, n_tok, _ = features.shape
     if n_tok != cfg.data.n_tokens:
         raise ValueError(f"feature grid {n_tok} does not match config tokens {cfg.data.n_tokens}")
-    kept = full_keep_plan(window, n_tok)
+    keep = np.arange(n_tok, dtype=np.int64)
+    bound = [pipe.bind_frame(frame, keep) for frame in features]
     label_frames = []
     slot_vectors = []
     for t in range(f_total):
-        idx = np.arange(t - n, t + n + 1)
-        availability = (idx >= 0) & (idx < f_total)
-        window_feats = np.zeros((window,) + features.shape[1:], dtype=features.dtype)
-        window_feats[availability] = features[idx[availability]]
-        out = pipe.forward_window(window_feats, availability, kept, apply_merge=True)
+        window = [bound[i][0] if 0 <= i < f_total else None
+                  for i in range(t - n, t + n + 1)]
+        out = pipe.decode_window(window, bound[t][1], apply_merge=True)
         labels = evalkit.rasterize(out.decoded.m.data, cfg.data.grid_rows,
                                    cfg.data.grid_cols, cfg.data.canvas_h,
                                    cfg.data.canvas_w)

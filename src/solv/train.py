@@ -1,4 +1,4 @@
-"""Training loop, sliding-window inference entry points, and evaluation.
+"""Training loop, checkpoint loading for inference, and evaluation.
 
 A training step samples a batch of clips, accumulates per-clip gradients
 of the center-frame reconstruction loss, clips the global gradient norm,
@@ -75,12 +75,18 @@ class _ClipProducer:
         self.thread.start()
 
     def _run(self):
-        for spec in self.specs:
-            self.q.put(datagen.render_clip(spec, self.oracle))
+        try:
+            for spec in self.specs:
+                self.q.put(datagen.render_clip(spec, self.oracle))
+        except Exception as e:  # handed to the consumer, which re-raises it
+            self.q.put(e)
 
     def __iter__(self):
         for _ in range(len(self.specs)):
-            yield self.q.get()
+            item = self.q.get()
+            if isinstance(item, Exception):
+                raise item
+            yield item
 
 
 def _iter_clips(specs, oracle):
@@ -166,11 +172,15 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                 losses.append(loss_val)
                 k_t = out.merged.k_t
                 epoch_k_t[k_t] = epoch_k_t.get(k_t, 0) + 1
-            if losses is None:
+            finite = losses is not None
+            if finite and lr > 0:
+                finite = math.isfinite(store.adam_step(lr, clip_norm=tr.clip_norm))
+            else:
                 store.zero_grads()
+            if not finite:
                 nonfinite_streak += 1
                 result.skipped_steps += 1
-                log.warning("non-finite loss at step %d; step skipped", step)
+                log.warning("non-finite loss or gradient at step %d; step skipped", step)
                 if nonfinite_streak >= 3:
                     raise RuntimeError(
                         f"3 consecutive non-finite steps (last at step {step}); "
@@ -178,10 +188,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                 step += 1
                 continue
             nonfinite_streak = 0
-            if lr > 0:
-                store.adam_step(lr, clip_norm=tr.clip_norm)
-            else:
-                store.zero_grads()
             mean_loss = float(np.mean(losses))
             result.step_losses.append(mean_loss)
             result.lrs.append(lr)
@@ -216,21 +222,11 @@ def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
     return Pipeline(cfg, store)
 
 
-def infer_features(pipe: Pipeline, features: np.ndarray):
-    return infer_video(pipe, features)
-
-
-def segment_clip(pipe: Pipeline, clip: datagen.ClipBatch):
-    """Predicted tracked labels for one rendered clip."""
-    tracked, k_t = infer_video(pipe, clip.features)
-    return tracked, k_t
-
-
 def evaluate_clips(pipe: Pipeline, specs, oracle) -> list[dict]:
     """Segment each clip and score it against its own ground truth."""
     def one(spec):
         clip = datagen.render_clip(spec, oracle)
-        tracked, k_t = segment_clip(pipe, clip)
+        tracked, k_t = infer_video(pipe, clip.features)
         ari, skipped = evalkit.mean_fg_ari(tracked.frames, clip.gt_pixel_labels)
         miou = evalkit.video_miou(tracked.frames, clip.gt_pixel_labels)
         return {
@@ -281,14 +277,7 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
             "id": vid, "fg_ari": ari, "miou": miou,
             "k_t_histogram": {str(k): v for k, v in evalkit.k_t_histogram(pred).items()},
         })
-    aris = [v["fg_ari"] for v in videos if v["fg_ari"] is not None]
-    mious = [v["miou"] for v in videos if v["miou"] is not None]
-    report = {
-        "videos": videos,
-        "mean_fg_ari": float(np.mean(aris)) if aris else None,
-        "mean_miou": float(np.mean(mious)) if mious else None,
-        "config_digest": config_digest,
-    }
+    report = {"videos": videos, **summarize(videos), "config_digest": config_digest}
     if report_path:
         os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
         with open(report_path, "w") as f:

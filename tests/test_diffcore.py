@@ -276,6 +276,25 @@ class TestAdam:
         assert clipped <= 1.0 + 1e-9
         store.adam_step(lr=0.01, clip_norm=1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_leaves_state(self, bad):
+        store = ParamStore()
+        w = store.register("w", np.ones(3))
+        u = store.register("u", np.ones(2))
+        w.grad = np.ones(3)
+        u.grad = np.ones(2)
+        store.adam_step(lr=0.1, clip_norm=1.0)
+        before = (w.data.copy(), u.data.copy(), store.m["w"].copy(),
+                  store.v["w"].copy(), store.step)
+        w.grad = np.array([bad, 0.0, 0.0])
+        u.grad = np.ones(2)
+        norm = store.adam_step(lr=0.1, clip_norm=1.0)
+        assert not math.isfinite(norm)
+        after = (w.data, u.data, store.m["w"], store.v["w"], store.step)
+        for b, a in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        assert w.grad is None and u.grad is None
+
     def test_invalid_lr(self):
         store = ParamStore()
         store.register("w", np.zeros(1))

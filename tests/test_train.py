@@ -2,15 +2,17 @@
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from solv import datagen
+from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
-from solv.diffcore import ConfigError, set_precision
+from solv.diffcore import ConfigError, Tape, set_precision
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
@@ -79,6 +81,71 @@ class TestTrainingLoop:
         assert len(result.k_t_histograms) == cfg.train.epochs
         # first epoch never merges: every step binds all K slots
         assert set(result.k_t_histograms[0]) == {cfg.model.k_slots}
+
+
+class TestTrainingFaults:
+    def _poison_backward(self, monkeypatch, poisoned_calls):
+        """Make ``Tape.backward`` leave an inf gradient on one parameter
+        at the given call indices; returns the list that receives the
+        trained store."""
+        stores = []
+        real_init = train_mod.init_params
+        real_backward = Tape.backward
+        calls = iter(range(10 ** 6))
+
+        def init_params(cfg):
+            stores.append(real_init(cfg))
+            return stores[-1]
+
+        def backward(self, root):
+            real_backward(self, root)
+            if next(calls) in poisoned_calls:
+                stores[0]["dec.pos"].grad.flat[0] = np.inf
+
+        monkeypatch.setattr(train_mod, "init_params", init_params)
+        monkeypatch.setattr(Tape, "backward", backward)
+        return stores
+
+    def test_non_finite_gradient_skips_step(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        # batch 2: backward calls 2 and 3 belong to step 1 of 4
+        stores = self._poison_backward(monkeypatch, {2})
+        store, result = train(cfg)
+        assert result.skipped_steps == 1
+        assert store.step == len(result.step_losses) == 3
+        for name, t in store.params.items():
+            assert np.isfinite(t.data).all(), name
+            assert np.isfinite(store.m[name]).all(), name
+        assert stores == [store]
+
+    def test_three_non_finite_gradients_raise(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, **{"train.epochs": 3})
+        self._poison_backward(monkeypatch, set(range(2, 10 ** 6)))
+        # steps 1, 2 and 3 are skipped; no NaN reaches the parameters
+        with pytest.raises(RuntimeError, match=r"non-finite steps \(last at step 3\)"):
+            train(cfg)
+
+    def test_render_failure_in_clip_producer_raises(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        monkeypatch.setenv("SOLV_THREADS", "2")
+
+        def render_clip(spec, oracle):
+            raise OSError("render failed")
+
+        monkeypatch.setattr(datagen, "render_clip", render_clip)
+        errors = []
+
+        def run():
+            try:
+                train(cfg)
+            except OSError as e:
+                errors.append(e)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "train() hung on a failed render"
+        assert [str(e) for e in errors] == ["render failed"]
 
 
 class TestInference:
