@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,20 +148,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     return config_from_dict(payload)
-
-
-def env_threads(default: int = 2) -> int:
-    """Worker-pool cap from SOLV_THREADS (0 disables pooling)."""
-    raw = os.environ.get("SOLV_THREADS")
-    if raw is None:
-        return default
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ConfigError(f"SOLV_THREADS must be an integer, got {raw!r}") from e
-    if n < 0:
-        raise ConfigError(f"SOLV_THREADS must be >= 0, got {n}")
-    return n
 
 
 @dataclass

@@ -5,8 +5,7 @@ carries the unit embedding of the object identity that owns the majority
 of its pixels, plus seeded Gaussian noise. Also provides the binary file
 formats for precomputed features (SOLVTNSR) and label masks (SOLVMASK).
 
-Everything is a pure function of (spec, seed), so generation can run from
-a concurrent loading pool without shared state.
+Everything is a pure function of (spec, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffcore import FormatError
+from .diffcore import BinaryReader, FormatError, write_f32_array
 
 SHAPES = ("square", "circle", "triangle")
 
@@ -228,54 +227,19 @@ def dataset_split(seed: int, count: int, canvas: tuple[int, int] = (128, 128),
 # Binary formats
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    def __init__(self, path: str):
-        with open(path, "rb") as f:
-            self.blob = f.read()
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.blob):
-            raise FormatError(
-                f"{self.path}: truncated, expected {what} at byte {self.off}"
-            )
-        chunk = self.blob[self.off:self.off + n]
-        self.off += n
-        return chunk
-
-    def done(self, what: str) -> None:
-        if self.off != len(self.blob):
-            raise FormatError(
-                f"{self.path}: {len(self.blob) - self.off} trailing bytes after {what} at byte {self.off}"
-            )
-
-
 def write_tensor(path: str, array: np.ndarray) -> None:
     arr = np.asarray(array)
     with open(path, "wb") as f:
         f.write(_TNSR_MAGIC)
         f.write(struct.pack("<I", _FILE_VERSION))
-        f.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<Q", d))
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        write_f32_array(f, arr)
 
 
 def read_tensor(path: str) -> np.ndarray:
-    r = _Reader(path)
-    magic = r.take(8, "magic")
-    if magic != _TNSR_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0, expected {_TNSR_MAGIC!r}")
-    (version,) = struct.unpack("<I", r.take(4, "version"))
-    if version != _FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 8")
-    (rank,) = struct.unpack("<I", r.take(4, "rank"))
-    dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "dims"))
-    count = int(np.prod(dims)) if rank else 1
-    payload = r.take(4 * count, "payload")
+    r = BinaryReader(path, _TNSR_MAGIC, _FILE_VERSION)
+    arr = r.f32_array("tensor")
     r.done("payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    return arr
 
 
 def write_features(path: str, features: np.ndarray) -> None:
@@ -305,14 +269,8 @@ def write_masks(path: str, masks: np.ndarray) -> None:
 
 
 def read_masks(path: str) -> np.ndarray:
-    r = _Reader(path)
-    magic = r.take(8, "magic")
-    if magic != _MASK_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0, expected {_MASK_MAGIC!r}")
-    (version,) = struct.unpack("<I", r.take(4, "version"))
-    if version != _FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 8")
-    frames, h, w = struct.unpack("<III", r.take(12, "dims"))
-    payload = r.take(2 * frames * h * w, "payload")
+    r = BinaryReader(path, _MASK_MAGIC, _FILE_VERSION)
+    dims = r.unpack("<III", "dims")
+    masks = r.array(dims, "<u2", "payload")
     r.done("payload")
-    return np.frombuffer(payload, dtype="<u2").reshape(frames, h, w).copy()
+    return masks

@@ -10,6 +10,8 @@ single computation.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import struct
 
@@ -23,6 +25,9 @@ __all__ = [
     "NonFiniteError",
     "FormatError",
     "ConfigError",
+    "BinaryReader",
+    "write_f32_array",
+    "atomic_write",
     "set_precision",
     "get_precision",
     "precision",
@@ -51,6 +56,85 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid configuration value."""
+
+
+# ---------------------------------------------------------------------------
+# Binary file codec shared by SOLVCKPT, SOLVTNSR and SOLVMASK
+# ---------------------------------------------------------------------------
+
+class BinaryReader:
+    """Bounds-checked little-endian cursor over a whole file.
+
+    Opening checks the 8-byte magic and the u32 version; every error is a
+    ``FormatError`` naming the path and the byte offset.
+    """
+
+    def __init__(self, path: str, magic: bytes, version: int):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.off = 0
+        self.path = path
+        found = self.take(len(magic), "magic")
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r} at byte 0, expected {magic!r}")
+        (found_version,) = self.unpack("<I", "version")
+        if found_version != version:
+            raise FormatError(
+                f"{path}: unsupported version {found_version} at byte {len(magic)}")
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.off + n > len(self.blob):
+            raise FormatError(
+                f"{self.path}: truncated, expected {what} at byte {self.off}"
+            )
+        chunk = self.blob[self.off:self.off + n]
+        self.off += n
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, dims, dtype: str, what: str) -> np.ndarray:
+        dt = np.dtype(dtype)
+        payload = self.take(dt.itemsize * math.prod(dims), what)
+        return np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+
+    def f32_array(self, what: str) -> np.ndarray:
+        """Read the record ``write_f32_array`` writes."""
+        (rank,) = self.unpack("<I", f"rank of {what}")
+        dims = self.unpack(f"<{rank}Q", f"dims of {what}")
+        return self.array(dims, "<f4", f"payload of {what}")
+
+    def at_end(self) -> bool:
+        return self.off == len(self.blob)
+
+    def done(self, what: str) -> None:
+        if not self.at_end():
+            raise FormatError(
+                f"{self.path}: {len(self.blob) - self.off} trailing bytes after {what} at byte {self.off}"
+            )
+
+
+def write_f32_array(f, arr: np.ndarray) -> None:
+    """Write ``rank u32, dims u64 x rank, payload f32``."""
+    f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "wb"):
+    """Open ``<path>.tmp`` for writing and rename it onto ``path`` once the
+    block completes, so a write that fails part way leaves the previous
+    file intact."""
+    tmp = path + ".tmp"
+    f = open(tmp, mode)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 _precision = os.environ.get("SOLV_PRECISION", "f64")
@@ -608,7 +692,7 @@ class ParamStore:
         records = [(name, t.data) for name, t in self.params.items()]
         records += [(name + ".m", arr) for name, arr in self.m.items()]
         records += [(name + ".v", arr) for name, arr in self.v.items()]
-        with open(path, "wb") as f:
+        with atomic_write(path) as f:
             f.write(_CKPT_MAGIC)
             f.write(struct.pack("<I", _CKPT_VERSION))
             f.write(struct.pack("<Q", self.step))
@@ -616,10 +700,7 @@ class ParamStore:
                 nb = name.encode("utf-8")
                 f.write(struct.pack("<I", len(nb)))
                 f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<Q", d))
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                write_f32_array(f, arr)
 
     def load(self, path: str) -> None:
         """Restore parameters and moments from a checkpoint file."""
@@ -642,32 +723,11 @@ class ParamStore:
 
 def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Parse a checkpoint file into {name: f32 array} plus the step counter."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def need(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"truncated checkpoint: expected {what} at byte {off}")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    magic = need(8, "magic")
-    if magic != _CKPT_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0, expected {_CKPT_MAGIC!r}")
-    (version,) = struct.unpack("<I", need(4, "version"))
-    if version != _CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 8")
-    (step,) = struct.unpack("<Q", need(8, "step counter"))
+    r = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION)
+    (step,) = r.unpack("<Q", "step counter")
     records: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        (name_len,) = struct.unpack("<I", need(4, "name length"))
-        name = need(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", need(4, "rank"))
-        dims = struct.unpack(f"<{rank}Q", need(8 * rank, "dims"))
-        count = int(np.prod(dims)) if rank else 1
-        payload = need(4 * count, f"payload of {name!r}")
-        records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    while not r.at_end():
+        (name_len,) = r.unpack("<I", "name length")
+        name = r.take(name_len, "name").decode("utf-8")
+        records[name] = r.f32_array(repr(name))
     return records, step

@@ -13,15 +13,13 @@ import json
 import logging
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import datagen, evalkit
-from .config import LrSchedule, RunConfig, env_threads
-from .diffcore import ConfigError, ParamStore, Tape, set_precision
+from .config import LrSchedule, RunConfig
+from .diffcore import ConfigError, ParamStore, Tape, atomic_write, set_precision
 from .encoder import make_drop_plan
 from .model import Pipeline, infer_video, init_params
 from .objecthead import merge_gate
@@ -45,7 +43,7 @@ def _derive_seed(*parts: int) -> int:
 
 def _write_meta(ckpt_path: str, cfg: RunConfig, store: ParamStore, epoch: int) -> None:
     meta = {"config_digest": cfg.digest(), "step": store.step, "epoch": epoch}
-    with open(ckpt_path + ".meta.json", "w") as f:
+    with atomic_write(ckpt_path + ".meta.json", "w") as f:
         json.dump(meta, f)
 
 
@@ -62,40 +60,6 @@ def check_compatible(ckpt_path: str, cfg: RunConfig) -> None:
             f"checkpoint digest {meta.get('config_digest')} does not match "
             f"config digest {cfg.digest()}"
         )
-
-
-class _ClipProducer:
-    """Background renderer feeding a bounded queue; order-preserving."""
-
-    def __init__(self, specs, oracle, workers: int):
-        self.specs = specs
-        self.oracle = oracle
-        self.q: queue.Queue = queue.Queue(maxsize=max(2, 2 * workers))
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-
-    def _run(self):
-        try:
-            for spec in self.specs:
-                self.q.put(datagen.render_clip(spec, self.oracle))
-        except Exception as e:  # handed to the consumer, which re-raises it
-            self.q.put(e)
-
-    def __iter__(self):
-        for _ in range(len(self.specs)):
-            item = self.q.get()
-            if isinstance(item, Exception):
-                raise item
-            yield item
-
-
-def _iter_clips(specs, oracle):
-    workers = env_threads()
-    if workers <= 0:
-        for spec in specs:
-            yield datagen.render_clip(spec, oracle)
-    else:
-        yield from _ClipProducer(specs, oracle, workers)
 
 
 def train(cfg: RunConfig, max_steps: int | None = None,
@@ -146,7 +110,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
             lr = sched.lr(step)
             losses = []
             store.zero_grads()
-            for ci, clip in enumerate(_iter_clips(batch_specs, oracle)):
+            for ci, spec in enumerate(batch_specs):
+                clip = datagen.render_clip(spec, oracle)
                 plan = make_drop_plan(
                     d.frames, d.n_tokens, tr.drop_ratio,
                     _derive_seed(d.seed, 0xD809, epoch, b, ci))
@@ -224,23 +189,18 @@ def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
 
 def evaluate_clips(pipe: Pipeline, specs, oracle) -> list[dict]:
     """Segment each clip and score it against its own ground truth."""
-    def one(spec):
+    rows = []
+    for spec in specs:
         clip = datagen.render_clip(spec, oracle)
         tracked, k_t = infer_video(pipe, clip.features)
         ari, skipped = evalkit.mean_fg_ari(tracked.frames, clip.gt_pixel_labels)
         miou = evalkit.video_miou(tracked.frames, clip.gt_pixel_labels)
-        return {
+        rows.append({
             "fg_ari": ari, "miou": miou, "skipped_frames": skipped,
             "k_t_histogram": evalkit.k_t_histogram(tracked.frames),
             "mean_k_t": float(np.mean(k_t)),
-        }
-
-    workers = env_threads()
-    if workers > 1 and len(specs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, specs))
-    return [one(s) for s in specs]
+        })
+    return rows
 
 
 def summarize(per_video: list[dict]) -> dict:
@@ -271,6 +231,10 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
     for vid in sorted(pred_ids):
         pred = datagen.read_masks(os.path.join(pred_dir, vid + ".mask"))
         gt = datagen.read_masks(os.path.join(gt_dir, vid + ".mask"))
+        if pred.shape != gt.shape:
+            raise ValueError(
+                f"video {vid}: predicted masks have shape {pred.shape}, "
+                f"ground truth has shape {gt.shape}")
         ari, _ = evalkit.mean_fg_ari(pred, gt)
         miou = evalkit.video_miou(pred, gt)
         videos.append({

@@ -9,7 +9,7 @@ import pytest
 from solv import datagen
 from solv.cli import main as cli_main
 from solv.config import (
-    LrSchedule, RunConfig, config_from_dict, env_threads, load_config,
+    LrSchedule, RunConfig, config_from_dict, load_config,
 )
 from solv.diffcore import ConfigError
 
@@ -80,18 +80,6 @@ class TestStrictParsing:
         assert a.digest() == b.digest()
         c = config_from_dict({"model": {"k_slots": 4}})
         assert c.digest() != a.digest()
-
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.delenv("SOLV_THREADS", raising=False)
-        assert env_threads(3) == 3
-        monkeypatch.setenv("SOLV_THREADS", "0")
-        assert env_threads(3) == 0
-        monkeypatch.setenv("SOLV_THREADS", "-1")
-        with pytest.raises(ConfigError):
-            env_threads()
-        monkeypatch.setenv("SOLV_THREADS", "x")
-        with pytest.raises(ConfigError):
-            env_threads()
 
 
 class TestLrSchedule:
@@ -222,6 +210,22 @@ class TestCliRoundTrip:
         assert rc == 2
         err = capsys.readouterr().err
         assert "a" in err and "b" in err
+
+    @pytest.mark.parametrize("pred_frames", [1, 3])
+    def test_evaluate_frame_count_mismatch_exits_2(self, tmp_path, capsys,
+                                                   pred_frames):
+        gt_dir = tmp_path / "gt"
+        pred_dir = tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        masks = np.ones((5, 4, 4), dtype=np.uint16)
+        datagen.write_masks(str(gt_dir / "v0.mask"), masks)
+        datagen.write_masks(str(pred_dir / "v0.mask"), masks[:pred_frames])
+        rc = cli_main(["evaluate", "--pred", str(pred_dir), "--gt",
+                       str(gt_dir), "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "v0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_infer_rejects_mismatched_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

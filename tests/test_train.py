@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
-from solv.diffcore import ConfigError, Tape, set_precision
+from solv.diffcore import ConfigError, Tape, Tensor, read_checkpoint, set_precision
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
@@ -125,9 +126,8 @@ class TestTrainingFaults:
         with pytest.raises(RuntimeError, match=r"non-finite steps \(last at step 3\)"):
             train(cfg)
 
-    def test_render_failure_in_clip_producer_raises(self, tmp_path, monkeypatch):
+    def test_render_failure_raises(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path)
-        monkeypatch.setenv("SOLV_THREADS", "2")
 
         def render_clip(spec, oracle):
             raise OSError("render failed")
@@ -146,6 +146,43 @@ class TestTrainingFaults:
         worker.join(timeout=30)
         assert not worker.is_alive(), "train() hung on a failed render"
         assert [str(e) for e in errors] == ["render failed"]
+
+    def test_non_finite_losses_leave_no_threads_behind(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, **{"train.batch_size": 8, "data.clip_count": 20})
+        monkeypatch.setattr(Pipeline, "window_loss",
+                            lambda self, out, center: Tensor(np.nan))
+        before = threading.active_count()
+        _, result = train(cfg, max_steps=2)
+        assert result.skipped_steps == 2
+        assert threading.active_count() == before
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        store, _ = train(cfg, max_steps=1)
+        latest = os.path.join(cfg.paths.checkpoint_dir, "latest.ckpt")
+        blob = Path(latest).read_bytes()
+        meta = Path(latest + ".meta.json").read_text()
+
+        def dump(obj, f):
+            f.write("{")
+            raise OSError("disk full")
+
+        # the moments are written after every parameter, so this fails
+        # part way through the file
+        last = store.names()[-1]
+        store.v[last] = np.array(["not a float"])
+        store.step += 1
+        with pytest.raises(ValueError):
+            store.save(latest)
+        monkeypatch.setattr(train_mod.json, "dump", dump)
+        with pytest.raises(OSError, match="disk full"):
+            train_mod._write_meta(latest, cfg, store, epoch=0)
+        assert Path(latest).read_bytes() == blob
+        assert Path(latest + ".meta.json").read_text() == meta
+        assert read_checkpoint(latest)[1] == store.step - 1
+        assert sorted(os.listdir(cfg.paths.checkpoint_dir)) == [
+            "final.ckpt", "final.ckpt.meta.json",
+            "latest.ckpt", "latest.ckpt.meta.json"]
 
 
 class TestInference:
@@ -273,4 +310,17 @@ class TestEvaluateDirs:
         masks = np.ones((1, 4, 4), dtype=np.uint16)
         datagen.write_masks(str(gt_dir / "x.mask"), masks)
         with pytest.raises(ValueError, match="x"):
+            evaluate_dirs(str(pred_dir), str(gt_dir))
+
+    @pytest.mark.parametrize("pred_frames", [1, 3])
+    def test_frame_count_mismatch_names_video_and_shapes(self, tmp_path,
+                                                         pred_frames):
+        gt_dir = tmp_path / "gt"
+        pred_dir = tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        masks = np.ones((5, 4, 4), dtype=np.uint16)
+        datagen.write_masks(str(gt_dir / "clip7.mask"), masks)
+        datagen.write_masks(str(pred_dir / "clip7.mask"), masks[:pred_frames])
+        with pytest.raises(ValueError, match=rf"clip7.*\({pred_frames}, 4, 4\).*\(5, 4, 4\)"):
             evaluate_dirs(str(pred_dir), str(gt_dir))
