@@ -1,10 +1,18 @@
 """Inference-time tracking and segmentation metrics.
 
-Hungarian assignment is solved exactly (potentials method) and then
-refined to the lexicographically smallest optimal assignment so results
-are reproducible under ties. Metrics follow the foreground-only
-convention: background (label 0 in ground truth) is never a matchable
-object, while predictions label every pixel with some track.
+Hungarian assignment is solved exactly by the potentials (shortest
+augmenting path) method, each path step a numpy scan over all columns,
+and then refined to the lexicographically smallest optimal assignment so
+results are reproducible under ties. The refinement re-solves only for
+columns whose reduced cost under the first solve's optimal dual is
+within the tie tolerance; no other column can be part of an optimum.
+
+Both metrics read one contingency table of label co-occurrence counts,
+built with a single ``np.bincount`` over compacted label ids, so a video
+is scored in a few passes over its pixels whatever its track count.
+Metrics follow the foreground-only convention: background (label 0 in
+ground truth) is never a matchable object, while predictions label every
+pixel with some track.
 """
 
 from __future__ import annotations
@@ -18,77 +26,86 @@ import numpy as np
 # Assignment
 # ---------------------------------------------------------------------------
 
-def _solve_potentials(cost: np.ndarray) -> float:
-    """Exact minimum assignment total for an R x C matrix with R <= C."""
+def _solve_potentials(cost: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact minimum assignment of an R x C matrix with R <= C.
+
+    Returns the total and an optimal dual: row potentials ``u`` and
+    column potentials ``v <= 0`` with ``cost - u[:, None] - v >= 0``,
+    equality on the assignment found and ``v == 0`` on the columns it
+    leaves free. Rows are added one at a time by a shortest augmenting
+    path whose every step scans all columns as arrays; ``argmin`` takes
+    the first minimum, as a scan in column order does.
+    """
     r, c = cost.shape
-    if r == 0 or c == 0:
-        return 0.0
-    u = np.zeros(r + 1)
-    v = np.zeros(c + 1)
-    match = np.zeros(c + 1, dtype=np.int64)  # column -> row (1-based), 0 free
-    for i in range(1, r + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(c + 1, np.inf)
-        used = np.zeros(c + 1, dtype=bool)
-        way = np.zeros(c + 1, dtype=np.int64)
+    u = np.zeros(r)
+    v = np.zeros(c)
+    match = np.full(c, -1)  # column -> row, -1 free
+    minv = np.empty(c)      # shortest reduced path cost to each column
+    used = np.empty(c, dtype=bool)
+    way = np.empty(c, dtype=match.dtype)  # previous column on that path, -1 row i
+    for i in range(r):
+        minv[:] = np.inf
+        used[:] = False
+        way[:] = -1
+        i0, j0 = i, -1
         while True:
+            cur = cost[i0] - u[i0] - v
+            better = cur < minv
+            better &= ~used
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0, where=better)
+            open_minv = np.where(used, np.inf, minv)
+            j0 = int(open_minv.argmin())
+            delta = open_minv[j0]
+            u[i] += delta
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            if match[j0] < 0:
+                break
             used[j0] = True
             i0 = match[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, c + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(c + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    total = 0.0
-    for j in range(1, c + 1):
-        if match[j] != 0:
-            total += cost[match[j] - 1, j - 1]
-    return float(total)
+        while j0 >= 0:
+            prev = way[j0]
+            match[j0] = match[prev] if prev >= 0 else i
+            j0 = prev
+    cols = (match >= 0).nonzero()[0]
+    # summed in column order, one addition at a time
+    total = sum(cost[match[cols], cols].tolist(), 0.0)
+    return float(total), u, v
 
 
-def _optimal_total(cost: np.ndarray) -> float:
-    if cost.size == 0 or 0 in cost.shape:
-        return 0.0
+def _min_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum assignment total of any R x C matrix and its reduced costs.
+
+    Every edge of an assignment within ``tol`` of the minimum has a
+    reduced cost of at most ``tol`` (complementary slackness).
+    """
+    if 0 in cost.shape:
+        return 0.0, cost
     if cost.shape[0] <= cost.shape[1]:
-        return _solve_potentials(cost)
-    return _solve_potentials(cost.T)
+        total, u, v = _solve_potentials(cost)
+        return total, cost - u[:, None] - v
+    total, u, v = _solve_potentials(cost.T)
+    return total, cost - v[:, None] - u
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
     """Minimum-cost assignment of size min(R, C) as (row, col) pairs.
 
     Among optimal assignments, returns the one whose (row, col) sequence
-    is lexicographically smallest.
+    is lexicographically smallest: row by row, the first column that
+    still completes to an optimum. Only columns whose reduced cost under
+    the first solve's dual is within the tie tolerance are tried.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    best = _optimal_total(cost)
+    best, reduced = _min_assignment(cost)
     tol = 1e-9 * max(1.0, abs(best))
     rows = list(range(cost.shape[0]))
     cols = list(range(cost.shape[1]))
@@ -100,8 +117,10 @@ def hungarian(cost) -> list[tuple[int, int]]:
         rest = rows[1:]
         chosen = -1
         for c in cols:
-            sub = cost[np.ix_(rest, [cc for cc in cols if cc != c])]
-            if abs(fixed + cost[r, c] + _optimal_total(sub) - best) <= tol:
+            if reduced[r, c] > tol:
+                continue
+            sub = cost[rest][:, [cc for cc in cols if cc != c]]
+            if abs(fixed + cost[r, c] + _min_assignment(sub)[0] - best) <= tol:
                 chosen = c
                 break
         if chosen < 0:
@@ -210,6 +229,45 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
 # Metrics
 # ---------------------------------------------------------------------------
 
+def _compact(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct labels in ascending order and each element's index among them.
+
+    Integer labels spanning less than the array's length or 2**16 are
+    looked up in a presence table over their range instead of sorted.
+    """
+    labels = np.asarray(labels).ravel()
+    if labels.size == 0:
+        return labels, np.zeros(0, dtype=np.intp)
+    if labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.intp):
+        lo, hi = int(labels.min()), int(labels.max())
+        if hi - lo < max(labels.size, 1 << 16):
+            shifted = labels.astype(np.intp)
+            shifted -= lo
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[shifted] = True
+            ids = (np.flatnonzero(present) + lo).astype(labels.dtype)
+            return ids, (np.cumsum(present) - 1)[shifted]
+    ids, codes = np.unique(labels, return_inverse=True)
+    return ids, codes.ravel()
+
+
+def _contingency(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct labels of a and of b, and the count of each (a, b) pair.
+
+    ``table[i, j]`` counts the elements labelled ``a_ids[i]`` in a and
+    ``b_ids[j]`` in b; ids ascend, and the table has one row and column
+    per label present, however large the label values.
+    """
+    if np.size(a) != np.size(b):
+        raise ValueError("labelings must have equal length")
+    a_ids, ai = _compact(a)
+    b_ids, bi = _compact(b)
+    ai *= b_ids.size  # row-major index of each element's (a, b) pair
+    ai += bi
+    table = np.bincount(ai, minlength=a_ids.size * b_ids.size)
+    return a_ids, b_ids, table.reshape(a_ids.size, b_ids.size)
+
+
 def _comb2(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.float64)
     return x * (x - 1.0) / 2.0
@@ -221,17 +279,8 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     Degenerate cases (zero expected-index denominator): 1.0 when the two
     labelings induce the same partition, 0.0 otherwise.
     """
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    if a.size != b.size:
-        raise ValueError("labelings must have equal length")
-    n = a.size
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    n_a = ai.max() + 1
-    n_b = bi.max() + 1
-    table = np.zeros((n_a, n_b), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
+    _, _, table = _contingency(a, b)
+    n = np.size(a)
     sum_ij = _comb2(table).sum()
     sum_a = _comb2(table.sum(axis=1)).sum()
     sum_b = _comb2(table.sum(axis=0)).sum()
@@ -290,29 +339,25 @@ def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
                 for p, g in zip(pred_frames, gt_frames)]
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
-    gt_ids = [int(i) for i in np.unique(gt_frames) if i > 0]
-    if not gt_ids:
+    gt_ids, pred_ids, table = _contingency(gt_frames, pred_frames)
+    objects = gt_ids > 0
+    if not objects.any():
         return None
-    pred_ids = [int(i) for i in np.unique(pred_frames) if i not in exclude_pred]
-    if not pred_ids:
+    tracks = ~np.isin(pred_ids, list(exclude_pred))
+    if not tracks.any():
         return 0.0
-    iou = np.zeros((len(gt_ids), len(pred_ids)))
-    for gi, g in enumerate(gt_ids):
-        gm = gt_frames == g
-        for pi, p in enumerate(pred_ids):
-            pm = pred_frames == p
-            inter = np.logical_and(gm, pm).sum()
-            union = np.logical_or(gm, pm).sum()
-            iou[gi, pi] = inter / union if union else 0.0
+    inter = table[np.ix_(objects, tracks)]
+    union = table.sum(axis=1)[objects, None] + table.sum(axis=0)[None, tracks] - inter
+    iou = inter / union
     pairs = hungarian(1.0 - iou)
     matched = {r: iou[r, c] for r, c in pairs}
-    return float(np.mean([matched.get(i, 0.0) for i in range(len(gt_ids))]))
+    return float(np.mean([matched.get(i, 0.0) for i in range(iou.shape[0])]))
 
 
 def k_t_histogram(pred_frames: np.ndarray) -> dict[int, int]:
     """Histogram of per-frame distinct track counts."""
     hist: dict[int, int] = {}
     for frame in pred_frames:
-        k = int(np.unique(frame).size)
+        k = _compact(frame)[0].size
         hist[k] = hist.get(k, 0) + 1
     return hist

@@ -49,3 +49,106 @@ def finite_diff(f, tensors, h=1e-5, rng=None, max_coords=40):
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
             worst = max(worst, rel)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Reference assignment solver: a pure-Python potentials solve per call and a
+# full re-solve for every candidate column of the lexicographic refinement.
+# evalkit.hungarian must return exactly the pairs this returns.
+# ---------------------------------------------------------------------------
+
+def _solve_potentials(cost: np.ndarray) -> float:
+    """Exact minimum assignment total for an R x C matrix with R <= C."""
+    r, c = cost.shape
+    if r == 0 or c == 0:
+        return 0.0
+    u = np.zeros(r + 1)
+    v = np.zeros(c + 1)
+    match = np.zeros(c + 1, dtype=np.int64)  # column -> row (1-based), 0 free
+    for i in range(1, r + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(c + 1, np.inf)
+        used = np.zeros(c + 1, dtype=bool)
+        way = np.zeros(c + 1, dtype=np.int64)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = np.inf
+            j1 = -1
+            for j in range(1, c + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(c + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    total = 0.0
+    for j in range(1, c + 1):
+        if match[j] != 0:
+            total += cost[match[j] - 1, j - 1]
+    return float(total)
+
+
+def _optimal_total(cost: np.ndarray) -> float:
+    if cost.size == 0 or 0 in cost.shape:
+        return 0.0
+    if cost.shape[0] <= cost.shape[1]:
+        return _solve_potentials(cost)
+    return _solve_potentials(cost.T)
+
+
+def reference_hungarian(cost) -> list[tuple[int, int]]:
+    """Minimum-cost assignment of size min(R, C) as (row, col) pairs.
+
+    Among optimal assignments, returns the one whose (row, col) sequence
+    is lexicographically smallest.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return []
+    if cost.ndim != 2:
+        raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
+    best = _optimal_total(cost)
+    tol = 1e-9 * max(1.0, abs(best))
+    rows = list(range(cost.shape[0]))
+    cols = list(range(cost.shape[1]))
+    pairs: list[tuple[int, int]] = []
+    fixed = 0.0
+    target = min(cost.shape)
+    while rows and cols and len(pairs) < target:
+        r = rows[0]
+        rest = rows[1:]
+        chosen = -1
+        for c in cols:
+            sub = cost[np.ix_(rest, [cc for cc in cols if cc != c])]
+            if abs(fixed + cost[r, c] + _optimal_total(sub) - best) <= tol:
+                chosen = c
+                break
+        if chosen < 0:
+            # only possible with more rows than columns: this row sits out
+            rows.pop(0)
+            continue
+        pairs.append((r, chosen))
+        fixed += cost[r, chosen]
+        rows.pop(0)
+        cols.remove(chosen)
+    return pairs

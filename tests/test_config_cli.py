@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestCliRoundTrip:
             "evaluate", "--config", str(cfg_path), "--pred", pred_dir,
             "--gt", solo_gt, "--report", report_path,
         ]) == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert set(report) == {"videos", "mean_fg_ari", "mean_miou",
                                "config_digest"}
         assert len(report["videos"]) == 1
@@ -193,7 +194,7 @@ class TestCliRoundTrip:
         report_path = str(tmp_path / "r.json")
         assert cli_main(["evaluate", "--pred", str(pred_dir), "--gt",
                          str(gt_dir), "--report", report_path]) == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert report["mean_fg_ari"] == 1.0
         assert report["mean_miou"] == 1.0
 

@@ -1,5 +1,7 @@
 """Scene rendering, the feature oracle, file formats, and dataset splits."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,9 +160,9 @@ class TestFileFormats:
         arr = np.zeros((10, 4, 4), dtype=np.float32)
         path = str(tmp_path / "f.features")
         write_features(path, arr)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         # keep the header declaring 10 frames but drop one frame of payload
-        open(path, "wb").write(blob[:-4 * 4 * 4])
+        Path(path).write_bytes(blob[:-4 * 4 * 4])
         with pytest.raises(FormatError, match="byte"):
             read_features(str(path))
 
@@ -173,8 +175,8 @@ class TestFileFormats:
         path = str(tmp_path / "m.mask")
         write_masks(path, arr)
         assert np.array_equal(read_masks(path), arr)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-3])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-3])
         with pytest.raises(FormatError, match="byte"):
             read_masks(path)
 

@@ -2,6 +2,7 @@
 finite differences, optimizer behavior, and the checkpoint format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,8 +356,8 @@ class TestCheckpoint:
         store.register("w", np.ones((2, 2)))
         path = str(tmp_path / "model.ckpt")
         store.save(path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-5])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-5])
         with pytest.raises(FormatError, match="byte"):
             ParamStore().load(path)
 

@@ -2,18 +2,28 @@
 
 Every nontrivial result is checked against an independent brute-force
 computation: permutation search for assignments, pair counting for the
-rand index, and set arithmetic for IoU.
+rand index, and set arithmetic for IoU. The assignment solver is also
+checked pair for pair against the pure-Python reference solver, and the
+metrics value for value against loops over boolean masks.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import reference_hungarian
+from solv import datagen
+from solv.config import DataConfig
 from solv.evalkit import (
     adjusted_rand_index, assignment_total, bilinear_resize, fg_ari, hungarian,
     k_t_histogram, link_tracks, mean_fg_ari, rasterize, video_miou,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import dense_tracks  # noqa: E402
 
 
 def brute_force_min_assignment(cost: np.ndarray) -> float:
@@ -29,6 +39,88 @@ def brute_force_min_assignment(cost: np.ndarray) -> float:
             total = sum(cost[perm[j], j] for j in range(c))
             best = min(best, total)
     return best
+
+
+def brute_force_lex_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
+    """The lexicographically smallest (row, col) sequence among all
+    minimum-total maximal assignments, by exhaustive search."""
+    r, c = cost.shape
+    if r <= c:
+        candidates = ([(i, perm[i]) for i in range(r)]
+                      for perm in itertools.permutations(range(c), r))
+    else:
+        candidates = (sorted((perm[j], j) for j in range(c))
+                      for perm in itertools.permutations(range(r), c))
+    best_total, best_pairs = np.inf, None
+    for pairs in candidates:
+        total = sum(cost[i, j] for i, j in pairs)
+        if total < best_total or (total == best_total and pairs < best_pairs):
+            best_total, best_pairs = total, pairs
+    return best_pairs
+
+
+def mask_loop_ari(a, b) -> float:
+    """ARI with its contingency table counted one boolean mask per cell."""
+    a = np.asarray(a).ravel()
+    b = np.asarray(b).ravel()
+    table = np.array([[np.count_nonzero((a == x) & (b == y)) for y in np.unique(b)]
+                      for x in np.unique(a)], dtype=np.int64)
+
+    def comb2(x):
+        x = x.astype(np.float64)
+        return x * (x - 1.0) / 2.0
+
+    sum_ij = comb2(table).sum()
+    sum_a = comb2(table.sum(axis=1)).sum()
+    sum_b = comb2(table.sum(axis=0)).sum()
+    total = comb2(np.asarray(a.size))
+    expected = sum_a * sum_b / total if total > 0 else 0.0
+    max_index = 0.5 * (sum_a + sum_b)
+    if max_index == expected:
+        same = (np.count_nonzero(table, axis=0) <= 1).all() and \
+               (np.count_nonzero(table, axis=1) <= 1).all()
+        return 1.0 if same else 0.0
+    return float((sum_ij - expected) / (max_index - expected))
+
+
+def mask_loop_miou(pred_frames, gt_frames, per_frame=False, exclude_pred=()):
+    """video_miou with IoU from full-volume boolean masks, one per
+    (gt object, pred track), matched by the reference solver."""
+    if per_frame:
+        vals = [mask_loop_miou(p[None], g[None], exclude_pred=exclude_pred)
+                for p, g in zip(pred_frames, gt_frames)]
+        vals = [v for v in vals if v is not None]
+        return float(np.mean(vals)) if vals else None
+    gt_ids = [int(i) for i in np.unique(gt_frames) if i > 0]
+    if not gt_ids:
+        return None
+    pred_ids = [int(i) for i in np.unique(pred_frames) if i not in exclude_pred]
+    if not pred_ids:
+        return 0.0
+    iou = np.zeros((len(gt_ids), len(pred_ids)))
+    for gi, g in enumerate(gt_ids):
+        gm = gt_frames == g
+        for pi, p in enumerate(pred_ids):
+            pm = pred_frames == p
+            inter = np.logical_and(gm, pm).sum()
+            union = np.logical_or(gm, pm).sum()
+            iou[gi, pi] = inter / union if union else 0.0
+    pairs = reference_hungarian(1.0 - iou)
+    matched = {r: iou[r, c] for r, c in pairs}
+    return float(np.mean([matched.get(i, 0.0) for i in range(len(gt_ids))]))
+
+
+def dense_track_videos(n: int, seed: int = 0):
+    """(pred, gt) pairs as the eval-dense benchmark scores them: rendered
+    validation clips against over-segmented, re-born tracks."""
+    d = DataConfig()
+    _, specs = datagen.dataset_split(d.seed, 10 * n + 10, (d.canvas_h, d.canvas_w),
+                                     d.patch, d.frames, (d.sprite_min, d.sprite_max))
+    oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
+    rng = np.random.default_rng(seed)
+    for spec in specs[:n]:
+        gt = datagen.render_clip(spec, oracle).gt_pixel_labels
+        yield dense_tracks(gt, rng), gt
 
 
 def pair_counting_ari(a, b) -> float:
@@ -102,6 +194,38 @@ class TestHungarian:
         # two optima tie: (0,1),(1,0) vs (0,0),(1,1) both cost 2
         pairs = hungarian(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert pairs == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_lexicographic_optimum_on_tie_heavy_matrices(self, tall):
+        rng = np.random.default_rng(7 + tall)
+        for _ in range(40):
+            short = int(rng.integers(1, 6))
+            shape = (short, int(rng.integers(short + 1, 7)))
+            cost = rng.integers(0, 4, size=shape[::-1] if tall else shape).astype(float)
+            want = brute_force_lex_assignment(cost)
+            assert hungarian(cost) == want
+            assert reference_hungarian(cost) == want
+
+    @pytest.mark.parametrize("rows, cols, ties", [
+        (4, 71, False), (4, 71, True), (71, 4, True),
+        (24, 24, False), (24, 24, True), (48, 48, False),
+    ])
+    def test_matches_reference_solver(self, rows, cols, ties):
+        rng = np.random.default_rng(rows * 100 + cols + ties)
+        if ties:
+            cost = rng.integers(0, 4, size=(rows, cols)).astype(float)
+        else:
+            cost = rng.random((rows, cols))
+        assert hungarian(cost) == reference_hungarian(cost)
+
+    def test_matches_reference_solver_on_dense_track_iou(self):
+        for pred, gt in dense_track_videos(4):
+            objects = [g for g in np.unique(gt) if g > 0]
+            tracks = np.unique(pred)
+            iou = np.array([[np.sum((gt == g) & (pred == t)) / np.sum((gt == g) | (pred == t))
+                             for t in tracks] for g in objects])
+            assert iou.shape[1] > 30
+            assert hungarian(1.0 - iou) == reference_hungarian(1.0 - iou)
 
 
 class TestLinkTracks:
@@ -313,6 +437,70 @@ class TestVideoMiou:
                 total += inter / union if union else 0.0
             best = max(best, total / len(gt_ids))
         assert got == pytest.approx(best, abs=1e-10)
+
+
+class TestMetricsMatchMaskLoops:
+    """The contingency-table metrics equal loops over boolean masks exactly."""
+
+    def _volumes(self, case, rng):
+        shape = (3, 6, 7)
+        if case == "small":
+            return rng.integers(0, 9, size=shape), rng.integers(0, 4, size=shape)
+        if case == "uint16 near 65535":
+            pred = rng.integers(65500, 65536, size=shape).astype(np.uint16)
+            gt = rng.choice(np.array([0, 65533, 65534, 65535], dtype=np.uint16), size=shape)
+            return pred, gt
+        if case == "int64 wide":
+            ids = np.array([-7, 0, 3, 10**12, 2**62], dtype=np.int64)
+            return rng.choice(ids, size=shape), rng.choice(ids[:4], size=shape)
+        if case == "fewer tracks than objects":
+            return rng.integers(0, 2, size=shape), rng.integers(0, 6, size=shape)
+        if case == "gt ids absent from predictions":
+            return rng.integers(20, 30, size=shape), rng.integers(0, 4, size=shape) * 5
+        raise AssertionError(case)
+
+    @pytest.mark.parametrize("case", [
+        "small", "uint16 near 65535", "int64 wide", "fewer tracks than objects",
+        "gt ids absent from predictions",
+    ])
+    def test_random_volumes(self, case):
+        rng = np.random.default_rng(len(case))
+        for _ in range(5):
+            pred, gt = self._volumes(case, rng)
+            excluded = (int(pred.flat[0]), int(pred.flat[1]))
+            for kwargs in ({}, {"exclude_pred": excluded}, {"per_frame": True},
+                           {"per_frame": True, "exclude_pred": excluded}):
+                assert video_miou(pred, gt, **kwargs) == mask_loop_miou(pred, gt, **kwargs)
+            assert adjusted_rand_index(pred, gt) == mask_loop_ari(pred, gt)
+            for p, g in zip(pred, gt):
+                fg = g > 0
+                if fg.sum() >= 2:
+                    assert fg_ari(p, g) == mask_loop_ari(p[fg], g[fg])
+            hist = k_t_histogram(pred)
+            want = {}
+            for k in (np.unique(frame).size for frame in pred):
+                want[k] = want.get(k, 0) + 1
+            assert list(hist.items()) == list(want.items())
+
+    def test_dense_track_videos(self):
+        for pred, gt in dense_track_videos(3, seed=1):
+            assert video_miou(pred, gt) == mask_loop_miou(pred, gt)
+            for p, g in zip(pred, gt):
+                fg = g > 0
+                if fg.sum() >= 2:
+                    assert fg_ari(p, g) == mask_loop_ari(p[fg], g[fg])
+
+    def test_all_background_gt_is_none(self):
+        pred = np.arange(12, dtype=np.uint16).reshape(1, 3, 4)
+        gt = np.zeros((1, 3, 4), dtype=np.uint16)
+        assert video_miou(pred, gt) is None
+        assert mask_loop_miou(pred, gt) is None
+
+    def test_no_tracks_after_exclusion_is_zero(self):
+        pred = np.zeros((2, 3, 4), dtype=np.uint16)
+        gt = np.ones((2, 3, 4), dtype=np.uint16)
+        assert video_miou(pred, gt, exclude_pred=(0,)) == 0.0
+        assert mask_loop_miou(pred, gt, exclude_pred=(0,)) == 0.0
 
 
 class TestKtHistogram:

@@ -51,14 +51,14 @@ class TestTrainingLoop:
         cfg_b = tiny_cfg(tmp_path / "b")
         train(cfg_a)
         train(cfg_b)
-        blob_a = open(os.path.join(cfg_a.paths.checkpoint_dir, "final.ckpt"), "rb").read()
-        blob_b = open(os.path.join(cfg_b.paths.checkpoint_dir, "final.ckpt"), "rb").read()
+        blob_a = Path(cfg_a.paths.checkpoint_dir, "final.ckpt").read_bytes()
+        blob_b = Path(cfg_b.paths.checkpoint_dir, "final.ckpt").read_bytes()
         assert blob_a == blob_b
 
     def test_checkpoint_sidecar_metadata(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         _, result = train(cfg)
-        meta = json.load(open(result.checkpoint + ".meta.json"))
+        meta = json.loads(Path(result.checkpoint + ".meta.json").read_text())
         assert meta["config_digest"] == cfg.digest()
         assert meta["step"] > 0
 
@@ -299,7 +299,7 @@ class TestEvaluateDirs:
         assert report["config_digest"] == "digest123"
         assert [v["id"] for v in report["videos"]] == ["a", "b"]
         assert report["mean_fg_ari"] == 1.0
-        on_disk = json.load(open(tmp_path / "r.json"))
+        on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == report
 
     def test_missing_ids_listed(self, tmp_path):
