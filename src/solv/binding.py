@@ -12,6 +12,15 @@ the whole computation an exact function of the centered grid, which keeps
 binding bit-reproducible under a common translation of grid and initial
 positions.
 
+Keys and values are the projected token features plus a position term,
+``p(k(x_n)) + p(g(rel[k, n]))``. Because ``g`` and ``p`` are affine, the
+position term is ``rel[k, n] @ pg_w + pg_b`` with ``pg_w``/``pg_b`` composed
+once per frame, and an iteration never builds the K x N' x D keys or
+values: the logits contract the query with the token part (N' x D) and
+with ``pg_w``/``pg_b`` separately, and the slot updates apply ``pg_w`` to
+the attention-weighted relative coordinates (K x 2). A non-affine
+position encoder would need the K x N' x D tensors back.
+
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
 frames masked out of attention, and returns the center frame's slots.
@@ -120,36 +129,41 @@ def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
     S_p_init + drift. Returns (z, scale, drift, attention).
     """
     k, d_slot = z.shape
+    n_kept = centered.shape[1]
     inv_temp = Tensor(1.0 / np.sqrt(d_slot))
-
-    def pg_of(rel):
-        return dc.add(dc.matmul(rel, pg_w), pg_b)
 
     def rel_of(dr, sc):
         denom = dc.mul(dc.reshape(sc, (k, 1, 2)), Tensor(float(delta)))
         return dc.div(dc.sub(centered, dc.reshape(dr, (k, 1, 2))), denom)
 
-    rel = rel_of(drift, s_s)
-    keys = dc.add(pkf, pg_of(rel))                      # K x N' x D
+    # keys[k, n] = pkf[n] + rel[k, n] @ pg_w + pg_b, contracted with the
+    # query term by term so that no K x N' x D key is built
+    rel = rel_of(drift, s_s)                            # K x N' x 2
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
-    logits = dc.mul(
-        dc.reduce_sum(dc.mul(keys, dc.reshape(qz, (k, 1, d_slot))), axis=-1),
-        inv_temp,
-    )                                                   # K x N'
+    content = dc.matmul(qz, dc.transpose(pkf, (1, 0)))  # K x N'
+    q_pos = dc.reshape(dc.matmul(qz, dc.transpose(pg_w, (1, 0))), (k, 1, 2))
+    q_bias = dc.matmul(qz, dc.reshape(pg_b, (d_slot, 1)))  # K x 1
+    pos_term = dc.add(dc.reduce_sum(dc.mul(rel, q_pos), axis=-1), q_bias)
+    logits = dc.mul(dc.add(content, pos_term), inv_temp)  # K x N'
     a = dc.softmax(logits, axis=0)                      # normalize over slots
 
-    a3 = dc.reshape(a, (k, a.shape[1], 1))
+    a3 = dc.reshape(a, (k, n_kept, 1))
     mass = dc.add(dc.reduce_sum(a, axis=1, keepdims=True), Tensor(eps))  # K x 1
     new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=1), mass)
     spread = dc.sub(centered, dc.reshape(new_drift, (k, 1, 2)))
     var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=1), mass)
     new_scale = dc.sqrt(dc.add(var, Tensor(eps)))
 
+    # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
+    # taken term by term
     rel2 = rel_of(new_drift, new_scale)
-    vals = dc.add(pvf, pg_of(rel2))                     # K x N' x D
-    w = dc.div(a3, dc.reshape(mass, (k, 1, 1)))
-    updates = dc.reduce_sum(dc.mul(w, vals), axis=1)    # K x D
+    w = dc.div(a, mass)                                 # K x N'
+    w_rel2 = dc.reduce_sum(dc.mul(dc.reshape(w, (k, n_kept, 1)), rel2), axis=1)
+    updates = dc.add(
+        dc.add(dc.matmul(w, pvf), dc.matmul(w_rel2, pg_w)),
+        dc.mul(dc.reduce_sum(w, axis=1, keepdims=True), pg_b),
+    )                                                   # K x D
 
     z = dc.gru_cell(z, updates, _gru_params(params))
     z = _slot_mlp(z, params)

@@ -55,7 +55,7 @@ def cmd_infer(args) -> int:
         vid = os.path.splitext(os.path.basename(args.features))[0]
     tracked, _ = infer_video(pipe, feats)
     out_path = os.path.join(args.out, vid + ".mask")
-    datagen.write_masks(out_path, tracked.frames.astype(np.uint16))
+    datagen.write_masks(out_path, tracked.frames)
     print(f"wrote {out_path} ({tracked.frames.shape[0]} frames, "
           f"{tracked.n_tracks} tracks)")
     return 0

@@ -311,6 +311,9 @@ def mean_fg_ari(pred_frames: np.ndarray, gt_frames: np.ndarray) -> tuple[float |
     Frames without enough foreground are skipped; returns (mean, skipped),
     with mean None when no frame qualified.
     """
+    if np.shape(pred_frames) != np.shape(gt_frames):
+        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
+                         f"ground truth {np.shape(gt_frames)}")
     scores = []
     skipped = 0
     for p, g in zip(pred_frames, gt_frames):

@@ -2,9 +2,10 @@
 
 One forward covers a (2n+1)-frame window in two stages: per frame,
 encode the available frame with token drop and bind it spatially from the
-shared slot initialization; per window, relate slots temporally, merge,
-and decode the center frame over the full grid. Inference runs the first
-stage once per frame and the second once per window.
+shared slot initialization; per window, relate slots temporally and
+merge them, then decode the center frame over the full grid. Inference
+runs the first stage once per frame and the second once per window, and
+decodes only the frames that keep two or more slots.
 """
 
 from __future__ import annotations
@@ -98,8 +99,6 @@ def init_params(cfg: RunConfig, seed: int | None = None) -> ParamStore:
 class WindowOutput:
     decoded: objecthead.DecodedFrame
     merged: objecthead.MergedSlots
-    attention: binding.AttentionRecord
-    center_slots: Tensor
 
 
 class Pipeline:
@@ -128,10 +127,10 @@ class Pipeline:
             kept_indices=enc.kept_indices, init_z=init_z)
         return z, record
 
-    def decode_window(self, frame_slots: list, center_record: binding.AttentionRecord,
-                      apply_merge: bool) -> WindowOutput:
-        """Per-window stage: temporal binding, merge and decode of the
-        center frame.
+    def merge_window(self, frame_slots: list, center_record: binding.AttentionRecord,
+                     apply_merge: bool) -> objecthead.MergedSlots:
+        """Per-window stage: temporal binding and merge of the center
+        frame's slots.
 
         ``frame_slots`` holds one entry per window frame: the frame's
         slots, or None where the frame is unavailable (zero slots that
@@ -154,13 +153,15 @@ class Pipeline:
         partition = None
         if not (apply_merge and m.use_merging):
             partition = objecthead.identity_partition(m.k_slots)
-        merged = objecthead.merge_slots(c, center_record, m.tau_merge,
-                                        partition=partition)
-        decoded = objecthead.decode(merged, self.store, self.grid, m.delta,
-                                    self.cfg.data.d_features,
-                                    n_layers=m.decoder_layers)
-        return WindowOutput(decoded=decoded, merged=merged,
-                            attention=center_record, center_slots=c)
+        return objecthead.merge_slots(c, center_record, m.tau_merge,
+                                      partition=partition)
+
+    def decode(self, merged: objecthead.MergedSlots) -> objecthead.DecodedFrame:
+        """Decode merged slots over the full grid."""
+        m = self.cfg.model
+        return objecthead.decode(merged, self.store, self.grid, m.delta,
+                                 self.cfg.data.d_features,
+                                 n_layers=m.decoder_layers)
 
     def forward_window(self, features: np.ndarray, availability: np.ndarray,
                        kept_indices: list, apply_merge: bool,
@@ -181,7 +182,8 @@ class Pipeline:
                          if available else (None, None))
             slots.append(z)
             records.append(record)
-        return self.decode_window(slots, records[len(slots) // 2], apply_merge)
+        merged = self.merge_window(slots, records[len(slots) // 2], apply_merge)
+        return WindowOutput(decoded=self.decode(merged), merged=merged)
 
     def window_loss(self, out: WindowOutput, center_features: np.ndarray) -> Tensor:
         return objecthead.reconstruction_loss(out.decoded.y, center_features)
@@ -193,16 +195,30 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     Every frame becomes the center of its own window; frames outside the
     video are masked via availability. Token drop is off, so each frame
     is bound once and every window containing it reuses those slots.
-    Merging is always applied. Returns (tracked segmentation, per-frame
-    slot counts).
+    Merging is always applied, and the decoder runs only for frames left
+    with two or more slots: one slot labels every pixel 0. Returns
+    (tracked segmentation, per-frame slot counts).
     """
     from . import evalkit
 
     cfg = pipe.cfg
+    d = cfg.data
+    features = np.asarray(features)
+    if features.ndim != 3:
+        raise ValueError(f"features must be rank 3 (frames x tokens x dim), "
+                         f"got shape {features.shape}")
+    f_total, n_tok, width = features.shape
+    if f_total == 0:
+        raise ValueError("video has no frames")
+    if n_tok != d.n_tokens:
+        raise ValueError(f"feature grid {n_tok} does not match config tokens {d.n_tokens}")
+    if width != d.d_features:
+        raise ValueError(f"feature width {width} does not match config "
+                         f"d_features {d.d_features}")
+    finite = np.isfinite(features).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"non-finite features in frame {int(np.argmin(finite))}")
     n = cfg.model.n_window
-    f_total, n_tok, _ = features.shape
-    if n_tok != cfg.data.n_tokens:
-        raise ValueError(f"feature grid {n_tok} does not match config tokens {cfg.data.n_tokens}")
     keep = np.arange(n_tok, dtype=np.int64)
     bound = [pipe.bind_frame(frame, keep) for frame in features]
     label_frames = []
@@ -210,12 +226,14 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     for t in range(f_total):
         window = [bound[i][0] if 0 <= i < f_total else None
                   for i in range(t - n, t + n + 1)]
-        out = pipe.decode_window(window, bound[t][1], apply_merge=True)
-        labels = evalkit.rasterize(out.decoded.m.data, cfg.data.grid_rows,
-                                   cfg.data.grid_cols, cfg.data.canvas_h,
-                                   cfg.data.canvas_w)
+        merged = pipe.merge_window(window, bound[t][1], apply_merge=True)
+        if merged.k_t > 1:
+            labels = evalkit.rasterize(pipe.decode(merged).m.data, d.grid_rows,
+                                       d.grid_cols, d.canvas_h, d.canvas_w)
+        else:  # what rasterize returns: argmax over one slot is 0
+            labels = np.zeros((d.canvas_h, d.canvas_w), np.int64)
         label_frames.append(labels)
-        slot_vectors.append(out.merged.cprime.data.copy())
+        slot_vectors.append(merged.cprime.data.copy())
     tracked = evalkit.link_tracks(slot_vectors, label_frames)
     k_t_per_frame = [v.shape[0] for v in slot_vectors]
     return tracked, k_t_per_frame

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from solv import binding
-from solv.diffcore import ParamStore
+from solv import binding, diffcore as dc
+from solv.diffcore import ParamStore, Tensor
 
 
 def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
@@ -152,3 +152,56 @@ def reference_hungarian(cost) -> list[tuple[int, int]]:
         rows.pop(0)
         cols.remove(chosen)
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Reference invariant attention iteration: keys and values are built as
+# K x N' x D tensors and contracted afterwards. binding.isa_iteration
+# factors the affine position term out of them and must agree with this
+# to rounding.
+# ---------------------------------------------------------------------------
+
+def reference_isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
+                            pkf: Tensor, pvf: Tensor, pg_w: Tensor, pg_b: Tensor,
+                            params, delta: float, eps: float = 1e-8):
+    """One invariant attention iteration in centered coordinates.
+
+    centered is G_abs - S_p_init (K x N' x 2); drift accumulates the slot
+    position offset from its initialization, so the absolute position is
+    S_p_init + drift. Returns (z, scale, drift, attention).
+    """
+    k, d_slot = z.shape
+    inv_temp = Tensor(1.0 / np.sqrt(d_slot))
+
+    def pg_of(rel):
+        return dc.add(dc.matmul(rel, pg_w), pg_b)
+
+    def rel_of(dr, sc):
+        denom = dc.mul(dc.reshape(sc, (k, 1, 2)), Tensor(float(delta)))
+        return dc.div(dc.sub(centered, dc.reshape(dr, (k, 1, 2))), denom)
+
+    rel = rel_of(drift, s_s)
+    keys = dc.add(pkf, pg_of(rel))                      # K x N' x D
+    zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
+    qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
+    logits = dc.mul(
+        dc.reduce_sum(dc.mul(keys, dc.reshape(qz, (k, 1, d_slot))), axis=-1),
+        inv_temp,
+    )                                                   # K x N'
+    a = dc.softmax(logits, axis=0)                      # normalize over slots
+
+    a3 = dc.reshape(a, (k, a.shape[1], 1))
+    mass = dc.add(dc.reduce_sum(a, axis=1, keepdims=True), Tensor(eps))  # K x 1
+    new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=1), mass)
+    spread = dc.sub(centered, dc.reshape(new_drift, (k, 1, 2)))
+    var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=1), mass)
+    new_scale = dc.sqrt(dc.add(var, Tensor(eps)))
+
+    rel2 = rel_of(new_drift, new_scale)
+    vals = dc.add(pvf, pg_of(rel2))                     # K x N' x D
+    w = dc.div(a3, dc.reshape(mass, (k, 1, 1)))
+    updates = dc.reduce_sum(dc.mul(w, vals), axis=1)    # K x D
+
+    z = dc.gru_cell(z, updates, binding._gru_params(params))
+    z = binding._slot_mlp(z, params)
+    return z, new_scale, new_drift, a

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import binding_store, finite_diff
+from helpers import binding_store, finite_diff, reference_isa_iteration
 from solv import binding, diffcore as dc
 from solv.binding import relative_grid, spatial_bind, temporal_bind
 from solv.diffcore import Tape, Tensor, set_precision
@@ -196,6 +196,93 @@ class TestSpatialBind:
         worst = finite_diff(lambda: float(run()[0].data),
                             [tokens] + [store[n] for n in names], max_coords=8)
         assert worst <= 1e-4
+
+
+def _max_rel_diff(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest elementwise difference over the largest reference magnitude."""
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestFactoredAttention:
+    """isa_iteration contracts the affine position term with the query and
+    the attention weights instead of building K x N' x D keys and values;
+    it must agree with the unfactored reference to rounding."""
+
+    def _bind_with(self, iteration, store, tokens, grid, n_iters, monkeypatch):
+        monkeypatch.setattr(binding, "isa_iteration", iteration)
+        store.zero_grads()
+        tokens.grad = None
+        rng = np.random.default_rng(40)
+        tape = Tape()
+        with tape:
+            z, state, record = spatial_bind(tokens, grid, store, delta=5.0,
+                                            n_iters=n_iters)
+            loss = Tensor(0.0)
+            for out in (z, state.scale, state.position):
+                loss = dc.add(loss, dc.reduce_sum(
+                    dc.mul(out, Tensor(rng.normal(size=out.shape)))))
+        tape.backward(loss)
+        outputs = {"z": z.data, "scale": state.scale.data,
+                   "position": state.position.data, "a": record.a}
+        grads = {name: store[name].grad.copy() for name in store.names()
+                 if store[name].grad is not None}
+        grads["tokens"] = tokens.grad.copy()
+        return outputs, grads
+
+    @pytest.mark.parametrize("n_iters", [1, 3])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_matches_unfactored_reference(self, seed, n_iters, monkeypatch):
+        store = binding_store(d_slot=8, k_slots=4, seed=seed)
+        grid = build_position_grid(4, 5)
+        tokens = Tensor(np.random.default_rng(seed).normal(size=(20, 8)),
+                        requires_grad=True)
+        factored = binding.isa_iteration
+        got, got_grads = self._bind_with(factored, store, tokens,
+                                         grid, n_iters, monkeypatch)
+        want, want_grads = self._bind_with(reference_isa_iteration, store,
+                                           tokens, grid, n_iters, monkeypatch)
+        for name in want:
+            assert _max_rel_diff(got[name], want[name]) <= 1e-12, name
+        # every binding parameter the iteration reads gets a gradient
+        assert set(got_grads) == set(want_grads)
+        assert {"bind.p.w", "bind.g.w", "bind.g.b", "bind.q.w", "bind.init.pos",
+                "bind.init.scale"} <= set(want_grads)
+        for name in want_grads:
+            assert _max_rel_diff(got_grads[name], want_grads[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("with_tape", [True, False], ids=["train", "infer"])
+    def test_no_k_by_n_by_d_tensor_is_built(self, with_tape, monkeypatch):
+        k, rows, cols, d = 3, 4, 5, 8
+        store = binding_store(d_slot=d, k_slots=k, seed=44)
+        grid = build_position_grid(rows, cols)
+        tokens = Tensor(np.random.default_rng(45).normal(size=(rows * cols, d)))
+        real_make, factored = dc._make, binding.isa_iteration
+
+        def shapes_built(iteration):
+            shapes = []
+
+            def recording_make(out_data, parents, backward_fn):
+                shapes.append(np.shape(out_data))
+                return real_make(out_data, parents, backward_fn)
+
+            monkeypatch.setattr(binding, "isa_iteration", iteration)
+            monkeypatch.setattr(dc, "_make", recording_make)
+            tape = Tape()
+            try:
+                if with_tape:
+                    with tape:
+                        spatial_bind(tokens, grid, store, delta=5.0)
+                else:
+                    spatial_bind(tokens, grid, store, delta=5.0)
+            finally:
+                monkeypatch.setattr(dc, "_make", real_make)
+            if with_tape:  # every recorded node was also seen being built
+                recorded = [out.shape for out, *_ in tape._nodes]
+                assert recorded and set(recorded) <= set(shapes)
+            return shapes
+
+        assert (k, rows * cols, d) in shapes_built(reference_isa_iteration)
+        assert (k, rows * cols, d) not in shapes_built(factored)
 
 
 class TestTemporalBind:

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solv import datagen
+from solv import cli, datagen
 from solv.cli import main as cli_main
 from solv.config import (
     LrSchedule, RunConfig, config_from_dict, load_config,
 )
 from solv.diffcore import ConfigError
+from solv.model import init_params
 
 
 class TestDefaults:
@@ -255,3 +256,59 @@ class TestCliRoundTrip:
                          "--features", "synthetic:42", "--out", out]) == 0
         files = os.listdir(out)
         assert files == ["synthetic_42.mask"]
+
+
+def _untrained_checkpoint(tmp_path) -> tuple[str, str, RunConfig]:
+    """Config file, freshly initialised weights and the config for
+    ``solv infer``."""
+    payload = _tiny_cfg_dict(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    cfg = config_from_dict(payload)
+    ckpt = str(tmp_path / "init.ckpt")
+    init_params(cfg).save(ckpt)
+    Path(ckpt + ".meta.json").write_text(json.dumps(
+        {"config_digest": cfg.digest(), "step": 0, "epoch": 0}))
+    return str(cfg_path), ckpt, cfg
+
+
+class TestInferRejectsBadInput:
+    @pytest.mark.parametrize("frames, width, bad_frame, message", [
+        (0, 12, None, "no frames"),
+        (3, 10, None, "width 10"),
+        (3, 12, 1, "frame 1"),
+    ], ids=["zero_frames", "wrong_width", "non_finite"])
+    def test_bad_features_exit_2(self, tmp_path, capsys, frames, width,
+                                 bad_frame, message):
+        cfg_path, ckpt, cfg = _untrained_checkpoint(tmp_path)
+        feats = np.random.default_rng(0).normal(
+            size=(frames, cfg.data.n_tokens, width))
+        if bad_frame is not None:
+            feats[bad_frame, 2, 3] = np.inf
+        feat_path = str(tmp_path / "v.features")
+        datagen.write_features(feat_path, feats)
+        out = tmp_path / "pred"
+        rc = cli_main(["infer", "--config", cfg_path,
+                       "--checkpoint", ckpt,
+                       "--features", feat_path, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_track_ids_past_uint16_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg_path, ckpt, _ = _untrained_checkpoint(tmp_path)
+        real_infer = cli.infer_video
+
+        def many_tracks(pipe, feats):
+            tracked, k_t = real_infer(pipe, feats)
+            tracked.frames[0, 0, 0] = 70000
+            return tracked, k_t
+
+        monkeypatch.setattr(cli, "infer_video", many_tracks)
+        out = tmp_path / "pred"
+        rc = cli_main(["infer", "--config", cfg_path,
+                       "--checkpoint", ckpt,
+                       "--features", "synthetic:3", "--out", str(out)])
+        assert rc == 2
+        assert "70000" in capsys.readouterr().err
+        assert not list(out.iterdir())

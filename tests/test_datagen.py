@@ -180,6 +180,22 @@ class TestFileFormats:
         with pytest.raises(FormatError, match="byte"):
             read_masks(path)
 
+    @pytest.mark.parametrize("label", [70000, -1, 65536])
+    def test_mask_labels_outside_uint16_rejected(self, tmp_path, label):
+        arr = np.zeros((2, 4, 4), dtype=np.int64)
+        arr[1, 2, 3] = label
+        path = tmp_path / "m.mask"
+        with pytest.raises(ValueError, match=str(label)):
+            write_masks(str(path), arr)
+        assert not path.exists()
+
+    def test_mask_label_range_ends_roundtrip(self, tmp_path):
+        arr = np.zeros((2, 4, 4), dtype=np.int64)
+        arr[1, 2, 3] = 65535
+        path = str(tmp_path / "m.mask")
+        write_masks(path, arr)
+        assert np.array_equal(read_masks(path), arr)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         arr = np.zeros((1, 4, 4), dtype=np.uint16)
         path = str(tmp_path / "m.mask")

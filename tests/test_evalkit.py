@@ -362,6 +362,11 @@ class TestAri:
         mean, skipped = mean_fg_ari(gt.copy(), gt)
         assert mean is None and skipped == 3
 
+    def test_mean_fg_ari_rejects_shape_mismatch(self):
+        gt = np.ones((5, 2, 2), int)
+        with pytest.raises(ValueError, match=r"\(1, 2, 2\).*\(5, 2, 2\)"):
+            mean_fg_ari(gt[:1].copy(), gt)
+
 
 class TestVideoMiou:
     def test_perfect_prediction(self):
