@@ -56,16 +56,17 @@ class AttentionRecord:
 def relative_grid(g_abs, s_p, s_s, delta: float):
     """Slot-relative coordinates: (G_abs - S_p) / (delta * S_s).
 
-    Accepts numpy arrays or tensors; broadcasting covers both a single
-    slot (vectors) and K slots (K x 2 against K x N' x 2).
+    Accepts numpy arrays or tensors. A single slot takes 2-vectors; K
+    slots take K x 2 positions and scales, against either a shared N' x 2
+    grid or a per-slot K x N' x 2 grid, and give K x N' x 2.
     """
     g_abs = g_abs if isinstance(g_abs, Tensor) else Tensor(g_abs)
     s_p = s_p if isinstance(s_p, Tensor) else Tensor(s_p)
     s_s = s_s if isinstance(s_s, Tensor) else Tensor(s_s)
-    if s_p.ndim == 2 and g_abs.ndim == 2:  # K slots over a shared grid
+    if s_p.ndim == 2:  # K slots
         s_p = dc.reshape(s_p, (s_p.shape[0], 1, 2))
         s_s = dc.reshape(s_s, (s_s.shape[0], 1, 2))
-    return dc.div(dc.sub(g_abs, s_p), dc.mul(s_s, Tensor(float(delta))))
+    return dc.div(dc.sub(g_abs, s_p), s_s * delta)
 
 
 def binding_param_shapes(d_slot: int, k_slots: int, window: int) -> dict:
@@ -130,34 +131,29 @@ def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
     """
     k, d_slot = z.shape
     n_kept = centered.shape[1]
-    inv_temp = Tensor(1.0 / np.sqrt(d_slot))
-
-    def rel_of(dr, sc):
-        denom = dc.mul(dc.reshape(sc, (k, 1, 2)), Tensor(float(delta)))
-        return dc.div(dc.sub(centered, dc.reshape(dr, (k, 1, 2))), denom)
 
     # keys[k, n] = pkf[n] + rel[k, n] @ pg_w + pg_b, contracted with the
     # query term by term so that no K x N' x D key is built
-    rel = rel_of(drift, s_s)                            # K x N' x 2
+    rel = relative_grid(centered, drift, s_s, delta)    # K x N' x 2
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
     content = dc.matmul(qz, dc.transpose(pkf, (1, 0)))  # K x N'
     q_pos = dc.reshape(dc.matmul(qz, dc.transpose(pg_w, (1, 0))), (k, 1, 2))
     q_bias = dc.matmul(qz, dc.reshape(pg_b, (d_slot, 1)))  # K x 1
     pos_term = dc.add(dc.reduce_sum(dc.mul(rel, q_pos), axis=-1), q_bias)
-    logits = dc.mul(dc.add(content, pos_term), inv_temp)  # K x N'
+    logits = dc.add(content, pos_term) * (1.0 / np.sqrt(d_slot))  # K x N'
     a = dc.softmax(logits, axis=0)                      # normalize over slots
 
     a3 = dc.reshape(a, (k, n_kept, 1))
-    mass = dc.add(dc.reduce_sum(a, axis=1, keepdims=True), Tensor(eps))  # K x 1
+    mass = dc.reduce_sum(a, axis=1, keepdims=True) + eps  # K x 1
     new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=1), mass)
     spread = dc.sub(centered, dc.reshape(new_drift, (k, 1, 2)))
     var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=1), mass)
-    new_scale = dc.sqrt(dc.add(var, Tensor(eps)))
+    new_scale = dc.sqrt(var + eps)
 
     # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
     # taken term by term
-    rel2 = rel_of(new_drift, new_scale)
+    rel2 = relative_grid(centered, new_drift, new_scale, delta)
     w = dc.div(a, mass)                                 # K x N'
     w_rel2 = dc.reduce_sum(dc.mul(dc.reshape(w, (k, n_kept, 1)), rel2), axis=1)
     updates = dc.add(
@@ -173,13 +169,12 @@ def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
 def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
                               eps: float = 1e-8):
     """Original slot attention iteration (no position/scale machinery)."""
-    k, d_slot = z.shape
-    inv_temp = Tensor(1.0 / np.sqrt(d_slot))
+    d_slot = z.shape[1]
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
-    logits = dc.mul(dc.matmul(qz, dc.transpose(kf, (1, 0))), inv_temp)  # K x N'
+    logits = dc.matmul(qz, dc.transpose(kf, (1, 0))) * (1.0 / np.sqrt(d_slot))  # K x N'
     a = dc.softmax(logits, axis=0)
-    mass = dc.add(dc.reduce_sum(a, axis=1, keepdims=True), Tensor(eps))
+    mass = dc.reduce_sum(a, axis=1, keepdims=True) + eps
     w = dc.div(a, mass)
     updates = dc.matmul(w, vf)
     z = dc.gru_cell(z, updates, _gru_params(params))
@@ -203,7 +198,7 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
     k = z.shape[0]
 
     if invariant:
-        grid_t = Tensor(kept_grid)
+        grid_t = Tensor(np.asarray(kept_grid, params.dtype))
         centered = dc.sub(grid_t, dc.reshape(s_p, (k, 1, 2)))  # K x N' x 2
         kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
         vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
@@ -212,7 +207,7 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         pg_w = dc.matmul(params["bind.g.w"], params["bind.p.w"])  # 2 x D composite
         pg_b = dc.matmul(dc.reshape(params["bind.g.b"], (1, -1)), params["bind.p.w"])
         pg_b = dc.reshape(pg_b, (-1,))
-        drift = Tensor(np.zeros((k, 2)))
+        drift = Tensor(np.zeros((k, 2), params.dtype))
         a = None
         for _ in range(n_iters):
             z, s_s, drift, a = isa_iteration(
@@ -246,8 +241,7 @@ def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
     q = split_heads(dc.linear(x, params[prefix + "wq"], params[prefix + "bq"]))
     kk = split_heads(dc.linear(x, params[prefix + "wk"], params[prefix + "bk"]))
     v = split_heads(dc.linear(x, params[prefix + "wv"], params[prefix + "bv"]))
-    scores = dc.mul(dc.matmul(q, dc.transpose(kk, (0, 1, 3, 2))),
-                    Tensor(1.0 / np.sqrt(dh)))
+    scores = dc.matmul(q, dc.transpose(kk, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     scores = dc.add(scores, Tensor(mask_bias))
     probs = dc.softmax(scores, axis=-1)
     out = dc.matmul(probs, v)                                # K x h x T x dh

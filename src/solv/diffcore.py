@@ -1,7 +1,8 @@
 """Reverse-mode differentiable array engine and Adam optimizer.
 
-Tensors wrap numpy arrays in a configurable float precision (f32 for
-training, f64 for gradient checks). Operations executed inside a ``Tape``
+Tensors wrap float numpy arrays; a ``ParamStore`` fixes the float width
+of its parameters (f32 for training, f64 for gradient checks), and every
+operation keeps the width of its operands. Operations executed inside a ``Tape``
 context are recorded in execution order; ``Tape.backward`` replays them
 once in reverse, accumulating gradients into every tensor that requires
 them. Nothing here is thread-aware: a tape and its tensors belong to a
@@ -28,9 +29,6 @@ __all__ = [
     "BinaryReader",
     "write_f32_array",
     "atomic_write",
-    "set_precision",
-    "get_precision",
-    "precision",
     "set_finite_checks",
     "add", "sub", "mul", "div", "neg", "matmul",
     "exp", "sqrt", "relu", "sigmoid", "tanh",
@@ -137,48 +135,13 @@ def atomic_write(path: str, mode: str = "wb"):
     os.replace(tmp, path)
 
 
-_precision = os.environ.get("SOLV_PRECISION", "f64")
-if _precision not in _DTYPES:
-    raise ConfigError(f"SOLV_PRECISION must be one of {sorted(_DTYPES)}, got {_precision!r}")
-
 _finite_checks = False
 
 
-def set_precision(name: str) -> None:
-    """Select the global float width ('f32' or 'f64').
-
-    Takes effect for tensors created afterwards; existing tensors keep
-    their dtype.
-    """
-    global _precision
-    if name not in _DTYPES:
-        raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {name!r}")
-    _precision = name
-
-
 def get_precision() -> str:
-    return _precision
-
-
-class precision:
-    """Context manager that temporarily switches the global precision."""
-
-    def __init__(self, name: str):
-        self._name = name
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = get_precision()
-        set_precision(self._name)
-        return self
-
-    def __exit__(self, *exc):
-        set_precision(self._saved)
-        return False
-
-
-def dtype() -> type:
-    return _DTYPES[_precision]
+    """Precision of the default config, which every benchmark workload
+    runs; read only by the run header of ``bench/run.py``."""
+    return "f32"
 
 
 def set_finite_checks(enabled: bool) -> None:
@@ -198,8 +161,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype != dtype():
-            arr = arr.astype(dtype())
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
@@ -230,34 +193,34 @@ class Tensor:
 
     # operator sugar
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, _wrap(other, self))
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(_wrap(other, self), self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, _wrap(other, self))
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -276,8 +239,9 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype()))
+def _wrap(x, like: Tensor) -> Tensor:
+    """``x`` itself if it is a tensor, else a constant of ``like``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -569,7 +533,7 @@ def layernorm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None
     m = reduce_mean(x, axis=-1, keepdims=True)
     xc = sub(x, m)
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = div(_wrap(1.0), sqrt(add(var, _wrap(eps))))
+    inv = 1.0 / sqrt(var + eps)
     out = mul(xc, inv)
     if gamma is not None:
         out = mul(out, gamma)
@@ -600,8 +564,7 @@ def gru_cell(state: Tensor, inp: Tensor, p: dict) -> Tensor:
     r = sigmoid(add(add(matmul(inp, p["w_ir"]), matmul(state, p["w_hr"])), p["b_r"]))
     n = tanh(add(add(matmul(inp, p["w_in"]), p["b_in"]),
                  mul(r, add(matmul(state, p["w_hn"]), p["b_hn"]))))
-    one = _wrap(1.0)
-    return add(mul(u, n), mul(sub(one, u), state))
+    return add(mul(u, n), mul(1.0 - u, state))
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +576,15 @@ _CKPT_VERSION = 1
 
 
 class ParamStore:
-    """Named trainable tensors plus Adam moment state."""
+    """Named trainable tensors plus Adam moment state, all of one float
+    width: ``precision`` is 'f32' or 'f64'. Parameters are cast to it when
+    registered and when loaded, and the model casts every array it feeds
+    into the computation to ``dtype``."""
 
-    def __init__(self):
+    def __init__(self, precision: str):
+        if precision not in _DTYPES:
+            raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {precision!r}")
+        self.dtype = _DTYPES[precision]
         self.params: dict[str, Tensor] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -624,7 +593,7 @@ class ParamStore:
     def register(self, name: str, array: np.ndarray) -> Tensor:
         if name in self.params:
             raise ConfigError(f"parameter {name!r} registered twice")
-        t = Tensor(array, requires_grad=True)
+        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
         self.params[name] = t
         self.m[name] = np.zeros_like(t.data)
         self.v[name] = np.zeros_like(t.data)
@@ -714,11 +683,11 @@ class ParamStore:
                 raise ShapeError(
                     f"checkpoint parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
                 )
-            t.data = arr.astype(dtype())
+            t.data = arr.astype(self.dtype)
             if name + ".m" in records:
-                self.m[name] = records[name + ".m"].astype(dtype())
+                self.m[name] = records[name + ".m"].astype(self.dtype)
             if name + ".v" in records:
-                self.v[name] = records[name + ".v"].astype(dtype())
+                self.v[name] = records[name + ".v"].astype(self.dtype)
 
 
 def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:

@@ -78,6 +78,6 @@ def project_features(raw: Tensor, params, prefix: str = "enc.proj.") -> Tensor:
 def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray,
                  params, prefix: str = "enc.proj.") -> EncodedFrame:
     """Gather kept tokens of one frame and project them to slot width."""
-    raw = Tensor(features[kept])
+    raw = Tensor(np.asarray(features[kept], params.dtype))
     tokens = project_features(raw, params, prefix)
     return EncodedFrame(tokens=tokens, kept_grid=grid[kept], kept_indices=kept)

@@ -17,6 +17,7 @@ pixel with some track.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,25 +274,32 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
-    """ARI from the contingency table under the permutation model.
+def _ari(tables: np.ndarray) -> np.ndarray:
+    """ARI of each contingency table along the leading axis, under the
+    permutation model.
 
     Degenerate cases (zero expected-index denominator): 1.0 when the two
-    labelings induce the same partition, 0.0 otherwise.
+    labelings induce the same partition, 0.0 otherwise. The comb2 sums
+    are integer-valued, so zero rows and columns leave them exact.
     """
-    _, _, table = _contingency(a, b)
-    n = np.size(a)
-    sum_ij = _comb2(table).sum()
-    sum_a = _comb2(table.sum(axis=1)).sum()
-    sum_b = _comb2(table.sum(axis=0)).sum()
-    total = _comb2(np.asarray(n))
-    expected = sum_a * sum_b / total if total > 0 else 0.0
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    sum_ij = _comb2(tables).sum(axis=(1, 2))
+    sum_a = _comb2(rows).sum(axis=1)
+    sum_b = _comb2(cols).sum(axis=1)
+    total = _comb2(rows.sum(axis=1))
+    expected = np.divide(sum_a * sum_b, total, out=np.zeros_like(total), where=total > 0)
     max_index = 0.5 * (sum_a + sum_b)
-    if max_index == expected:
-        same = (np.count_nonzero(table, axis=0) <= 1).all() and \
-               (np.count_nonzero(table, axis=1) <= 1).all()
-        return 1.0 if same else 0.0
-    return float((sum_ij - expected) / (max_index - expected))
+    degenerate = max_index == expected
+    same = (np.count_nonzero(tables, axis=1) <= 1).all(axis=1) & \
+           (np.count_nonzero(tables, axis=2) <= 1).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ari = (sum_ij - expected) / (max_index - expected)
+    return np.where(degenerate, same.astype(np.float64), ari)
+
+
+def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
+    """ARI of two labelings of the same elements (see ``_ari``)."""
+    return float(_ari(_contingency(a, b)[2][None])[0])
 
 
 def fg_ari(pred: np.ndarray, gt: np.ndarray) -> float | None:
@@ -299,32 +307,37 @@ def fg_ari(pred: np.ndarray, gt: np.ndarray) -> float | None:
 
     Returns None when fewer than 2 foreground pixels exist.
     """
-    fg = gt > 0
-    if fg.sum() < 2:
-        return None
-    return adjusted_rand_index(pred[fg], gt[fg])
+    return mean_fg_ari(np.asarray(pred)[None], np.asarray(gt)[None])[0]
+
+
+def _check_shapes(pred_frames, gt_frames) -> None:
+    if np.shape(pred_frames) != np.shape(gt_frames):
+        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
+                         f"ground truth {np.shape(gt_frames)}")
 
 
 def mean_fg_ari(pred_frames: np.ndarray, gt_frames: np.ndarray) -> tuple[float | None, int]:
     """Per-frame foreground ARI averaged over the video.
 
-    Frames without enough foreground are skipped; returns (mean, skipped),
-    with mean None when no frame qualified.
+    One (frame, pred, gt) table counts the foreground pixels of every
+    frame. Frames with fewer than 2 foreground pixels are skipped;
+    returns (mean, skipped), with mean None when no frame qualified.
     """
-    if np.shape(pred_frames) != np.shape(gt_frames):
-        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
-                         f"ground truth {np.shape(gt_frames)}")
-    scores = []
-    skipped = 0
-    for p, g in zip(pred_frames, gt_frames):
-        s = fg_ari(p, g)
-        if s is None:
-            skipped += 1
-        else:
-            scores.append(s)
-    if not scores:
+    _check_shapes(pred_frames, gt_frames)
+    pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
+    fg = (gt > 0).reshape(len(gt), math.prod(gt.shape[1:]))
+    n_fg = np.count_nonzero(fg, axis=1)
+    frame = np.repeat(np.arange(len(gt)), n_fg)
+    pred_ids, pi = _compact(pred.reshape(fg.shape)[fg])
+    gt_ids, gi = _compact(gt.reshape(fg.shape)[fg])
+    cell = (frame * pred_ids.size + pi) * gt_ids.size + gi
+    tables = np.bincount(cell, minlength=len(gt) * pred_ids.size * gt_ids.size)
+    tables = tables.reshape(len(gt), pred_ids.size, gt_ids.size)
+    scored = n_fg >= 2
+    skipped = int(np.count_nonzero(~scored))
+    if not scored.any():
         return None, skipped
-    return float(np.mean(scores)), skipped
+    return float(np.mean(_ari(tables[scored]))), skipped
 
 
 def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
@@ -335,8 +348,10 @@ def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
     track); gt objects left unmatched contribute 0. Predictions normally
     label every pixel with some track; ``exclude_pred`` names ids that
     are not tracks (thresholded background). ``per_frame`` matches each
-    frame independently instead (for comparison only).
+    frame independently instead (for comparison only). Prediction and
+    ground truth must have the same shape.
     """
+    _check_shapes(pred_frames, gt_frames)
     if per_frame:
         vals = [video_miou(p[None], g[None], exclude_pred=exclude_pred)
                 for p, g in zip(pred_frames, gt_frames)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binding, diffcore as dc, encoder, objecthead
+from . import binding, encoder, objecthead
 from .config import RunConfig
 from .diffcore import ParamStore, Tensor
 
@@ -32,7 +32,7 @@ def init_params(cfg: RunConfig, seed: int | None = None) -> ParamStore:
     m, d = cfg.model, cfg.data
     rng = np.random.default_rng(
         np.random.SeedSequence([seed if seed is not None else d.seed, 0x9A7A]))
-    store = ParamStore()
+    store = ParamStore(cfg.train.precision)
 
     def reg(name, arr):
         store.register(name, arr)
@@ -141,7 +141,7 @@ class Pipeline:
         availability = np.array([z is not None for z in frame_slots])
         if not availability[center]:
             raise ValueError("center frame must be available")
-        empty = Tensor(np.zeros((m.k_slots, m.d_slot)))
+        empty = Tensor(np.zeros((m.k_slots, m.d_slot), self.store.dtype))
         slots = [empty if z is None else z for z in frame_slots]
         if m.use_temporal_binding:
             c, _ = binding.temporal_bind(
@@ -175,7 +175,7 @@ class Pipeline:
         """
         init_z = None
         if init_jitter is not None:
-            init_z = dc.add(self.store["bind.init.z"], Tensor(init_jitter))
+            init_z = self.store["bind.init.z"] + init_jitter
         slots, records = [], []
         for t, available in enumerate(availability):
             z, record = (self.bind_frame(features[t], kept_indices[t], init_z)

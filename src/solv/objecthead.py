@@ -167,7 +167,8 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
 
     rel = (full_grid[None, :, :] - ms.position[:, None, :]) \
         / (delta * ms.scale[:, None, :])
-    h_rel = dc.linear(Tensor(rel), params["merge.h.w"], params["merge.h.b"])
+    h_rel = dc.linear(Tensor(np.asarray(rel, params.dtype)), params["merge.h.w"],
+                      params["merge.h.b"])
     x = dc.add(dc.reshape(ms.cprime, (k_t, 1, d_slot)), params["dec.pos"])
     x = dc.add(x, h_rel)                                  # K_t x N x D_slot
 
@@ -187,8 +188,7 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
 
 def reconstruction_loss(y: Tensor, target) -> Tensor:
     """Mean squared difference over every grid position and channel."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    if y.shape != target.shape:
-        raise ShapeError(f"reconstruction {y.shape} vs target {target.shape}")
-    diff = dc.sub(y, target)
+    if y.shape != np.shape(target):
+        raise ShapeError(f"reconstruction {y.shape} vs target {np.shape(target)}")
+    diff = y - target  # a numpy target becomes a constant of y's dtype
     return dc.reduce_mean(dc.mul(diff, diff))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datagen, evalkit
 from .config import LrSchedule, RunConfig
-from .diffcore import ConfigError, ParamStore, Tape, atomic_write, set_precision
+from .diffcore import ConfigError, ParamStore, Tape, atomic_write
 from .encoder import make_drop_plan
 from .model import Pipeline, infer_video, init_params
 from .objecthead import merge_gate
@@ -70,7 +70,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
     spans the truncated horizon so the peak learning rate is reached.
     """
     cfg.validate()
-    set_precision(cfg.train.precision)
     d, tr = cfg.data, cfg.train
     train_specs, _ = datagen.dataset_split(
         d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,
@@ -180,7 +179,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 # ---------------------------------------------------------------------------
 
 def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
-    set_precision(cfg.train.precision)
     check_compatible(ckpt_path, cfg)
     store = init_params(cfg)
     store.load(ckpt_path)

@@ -10,7 +10,7 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
                   scale=0.3) -> ParamStore:
     """Small randomly initialized parameter set for binding tests."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    store = ParamStore("f64")
     shapes = dict(binding.binding_param_shapes(d_slot, k_slots, window))
     shapes.update(binding.transformer_param_shapes(d_slot, n_layers))
     for name, shape in shapes.items():

@@ -19,7 +19,7 @@ from helpers import binding_store, finite_diff
 from solv import datagen, diffcore as dc, objecthead
 from solv.binding import spatial_bind, temporal_bind
 from solv.config import RunConfig, config_from_dict
-from solv.diffcore import ParamStore, Tape, Tensor, set_precision
+from solv.diffcore import ParamStore, Tape, Tensor
 from solv.encoder import build_position_grid, make_drop_plan, project_features
 from solv.evalkit import (
     adjusted_rand_index, assignment_total, fg_ari, hungarian, link_tracks,
@@ -32,12 +32,6 @@ from solv.objecthead import (
 )
 from test_evalkit import brute_force_min_assignment, pair_counting_ari
 from test_objecthead import greedy_linkage_oracle, _decoder_store, _merged
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    set_precision("f64")
-    yield
 
 
 class TestGradientOracle:
@@ -62,7 +56,7 @@ class TestGradientOracle:
 
         def projection(seed):
             rng = np.random.default_rng(seed)
-            store = ParamStore()
+            store = ParamStore("f64")
             from solv.encoder import projection_param_shapes
             for name, shape in projection_param_shapes(5, 6).items():
                 init = np.ones(shape) if name == "ln_g" else \

@@ -6,14 +6,8 @@ import pytest
 from helpers import binding_store, finite_diff, reference_isa_iteration
 from solv import binding, diffcore as dc
 from solv.binding import relative_grid, spatial_bind, temporal_bind
-from solv.diffcore import Tape, Tensor, set_precision
+from solv.diffcore import Tape, Tensor
 from solv.encoder import build_position_grid
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    set_precision("f64")
-    yield
 
 
 def _layernorm_np(z, eps=1e-6):
@@ -49,6 +43,17 @@ class TestRelativeGrid:
         for j in range(3):
             np.testing.assert_allclose(
                 out.data[j], (g - s_p[j]) / (5.0 * s_s[j]))
+
+    def test_per_slot_grids(self):
+        # the centered K x N' x 2 grids that invariant attention passes
+        g = np.random.default_rng(4).normal(size=(3, 5, 2))
+        s_p = np.random.default_rng(5).normal(size=(3, 2))
+        s_s = np.abs(np.random.default_rng(6).normal(size=(3, 2))) + 0.1
+        out = relative_grid(g, s_p, s_s, 5.0)
+        assert out.shape == (3, 5, 2)
+        for j in range(3):
+            np.testing.assert_array_equal(
+                out.data[j], (g[j] - s_p[j]) / (s_s[j] * 5.0))
 
 
 class TestSpatialBind:

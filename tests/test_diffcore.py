@@ -10,16 +10,10 @@ import pytest
 from solv import diffcore as dc
 from solv.diffcore import (
     ConfigError, FormatError, NonFiniteError, ParamStore, ShapeError, Tape,
-    Tensor, set_precision,
+    Tensor,
 )
 
 from helpers import finite_diff
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    set_precision("f64")
-    yield
 
 
 class TestForwardValues:
@@ -249,7 +243,7 @@ class TestGru:
 
 class TestAdam:
     def test_zero_gradients_leave_parameters(self):
-        store = ParamStore()
+        store = ParamStore("f64")
         t = store.register("w", np.array([1.0, 2.0]))
         t.grad = np.zeros(2)
         store.adam_step(lr=0.1, clip_norm=1.0)
@@ -257,7 +251,7 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         # bias-corrected first Adam step: delta = lr * g/|g| -> lr for g=1
-        store = ParamStore()
+        store = ParamStore("f64")
         t = store.register("w", np.array([0.0]))
         t.grad = np.array([1.0])
         store.adam_step(lr=0.1, clip_norm=10.0)
@@ -266,7 +260,7 @@ class TestAdam:
         assert store.step == 1
 
     def test_global_norm_clipping(self):
-        store = ParamStore()
+        store = ParamStore("f64")
         a = store.register("a", np.zeros(3))
         b = store.register("b", np.zeros(4))
         g = np.ones(7) * (10.0 / np.sqrt(7))  # global norm exactly 10
@@ -279,7 +273,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_gradient_leaves_state(self, bad):
-        store = ParamStore()
+        store = ParamStore("f64")
         w = store.register("w", np.ones(3))
         u = store.register("u", np.ones(2))
         w.grad = np.ones(3)
@@ -297,14 +291,14 @@ class TestAdam:
         assert w.grad is None and u.grad is None
 
     def test_invalid_lr(self):
-        store = ParamStore()
+        store = ParamStore("f64")
         store.register("w", np.zeros(1))
         with pytest.raises(ConfigError):
             store.adam_step(lr=0.0)
 
     def test_adam_matches_reference_sequence(self):
         # scalar Adam recurrence computed independently
-        store = ParamStore()
+        store = ParamStore("f64")
         t = store.register("w", np.array([1.0]))
         w, m, v = 1.0, 0.0, 0.0
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
@@ -320,9 +314,42 @@ class TestAdam:
             assert abs(t.data[0] - w) < 1e-12
 
 
+class TestPrecision:
+    def test_tensors_keep_float_dtype(self):
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        assert Tensor(np.ones(2)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.arange(3)).data.dtype == np.float64
+
+    def test_constants_take_the_tensor_dtype(self):
+        x = Tensor(np.array([1.0, 3.0], np.float32))
+        for out in (x * 0.1, 0.1 * x, x + 1e-8, 1.0 - x, x / 3.0, 1.0 / x,
+                    x * np.float64(0.1), x - np.array([0.5, 0.25])):
+            assert out.data.dtype == np.float32
+        np.testing.assert_array_equal((x * 0.1).data, x.data * np.float32(0.1))
+
+    @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+    def test_store_casts_on_register_and_load(self, precision, dtype, tmp_path):
+        store = ParamStore(precision)
+        assert store.dtype == dtype
+        t = store.register("w", np.arange(6.0).reshape(2, 3))
+        assert t.data.dtype == store.m["w"].dtype == store.v["w"].dtype == dtype
+        path = str(tmp_path / "w.ckpt")
+        store.save(path)
+        fresh = ParamStore(precision)
+        fresh.register("w", np.zeros((2, 3), np.float32))
+        fresh.load(path)
+        assert fresh["w"].data.dtype == fresh.m["w"].dtype == dtype
+        np.testing.assert_array_equal(fresh["w"].data, t.data)
+
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(ConfigError, match="f16"):
+            ParamStore("f16")
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        store = ParamStore()
+        store = ParamStore("f64")
         rng = np.random.default_rng(7)
         store.register("enc.w", rng.normal(size=(3, 4)).astype(np.float32))
         store.register("dec.b", rng.normal(size=(5,)).astype(np.float32))
@@ -332,7 +359,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         store.save(path)
 
-        fresh = ParamStore()
+        fresh = ParamStore("f64")
         fresh.register("enc.w", np.zeros((3, 4)))
         fresh.register("dec.b", np.zeros(5))
         fresh.load(path)
@@ -347,26 +374,26 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        store = ParamStore()
+        store = ParamStore("f64")
         with pytest.raises(FormatError, match="byte 0"):
             store.load(str(path))
 
     def test_truncation_names_offset(self, tmp_path):
-        store = ParamStore()
+        store = ParamStore("f64")
         store.register("w", np.ones((2, 2)))
         path = str(tmp_path / "model.ckpt")
         store.save(path)
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-5])
         with pytest.raises(FormatError, match="byte"):
-            ParamStore().load(path)
+            ParamStore("f64").load(path)
 
     def test_shape_mismatch_on_load(self, tmp_path):
-        store = ParamStore()
+        store = ParamStore("f64")
         store.register("w", np.ones((2, 2)))
         path = str(tmp_path / "model.ckpt")
         store.save(path)
-        other = ParamStore()
+        other = ParamStore("f64")
         other.register("w", np.ones((3, 2)))
         with pytest.raises(ShapeError):
             other.load(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solv import diffcore as dc
-from solv.diffcore import ConfigError, ParamStore, Tape, Tensor, set_precision
+from solv.diffcore import ConfigError, ParamStore, Tape, Tensor
 from helpers import finite_diff
 from solv.encoder import (
     build_position_grid, encode_frame, make_drop_plan, project_features,
@@ -12,15 +12,9 @@ from solv.encoder import (
 )
 
 
-@pytest.fixture(autouse=True)
-def f64_mode():
-    set_precision("f64")
-    yield
-
-
 def _projection_store(d_in, d_slot, seed=0):
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    store = ParamStore("f64")
     for name, shape in projection_param_shapes(d_in, d_slot).items():
         if name == "ln_g":
             arr = np.ones(shape)
@@ -101,7 +95,7 @@ class TestPositionGrid:
 
 class TestProjection:
     def test_zero_params_give_zeros(self):
-        store = ParamStore()
+        store = ParamStore("f64")
         for name, shape in projection_param_shapes(5, 4).items():
             init = np.ones(shape) if name == "ln_g" else np.zeros(shape)
             store.register("enc.proj." + name, init)

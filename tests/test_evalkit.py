@@ -367,11 +367,32 @@ class TestAri:
         with pytest.raises(ValueError, match=r"\(1, 2, 2\).*\(5, 2, 2\)"):
             mean_fg_ari(gt[:1].copy(), gt)
 
+    def test_mean_fg_ari_equals_mean_of_per_frame_loops(self):
+        rng = np.random.default_rng(9)
+        sparse_gt = rng.integers(0, 3, size=(6, 5, 5)) * (rng.random((6, 5, 5)) < 0.15)
+        videos = list(dense_track_videos(2, seed=2)) + [
+            (rng.integers(0, 6, size=(4, 5, 5)), rng.integers(0, 3, size=(4, 5, 5))),
+            (rng.integers(0, 4, size=(6, 5, 5)), sparse_gt),
+        ]
+        for pred, gt in videos:
+            scores = [mask_loop_ari(p[g > 0], g[g > 0])
+                      for p, g in zip(pred, gt) if (g > 0).sum() >= 2]
+            want = (float(np.mean(scores)) if scores else None, len(gt) - len(scores))
+            assert mean_fg_ari(pred, gt) == want
+        assert mean_fg_ari(np.zeros((0, 3, 3), int), np.zeros((0, 3, 3), int)) == (None, 0)
+
 
 class TestVideoMiou:
     def test_perfect_prediction(self):
         gt = np.array([[[1, 1], [2, 0]], [[1, 1], [2, 0]]])
         assert video_miou(gt.copy(), gt) == 1.0
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_rejects_shape_mismatch(self, per_frame):
+        # the same labels reshaped: equal element counts, different videos
+        gt = np.arange(32).reshape(2, 4, 4) % 3
+        with pytest.raises(ValueError, match=r"\(4, 2, 4\).*\(2, 4, 4\)"):
+            video_miou(gt.reshape(4, 2, 4), gt, per_frame=per_frame)
 
     def test_partial_overlap_one_third(self):
         # one object of 4 pixels; prediction covers 2 of them plus 2

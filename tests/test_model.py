@@ -4,9 +4,10 @@ more slots, and matches the per-window forward."""
 import numpy as np
 import pytest
 
-from solv import binding, datagen, evalkit, objecthead
+from solv import binding, datagen, diffcore as dc, evalkit, objecthead
 from solv.config import DataConfig, ModelConfig, RunConfig, TrainConfig
-from solv.diffcore import set_precision
+from solv.diffcore import Tape
+from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video
 
 
@@ -60,7 +61,6 @@ def per_window_oracle(pipe: Pipeline, features: np.ndarray):
 def test_infer_video_matches_per_window_oracle(frames, seed, model_overrides,
                                                monkeypatch):
     cfg = small_cfg(**model_overrides)
-    set_precision(cfg.train.precision)
     d = cfg.data
     pipe = Pipeline(cfg, seed=seed)
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
@@ -111,6 +111,45 @@ def _features(cfg: RunConfig, frames: int) -> np.ndarray:
 ], ids=["zero_frames", "wrong_width", "non_finite"])
 def test_infer_video_rejects_bad_features(features, message):
     cfg = small_cfg()
-    set_precision(cfg.train.precision)
     with pytest.raises(ValueError, match=message):
         infer_video(Pipeline(cfg, seed=0), features(cfg))
+
+
+@pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
+    """The config's precision, not what ran before in the process, sets
+    the dtype of every value a training clip and inference build and of
+    every parameter gradient."""
+    cfg = small_cfg()
+    cfg.train.precision = precision
+    d, window = cfg.data, cfg.model.window
+    pipe = Pipeline(cfg, seed=2)
+    oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
+    spec = datagen.random_scene(2, (d.canvas_h, d.canvas_w), d.patch, window,
+                                (d.sprite_min, d.sprite_max))
+    clip = datagen.render_clip(spec, oracle)
+    plan = make_drop_plan(window, d.n_tokens, 0.5, seed=2)
+    jitter = np.random.default_rng(2).normal(size=(cfg.model.k_slots, cfg.model.d_slot))
+
+    built, real_make = [], dc._make
+
+    def recording_make(out_data, parents, backward_fn):
+        built.append(np.asarray(out_data).dtype)
+        return real_make(out_data, parents, backward_fn)
+
+    monkeypatch.setattr(dc, "_make", recording_make)
+    tape = Tape()
+    with tape:
+        out = pipe.forward_window(clip.features, np.ones(window, bool),
+                                  list(plan.kept_indices), apply_merge=True,
+                                  init_jitter=jitter)
+        loss = pipe.window_loss(out, clip.features[clip.center])
+    tape.backward(loss)
+    grads = {t.grad.dtype for t in pipe.store.params.values() if t.grad is not None}
+    n_train = len(built)
+    infer_video(pipe, clip.features)
+
+    assert 0 < n_train < len(built)
+    assert set(built) == {np.dtype(dtype)}
+    assert grads == {np.dtype(dtype)}
+    assert {t.data.dtype for t in pipe.store.params.values()} == {np.dtype(dtype)}

@@ -9,19 +9,13 @@ import pytest
 from helpers import binding_store, finite_diff
 from solv import diffcore as dc, objecthead
 from solv.binding import AttentionRecord
-from solv.diffcore import ConfigError, ParamStore, Tape, Tensor, set_precision
+from solv.diffcore import ConfigError, ParamStore, Tape, Tensor
 from solv.encoder import build_position_grid
 from solv.objecthead import (
     complete_linkage, cosine_distances, decode, decoder_param_shapes,
     identity_partition, merge_gate, merge_probability, merge_slots,
     reconstruction_loss,
 )
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    set_precision("f64")
-    yield
 
 
 def greedy_linkage_oracle(dist: np.ndarray, threshold: float) -> list[list[int]]:
@@ -183,7 +177,7 @@ class TestMergeGate:
 
 def _decoder_store(d_slot, n, d_out, hidden=16, layers=5, seed=0):
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    store = ParamStore("f64")
     for name, shape in decoder_param_shapes(d_slot, n, d_out, hidden, layers).items():
         store.register(name, rng.normal(scale=0.2, size=shape))
     return store

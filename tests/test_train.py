@@ -13,7 +13,7 @@ from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
-from solv.diffcore import ConfigError, Tape, Tensor, read_checkpoint, set_precision
+from solv.diffcore import ConfigError, Tape, Tensor, read_checkpoint
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
@@ -233,11 +233,35 @@ class TestInference:
         rows = evaluate_clips(pipe, val[:1], oracle)
         assert set(rows[0]) >= {"fg_ari", "miou", "k_t_histogram", "mean_k_t"}
 
+    def test_pipeline_precision_does_not_depend_on_earlier_runs(self, tmp_path):
+        # an f32 pipeline built before and after an f64 train() and an f64
+        # load_pipeline() in the same process
+        cfg = tiny_cfg(tmp_path, **{"train.precision": "f32"})
+        f64_cfg = tiny_cfg(tmp_path)
+        d = cfg.data
+        oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
+                                       d.sigma_noise)
+        spec = datagen.random_scene(6, (32, 32), 8, 4, (1, 2))
+        features = datagen.render_clip(spec, oracle).features
+
+        def fresh_f32_run():
+            pipe = Pipeline(cfg, seed=3)
+            tracked, k_t = infer_video(pipe, features)
+            dtypes = {t.data.dtype for t in pipe.store.params.values()}
+            return dtypes, tracked.frames.tobytes(), k_t
+
+        before = fresh_f32_run()
+        assert before[0] == {np.dtype(np.float32)}
+        _, log = train(f64_cfg, max_steps=1)
+        assert fresh_f32_run() == before
+        loaded = load_pipeline(f64_cfg, log.checkpoint)
+        assert {t.data.dtype for t in loaded.store.params.values()} == {np.dtype(np.float64)}
+        assert fresh_f32_run() == before
+
 
 class TestWindowForward:
     def test_unavailable_frames_do_not_affect_output(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        set_precision(cfg.train.precision)
         pipe = Pipeline(cfg)
         d = cfg.data
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
@@ -265,7 +289,6 @@ class TestWindowForward:
 
     def test_init_jitter_changes_output_but_not_params(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        set_precision("f64")
         pipe = Pipeline(cfg)
         d = cfg.data
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
