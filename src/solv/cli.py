@@ -9,8 +9,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import ablate as ablate_mod
 from . import datagen
 from .config import DataConfig, RunConfig, load_config
@@ -51,7 +49,7 @@ def cmd_infer(args) -> int:
         feats = datagen.render_clip(spec, oracle).features
         vid = f"synthetic_{seed}"
     else:
-        feats = datagen.read_features(args.features).astype(np.float64)
+        feats = datagen.read_features(args.features)
         vid = os.path.splitext(os.path.basename(args.features))[0]
     tracked, _ = infer_video(pipe, feats)
     out_path = os.path.join(args.out, vid + ".mask")

@@ -7,9 +7,10 @@ results are reproducible under ties. The refinement re-solves only for
 columns whose reduced cost under the first solve's optimal dual is
 within the tie tolerance; no other column can be part of an optimum.
 
-Both metrics read one contingency table of label co-occurrence counts,
-built with a single ``np.bincount`` over compacted label ids, so a video
-is scored in a few passes over its pixels whatever its track count.
+Every score of a video reads one (frame, gt label, pred label) table of
+pixel counts from a single ``np.bincount``: mIoU its sum over frames,
+foreground ARI its foreground rows, and the track count of each frame
+its nonzero columns, so a video takes one pass over its pixels.
 Metrics follow the foreground-only convention: background (label 0 in
 ground truth) is never a matchable object, while predictions label every
 pixel with some track.
@@ -17,7 +18,7 @@ pixel with some track.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,43 +231,42 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _compact(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct labels in ascending order and each element's index among them.
-
-    Integer labels spanning less than the array's length or 2**16 are
-    looked up in a presence table over their range instead of sorted.
-    """
-    labels = np.asarray(labels).ravel()
-    if labels.size == 0:
-        return labels, np.zeros(0, dtype=np.intp)
-    if labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.intp):
-        lo, hi = int(labels.min()), int(labels.max())
-        if hi - lo < max(labels.size, 1 << 16):
-            shifted = labels.astype(np.intp)
-            shifted -= lo
-            present = np.zeros(hi - lo + 1, dtype=bool)
-            present[shifted] = True
-            ids = (np.flatnonzero(present) + lo).astype(labels.dtype)
-            return ids, (np.cumsum(present) - 1)[shifted]
-    ids, codes = np.unique(labels, return_inverse=True)
-    return ids, codes.ravel()
-
-
-def _contingency(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct labels of a and of b, and the count of each (a, b) pair.
-
-    ``table[i, j]`` counts the elements labelled ``a_ids[i]`` in a and
-    ``b_ids[j]`` in b; ids ascend, and the table has one row and column
-    per label present, however large the label values.
-    """
-    if np.size(a) != np.size(b):
-        raise ValueError("labelings must have equal length")
-    a_ids, ai = _compact(a)
-    b_ids, bi = _compact(b)
-    ai *= b_ids.size  # row-major index of each element's (a, b) pair
-    ai += bi
-    table = np.bincount(ai, minlength=a_ids.size * b_ids.size)
-    return a_ids, b_ids, table.reshape(a_ids.size, b_ids.size)
+def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel counts per (frame, gt label, pred label) of two same-shape
+    label videos, and the labels of its rows and columns: ascending, each
+    present somewhere. Labels that are not integers, or whose ranges would
+    make the table larger than max(pixels, 2**16), are compacted by
+    ``np.unique`` first, so no table is sized by a raw label value."""
+    if np.shape(pred_frames) != np.shape(gt_frames):
+        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
+                         f"ground truth {np.shape(gt_frames)}")
+    pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
+    f = len(gt)
+    if gt.size == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return np.zeros((f, 0, 0), dtype=np.int64), none, none
+    pred, gt = pred.reshape(f, -1), gt.reshape(f, -1)
+    direct = all(x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64) for x in (gt, pred))
+    if direct:
+        (g_lo, g_hi), (p_lo, p_hi) = ((int(x.min()), int(x.max())) for x in (gt, pred))
+        n_g, n_p = g_hi - g_lo + 1, p_hi - p_lo + 1
+        direct = f * n_g * n_p <= max(gt.size, 1 << 16)
+    if direct:
+        g_vals, p_vals = g_lo + np.arange(n_g), p_lo + np.arange(n_p)
+    else:
+        (g_vals, gt), (p_vals, pred) = (np.unique(x, return_inverse=True)
+                                        for x in (gt, pred))
+        pred, gt, g_lo, p_lo = pred.reshape(f, -1), gt.reshape(f, -1), 0, 0
+        n_g, n_p = g_vals.size, p_vals.size
+    # both lows folded into the frame offset: int64 sums wrap, but every
+    # final cell lies in [0, f * n_g * n_p), so the wrapped result is exact
+    low = (-(g_lo * n_p + p_lo) + 2**63) % 2**64 - 2**63
+    cell = np.multiply(gt, n_p, dtype=np.int64)
+    cell += pred
+    cell += (np.arange(f, dtype=np.int64) * (n_g * n_p) + low)[:, None]
+    table = np.bincount(cell.ravel(), minlength=f * n_g * n_p).reshape(f, n_g, n_p)
+    g_seen, p_seen = table.any(axis=(0, 2)), table.any(axis=(0, 1))
+    return table[:, g_seen][:, :, p_seen], g_vals[g_seen], p_vals[p_seen]
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -299,7 +299,10 @@ def _ari(tables: np.ndarray) -> np.ndarray:
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     """ARI of two labelings of the same elements (see ``_ari``)."""
-    return float(_ari(_contingency(a, b)[2][None])[0])
+    a, b = np.ravel(a), np.ravel(b)
+    if a.size != b.size:
+        raise ValueError("labelings must have equal length")
+    return float(_ari(_table(a[None], b[None])[0])[0])
 
 
 def fg_ari(pred: np.ndarray, gt: np.ndarray) -> float | None:
@@ -310,34 +313,40 @@ def fg_ari(pred: np.ndarray, gt: np.ndarray) -> float | None:
     return mean_fg_ari(np.asarray(pred)[None], np.asarray(gt)[None])[0]
 
 
-def _check_shapes(pred_frames, gt_frames) -> None:
-    if np.shape(pred_frames) != np.shape(gt_frames):
-        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
-                         f"ground truth {np.shape(gt_frames)}")
+def _mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> tuple[float | None, int]:
+    fg = table[:, gt_ids > 0]
+    scored = fg.sum(axis=(1, 2)) >= 2
+    skipped = int(np.count_nonzero(~scored))
+    if not scored.any():
+        return None, skipped
+    return float(np.mean(_ari(fg[scored]))), skipped
 
 
 def mean_fg_ari(pred_frames: np.ndarray, gt_frames: np.ndarray) -> tuple[float | None, int]:
     """Per-frame foreground ARI averaged over the video.
 
-    One (frame, pred, gt) table counts the foreground pixels of every
-    frame. Frames with fewer than 2 foreground pixels are skipped;
-    returns (mean, skipped), with mean None when no frame qualified.
+    Frames with fewer than 2 foreground pixels are skipped; returns
+    (mean, skipped), with mean None when no frame qualified.
     """
-    _check_shapes(pred_frames, gt_frames)
-    pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
-    fg = (gt > 0).reshape(len(gt), math.prod(gt.shape[1:]))
-    n_fg = np.count_nonzero(fg, axis=1)
-    frame = np.repeat(np.arange(len(gt)), n_fg)
-    pred_ids, pi = _compact(pred.reshape(fg.shape)[fg])
-    gt_ids, gi = _compact(gt.reshape(fg.shape)[fg])
-    cell = (frame * pred_ids.size + pi) * gt_ids.size + gi
-    tables = np.bincount(cell, minlength=len(gt) * pred_ids.size * gt_ids.size)
-    tables = tables.reshape(len(gt), pred_ids.size, gt_ids.size)
-    scored = n_fg >= 2
-    skipped = int(np.count_nonzero(~scored))
-    if not scored.any():
-        return None, skipped
-    return float(np.mean(_ari(tables[scored]))), skipped
+    return _mean_fg_ari(*_table(pred_frames, gt_frames)[:2])
+
+
+def _miou(table: np.ndarray, gt_ids: np.ndarray, pred_ids: np.ndarray,
+          exclude_pred) -> float | None:
+    """Mean IoU of the gt objects of a (gt, pred) count table after optimal
+    matching; labels with no pixel in the table take no part."""
+    objects = (gt_ids > 0) & table.any(axis=1)
+    if not objects.any():
+        return None
+    tracks = ~np.isin(pred_ids, list(exclude_pred)) & table.any(axis=0)
+    if not tracks.any():
+        return 0.0
+    inter = table[np.ix_(objects, tracks)]
+    union = table.sum(axis=1)[objects, None] + table.sum(axis=0)[None, tracks] - inter
+    iou = inter / union
+    pairs = hungarian(1.0 - iou)  # gt objects are the rows
+    matched = {r: iou[r, c] for r, c in pairs}
+    return float(np.mean([matched.get(i, 0.0) for i in range(iou.shape[0])]))
 
 
 def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
@@ -351,31 +360,28 @@ def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
     frame independently instead (for comparison only). Prediction and
     ground truth must have the same shape.
     """
-    _check_shapes(pred_frames, gt_frames)
+    table, gt_ids, pred_ids = _table(pred_frames, gt_frames)
     if per_frame:
-        vals = [video_miou(p[None], g[None], exclude_pred=exclude_pred)
-                for p, g in zip(pred_frames, gt_frames)]
+        vals = [_miou(t, gt_ids, pred_ids, exclude_pred) for t in table]
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
-    gt_ids, pred_ids, table = _contingency(gt_frames, pred_frames)
-    objects = gt_ids > 0
-    if not objects.any():
-        return None
-    tracks = ~np.isin(pred_ids, list(exclude_pred))
-    if not tracks.any():
-        return 0.0
-    inter = table[np.ix_(objects, tracks)]
-    union = table.sum(axis=1)[objects, None] + table.sum(axis=0)[None, tracks] - inter
-    iou = inter / union
-    pairs = hungarian(1.0 - iou)
-    matched = {r: iou[r, c] for r, c in pairs}
-    return float(np.mean([matched.get(i, 0.0) for i in range(iou.shape[0])]))
+    return _miou(table.sum(axis=0), gt_ids, pred_ids, exclude_pred)
+
+
+def _k_t_histogram(table: np.ndarray) -> dict[int, int]:
+    return dict(Counter(np.count_nonzero(table.sum(axis=1), axis=1).tolist()))
 
 
 def k_t_histogram(pred_frames: np.ndarray) -> dict[int, int]:
     """Histogram of per-frame distinct track counts."""
-    hist: dict[int, int] = {}
-    for frame in pred_frames:
-        k = _compact(frame)[0].size
-        hist[k] = hist.get(k, 0) + 1
-    return hist
+    pred = np.asarray(pred_frames)
+    return _k_t_histogram(_table(pred, np.zeros(pred.shape, dtype=np.uint8))[0])
+
+
+def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
+    """Foreground ARI with its skipped-frame count, video mIoU and the
+    histogram of per-frame track counts, all from one count table."""
+    table, gt_ids, pred_ids = _table(pred_frames, gt_frames)
+    ari, skipped = _mean_fg_ari(table, gt_ids)
+    return {"fg_ari": ari, "miou": _miou(table.sum(axis=0), gt_ids, pred_ids, ()),
+            "skipped_frames": skipped, "k_t_histogram": _k_t_histogram(table)}

@@ -191,13 +191,8 @@ def evaluate_clips(pipe: Pipeline, specs, oracle) -> list[dict]:
     for spec in specs:
         clip = datagen.render_clip(spec, oracle)
         tracked, k_t = infer_video(pipe, clip.features)
-        ari, skipped = evalkit.mean_fg_ari(tracked.frames, clip.gt_pixel_labels)
-        miou = evalkit.video_miou(tracked.frames, clip.gt_pixel_labels)
-        rows.append({
-            "fg_ari": ari, "miou": miou, "skipped_frames": skipped,
-            "k_t_histogram": evalkit.k_t_histogram(tracked.frames),
-            "mean_k_t": float(np.mean(k_t)),
-        })
+        rows.append({**evalkit.score_video(tracked.frames, clip.gt_pixel_labels),
+                     "mean_k_t": float(np.mean(k_t))})
     return rows
 
 
@@ -233,15 +228,14 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
             raise ValueError(
                 f"video {vid}: predicted masks have shape {pred.shape}, "
                 f"ground truth has shape {gt.shape}")
-        ari, _ = evalkit.mean_fg_ari(pred, gt)
-        miou = evalkit.video_miou(pred, gt)
+        score = evalkit.score_video(pred, gt)
         videos.append({
-            "id": vid, "fg_ari": ari, "miou": miou,
-            "k_t_histogram": {str(k): v for k, v in evalkit.k_t_histogram(pred).items()},
+            "id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
+            "k_t_histogram": {str(k): v for k, v in score["k_t_histogram"].items()},
         })
     report = {"videos": videos, **summarize(videos), "config_digest": config_digest}
     if report_path:
         os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-        with open(report_path, "w") as f:
+        with atomic_write(report_path, "w") as f:
             json.dump(report, f, indent=2)
     return report

@@ -14,6 +14,7 @@ from solv.config import (
 )
 from solv.diffcore import ConfigError
 from solv.model import init_params
+from solv.train import load_pipeline
 
 
 class TestDefaults:
@@ -258,10 +259,11 @@ class TestCliRoundTrip:
         assert files == ["synthetic_42.mask"]
 
 
-def _untrained_checkpoint(tmp_path) -> tuple[str, str, RunConfig]:
+def _untrained_checkpoint(tmp_path, precision="f64") -> tuple[str, str, RunConfig]:
     """Config file, freshly initialised weights and the config for
     ``solv infer``."""
     payload = _tiny_cfg_dict(tmp_path)
+    payload["train"]["precision"] = precision
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))
     cfg = config_from_dict(payload)
@@ -312,3 +314,31 @@ class TestInferRejectsBadInput:
         assert rc == 2
         assert "70000" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_infer_passes_features_as_read(tmp_path, monkeypatch, precision):
+    cfg_path, ckpt, cfg = _untrained_checkpoint(tmp_path, precision)
+    spec = datagen.random_scene(4, (cfg.data.canvas_h, cfg.data.canvas_w),
+                                cfg.data.patch, 5, (1, 2))
+    oracle = datagen.FeatureOracle(cfg.data.seed, cfg.data.n_identities,
+                                   cfg.data.d_features, cfg.data.sigma_noise)
+    feat_path = str(tmp_path / "v.features")
+    datagen.write_features(feat_path, datagen.render_clip(spec, oracle).features)
+    real_infer = cli.infer_video
+    dtypes = []
+
+    def recording(pipe, feats):
+        dtypes.append(feats.dtype)
+        return real_infer(pipe, feats)
+
+    monkeypatch.setattr(cli, "infer_video", recording)
+    assert cli_main(["infer", "--config", cfg_path, "--checkpoint", ckpt,
+                     "--features", feat_path, "--out", str(tmp_path / "pred")]) == 0
+    assert dtypes == [np.float32]
+    # the masks equal those segmented from a float64 copy of the features
+    widened = datagen.read_features(feat_path).astype(np.float64)
+    tracked, _ = real_infer(load_pipeline(cfg, ckpt), widened)
+    datagen.write_masks(str(tmp_path / "widened.mask"), tracked.frames)
+    assert (tmp_path / "pred" / "v.mask").read_bytes() == \
+        (tmp_path / "widened.mask").read_bytes()

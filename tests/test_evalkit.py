@@ -19,7 +19,7 @@ from solv import datagen
 from solv.config import DataConfig
 from solv.evalkit import (
     adjusted_rand_index, assignment_total, bilinear_resize, fg_ari, hungarian,
-    k_t_histogram, link_tracks, mean_fg_ari, rasterize, video_miou,
+    k_t_histogram, link_tracks, mean_fg_ari, rasterize, score_video, video_miou,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -108,6 +108,22 @@ def mask_loop_miou(pred_frames, gt_frames, per_frame=False, exclude_pred=()):
     pairs = reference_hungarian(1.0 - iou)
     matched = {r: iou[r, c] for r, c in pairs}
     return float(np.mean([matched.get(i, 0.0) for i in range(len(gt_ids))]))
+
+
+def mask_loop_score(pred_frames, gt_frames) -> dict:
+    """score_video from the mask loops: per-frame foreground ARI, the
+    full-volume mIoU and distinct track counts per frame."""
+    aris = [mask_loop_ari(p[g > 0], g[g > 0])
+            for p, g in zip(pred_frames, gt_frames) if (g > 0).sum() >= 2]
+    hist = {}
+    for k in (np.unique(frame).size for frame in pred_frames):
+        hist[k] = hist.get(k, 0) + 1
+    return {
+        "fg_ari": float(np.mean(aris)) if aris else None,
+        "miou": mask_loop_miou(pred_frames, gt_frames),
+        "skipped_frames": len(gt_frames) - len(aris),
+        "k_t_histogram": hist,
+    }
 
 
 def dense_track_videos(n: int, seed: int = 0):
@@ -428,6 +444,11 @@ class TestVideoMiou:
     def test_no_gt_objects(self):
         assert video_miou(np.zeros((1, 2, 2), int), np.zeros((1, 2, 2), int)) is None
 
+    def test_per_frame_ignores_objects_absent_from_the_frame(self):
+        gt = np.array([[[1, 1], [2, 2]], [[1, 1], [1, 0]]])
+        assert video_miou(gt.copy(), gt, per_frame=True) == 1.0
+        assert mask_loop_miou(gt.copy(), gt, per_frame=True) == 1.0
+
     def test_unmatched_gt_objects_count_zero(self):
         gt = np.zeros((1, 4, 4), int)
         gt[0, 0, 0] = 1
@@ -479,6 +500,15 @@ class TestMetricsMatchMaskLoops:
         if case == "int64 wide":
             ids = np.array([-7, 0, 3, 10**12, 2**62], dtype=np.int64)
             return rng.choice(ids, size=shape), rng.choice(ids[:4], size=shape)
+        if case == "int64 narrow at the extremes":
+            # narrow ranges, so counted directly, from lows whose cell
+            # offsets overflow int64
+            pred = rng.integers(-2**63, -2**63 + 9, size=shape, dtype=np.int64)
+            gt = rng.choice(np.array([0, 1, 3], dtype=np.int64), size=shape) + (2**63 - 4)
+            return pred, gt
+        if case == "int64 full range":
+            ids = np.array([-2**63, -1, 0, 5, 2**63 - 1], dtype=np.int64)
+            return rng.choice(ids, size=shape), rng.choice(ids[1:], size=shape)
         if case == "fewer tracks than objects":
             return rng.integers(0, 2, size=shape), rng.integers(0, 6, size=shape)
         if case == "gt ids absent from predictions":
@@ -487,7 +517,8 @@ class TestMetricsMatchMaskLoops:
 
     @pytest.mark.parametrize("case", [
         "small", "uint16 near 65535", "int64 wide", "fewer tracks than objects",
-        "gt ids absent from predictions",
+        "gt ids absent from predictions", "int64 narrow at the extremes",
+        "int64 full range",
     ])
     def test_random_volumes(self, case):
         rng = np.random.default_rng(len(case))
@@ -507,10 +538,14 @@ class TestMetricsMatchMaskLoops:
             for k in (np.unique(frame).size for frame in pred):
                 want[k] = want.get(k, 0) + 1
             assert list(hist.items()) == list(want.items())
+            score = score_video(pred, gt)
+            assert score == mask_loop_score(pred, gt)
+            assert list(score["k_t_histogram"].items()) == list(want.items())
 
     def test_dense_track_videos(self):
         for pred, gt in dense_track_videos(3, seed=1):
             assert video_miou(pred, gt) == mask_loop_miou(pred, gt)
+            assert score_video(pred, gt) == mask_loop_score(pred, gt)
             for p, g in zip(pred, gt):
                 fg = g > 0
                 if fg.sum() >= 2:
@@ -521,6 +556,9 @@ class TestMetricsMatchMaskLoops:
         gt = np.zeros((1, 3, 4), dtype=np.uint16)
         assert video_miou(pred, gt) is None
         assert mask_loop_miou(pred, gt) is None
+        assert score_video(pred, gt) == mask_loop_score(pred, gt) == {
+            "fg_ari": None, "miou": None, "skipped_frames": 1,
+            "k_t_histogram": {12: 1}}
 
     def test_no_tracks_after_exclusion_is_zero(self):
         pred = np.zeros((2, 3, 4), dtype=np.uint16)

@@ -1,5 +1,6 @@
 """Training loop, inference, and orchestration at miniature scale."""
 
+import errno
 import json
 import os
 import threading
@@ -233,6 +234,37 @@ class TestInference:
         rows = evaluate_clips(pipe, val[:1], oracle)
         assert set(rows[0]) >= {"fg_ari", "miou", "k_t_histogram", "mean_k_t"}
 
+    def test_evaluate_clips_and_dirs_score_videos_alike(self, tmp_path, monkeypatch):
+        # without merging, so that frames hold several tracks
+        cfg = tiny_cfg(tmp_path, **{"model.use_merging": False})
+        pipe = Pipeline(cfg, init_params(cfg))
+        d = cfg.data
+        oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
+                                       d.sigma_noise)
+        _, val = datagen.dataset_split(d.seed, 40, (32, 32), 8, 3, (1, 2))
+        segmented = []
+        real_infer = train_mod.infer_video
+
+        def recording(pipe, features):
+            tracked, k_t = real_infer(pipe, features)
+            segmented.append(tracked.frames)
+            return tracked, k_t
+
+        monkeypatch.setattr(train_mod, "infer_video", recording)
+        rows = evaluate_clips(pipe, val[:4], oracle)
+        for side in ("pred", "gt"):
+            (tmp_path / side).mkdir()
+        for i, (spec, pred) in enumerate(zip(val[:4], segmented)):
+            gt = datagen.render_clip(spec, oracle).gt_pixel_labels
+            datagen.write_masks(str(tmp_path / "pred" / f"v{i}.mask"), pred)
+            datagen.write_masks(str(tmp_path / "gt" / f"v{i}.mask"), gt)
+        report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        assert len(rows) == len(report["videos"]) == 4
+        for row, video in zip(rows, report["videos"]):
+            assert (video["fg_ari"], video["miou"]) == (row["fg_ari"], row["miou"])
+            assert video["k_t_histogram"] == {
+                str(k): v for k, v in row["k_t_histogram"].items()}
+
     def test_pipeline_precision_does_not_depend_on_earlier_runs(self, tmp_path):
         # an f32 pipeline built before and after an f64 train() and an f64
         # load_pipeline() in the same process
@@ -324,6 +356,27 @@ class TestEvaluateDirs:
         assert report["mean_fg_ari"] == 1.0
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == report
+
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+            datagen.write_masks(str(tmp_path / side / "v.mask"),
+                                np.ones((2, 4, 4), dtype=np.uint16))
+        report_path = tmp_path / "out" / "r.json"
+        evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
+                      str(report_path), "first")
+        before = report_path.read_bytes()
+
+        def dump_then_fail(obj, f, **kwargs):
+            f.write('{"videos": [')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(train_mod.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
+                          str(report_path), "second")
+        assert report_path.read_bytes() == before
+        assert os.listdir(report_path.parent) == ["r.json"]
 
     def test_missing_ids_listed(self, tmp_path):
         gt_dir = tmp_path / "gt"
