@@ -13,7 +13,7 @@ import numpy as np
 
 from . import datagen
 from .config import RunConfig
-from .diffcore import Tape
+from .diffcore import Tape, atomic_write
 from .encoder import make_drop_plan
 from .model import Pipeline
 from .train import evaluate_clips, summarize, train
@@ -116,5 +116,5 @@ def format_table(rows: dict) -> str:
 
 
 def write_report(rows: dict, path: str) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path, "w") as f:
         json.dump(rows, f, indent=2)

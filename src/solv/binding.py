@@ -115,8 +115,8 @@ def _gru_params(params) -> dict:
 
 def _slot_mlp(z: Tensor, params) -> Tensor:
     h = dc.layernorm(z, params["bind.mlp.ln_g"], params["bind.mlp.ln_b"])
-    h = dc.relu(dc.linear(h, params["bind.mlp.w1"], params["bind.mlp.b1"]))
-    h = dc.linear(h, params["bind.mlp.w2"], params["bind.mlp.b2"])
+    h = dc.mlp(h, [(params["bind.mlp.w1"], params["bind.mlp.b1"]),
+                   (params["bind.mlp.w2"], params["bind.mlp.b2"])])
     return dc.add(z, h)
 
 
@@ -274,8 +274,8 @@ def temporal_bind(frame_slots: list, availability: np.ndarray, params,
         attn_maps.append(probs.data.copy())
         x = dc.add(x, att)
         h = dc.layernorm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
-        h = dc.relu(dc.linear(h, params[pre + "ff_w1"], params[pre + "ff_b1"]))
-        h = dc.linear(h, params[pre + "ff_w2"], params[pre + "ff_b2"])
+        h = dc.mlp(h, [(params[pre + "ff_w1"], params[pre + "ff_b1"]),
+                       (params[pre + "ff_w2"], params[pre + "ff_b2"])])
         x = dc.add(x, h)
     k_b, _, d = x.shape
     center_out = dc.gather_rows(dc.transpose(x, (1, 0, 2)), np.array([center]))

@@ -3,10 +3,13 @@
 Tensors wrap float numpy arrays; a ``ParamStore`` fixes the float width
 of its parameters (f32 for training, f64 for gradient checks), and every
 operation keeps the width of its operands. Operations executed inside a ``Tape``
-context are recorded in execution order; ``Tape.backward`` replays them
-once in reverse, accumulating gradients into every tensor that requires
-them. Nothing here is thread-aware: a tape and its tensors belong to a
-single computation.
+context are recorded in execution order, one node each; ``Tape.backward``
+replays them once in reverse, accumulating gradients into every tensor
+that requires them, and pops each node as it replays it, which releases
+the arrays the node saved. ``mlp`` records a ReLU MLP as one node that
+saves only its input and post-ReLU activations (``live_elements`` counts
+those and every node's output). Nothing here is thread-aware: a tape and
+its tensors belong to a single computation.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ __all__ = [
     "atomic_write",
     "set_finite_checks",
     "add", "sub", "mul", "div", "neg", "matmul",
-    "exp", "sqrt", "relu", "sigmoid", "tanh",
+    "exp", "sqrt", "sigmoid", "tanh",
     "reduce_sum", "reduce_mean", "softmax", "layernorm",
     "reshape", "transpose", "concat", "stack", "gather_rows", "slice_axis",
-    "linear", "gru_cell", "gru_param_shapes",
+    "linear", "mlp", "gru_cell", "gru_param_shapes",
 ]
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -179,15 +182,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -251,14 +245,14 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Execution order is topological order; ``backward`` walks it exactly
-    once in reverse and then clears the record. Calling ``backward`` a
-    second time without a fresh forward is an error.
+    once in reverse, popping each node as it replays it. Calling
+    ``backward`` a second time without a fresh forward is an error.
     """
 
     def __init__(self):
-        self._nodes = []  # (out, parents, backward_fn)
+        self._nodes = []  # (out, parents, backward_fn, need)
         self._consumed = False
-        self.live_elements = 0  # running count of recorded output values
+        self.live_elements = 0  # running count of values the nodes hold
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -279,8 +273,14 @@ class Tape:
             raise RuntimeError("tape already consumed by a previous backward; run a new forward")
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        if not any(node[0] is loss for node in reversed(self._nodes)):
+            raise ValueError("loss is not the output of a node on this tape")
+        self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, parents, backward_fn, need in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            # popping drops the node's closure, and with it the arrays it saved
+            out, parents, backward_fn, need = nodes.pop()
             g = out.grad
             if g is None:
                 continue
@@ -293,18 +293,20 @@ class Tape:
                 else:
                     p.grad = p.grad + pg
             out.grad = None  # free intermediate storage as we go
-        self._consumed = True
-        self._nodes.clear()
 
 
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if _finite_checks and not np.all(np.isfinite(arr)):
+        raise NonFiniteError("non-finite values in forward result")
+
+
 def _make(out_data, parents, backward_fn) -> Tensor:
     """Create the result tensor, recording it when a tape is active."""
-    if _finite_checks and not np.all(np.isfinite(out_data)):
-        raise NonFiniteError("non-finite values in forward result")
+    _check_finite(out_data)
     tape = _active_tape()
     if tape is None:
         need = None
@@ -367,11 +369,15 @@ def neg(a: Tensor) -> Tensor:
     return _make(a.data.__neg__(), (a,), lambda g, need: (-g,))
 
 
+def _check_matmul(a_shape, b_shape) -> None:
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeError(f"matmul requires rank >= 2 operands, got {a_shape} @ {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a_shape} @ {b_shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    _check_matmul(a.shape, b.shape)
     out = a.data @ b.data
 
     def backward(g, need):
@@ -392,11 +398,6 @@ def exp(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return _make(out, (a,), lambda g, need: (g * (0.5 / out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
-    return _make(out, (a,), lambda g, need: (g * (a.data > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -519,11 +520,52 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # Composite blocks
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b), the workhorse projection."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the workhorse projection."""
+    return mlp(x, [(w, b)])
+
+
+def mlp(x: Tensor, layers) -> Tensor:
+    """``h @ w + b`` for each ``(w, b)`` of ``layers``, with a ReLU after
+    every layer but the last, as one tape node. The arithmetic is that of
+    a ``matmul``/``add``/ReLU chain, done in place, so results are bitwise
+    the same; a ReLU mask is read from its output, which is > 0 exactly
+    where the pre-activation is. Finite checks see every pre-activation."""
+    parents = (x,) + tuple(t for layer in layers for t in layer)
+    tape = _active_tape()
+    keep = tape is not None and any(p.requires_grad for p in parents)
+    saved = [x.data]  # the input of each layer, kept only for a tape
+    h = x.data
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        _check_matmul(h.shape, w.shape)
+        h = h @ w.data
+        h += b.data
+        if i < last:
+            _check_finite(h)
+            np.maximum(h, 0, out=h)
+            if keep:
+                saved.append(h)
+
+    def backward(g, need):
+        # frees each activation once its mask is taken (a node replays once)
+        grads = [None] * len(parents)
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            if i < last:
+                g = g * (saved.pop() > 0)
+            if need[2 * i + 2]:
+                grads[2 * i + 2] = _unbroadcast(g, b.shape)
+            if need[2 * i + 1]:
+                grads[2 * i + 1] = _unbroadcast(np.swapaxes(saved[i], -1, -2) @ g, w.shape)
+            if i > 0 or need[0]:
+                g = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), saved[i].shape)
+        grads[0] = g if need[0] else None
+        return grads
+
+    out = _make(h, parents, backward)
+    if out.requires_grad:  # the node also holds the hidden activations
+        tape.live_elements += sum(a.size for a in saved[1:])
     return out
 
 

@@ -70,8 +70,8 @@ def projection_param_shapes(d_in: int, d_slot: int) -> dict:
 
 def project_features(raw: Tensor, params, prefix: str = "enc.proj.") -> Tensor:
     """Two linear layers with ReLU between, then layer normalization."""
-    h = dc.relu(dc.linear(raw, params[prefix + "w1"], params[prefix + "b1"]))
-    h = dc.linear(h, params[prefix + "w2"], params[prefix + "b2"])
+    h = dc.mlp(raw, [(params[prefix + "w1"], params[prefix + "b1"]),
+                     (params[prefix + "w2"], params[prefix + "b2"])])
     return dc.layernorm(h, params[prefix + "ln_g"], params[prefix + "ln_b"])
 
 

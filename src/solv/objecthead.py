@@ -172,11 +172,8 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
     x = dc.add(dc.reshape(ms.cprime, (k_t, 1, d_slot)), params["dec.pos"])
     x = dc.add(x, h_rel)                                  # K_t x N x D_slot
 
-    h = dc.reshape(x, (k_t * n, d_slot))
-    for l in range(n_layers):
-        h = dc.linear(h, params[f"dec.l{l}.w"], params[f"dec.l{l}.b"])
-        if l < n_layers - 1:
-            h = dc.relu(h)
+    h = dc.mlp(dc.reshape(x, (k_t * n, d_slot)),
+               [(params[f"dec.l{l}.w"], params[f"dec.l{l}.b"]) for l in range(n_layers)])
     out = dc.reshape(h, (k_t, n, d_out + 1))
 
     y_slots = dc.slice_axis(out, 2, 0, d_out)

@@ -2,6 +2,7 @@
 finite differences, optimizer behavior, and the checkpoint format."""
 
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,17 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.backward(y)
 
+    def test_loss_off_the_tape_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = dc.reduce_sum(dc.mul(x, x))
+        scaled = loss * 0.5  # computed after the tape closed: not recorded
+        with pytest.raises(ValueError, match="not the output of a node on this tape"):
+            tape.backward(scaled)
+        tape.backward(loss)
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
     def test_double_backward_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         tape = Tape()
@@ -130,11 +142,15 @@ class TestBackward:
         rng = np.random.default_rng(11)
         signs = rng.choice([-1.0, 1.0], size=(4, 5))
         x = Tensor(signs * rng.uniform(0.1, 2.0, size=(4, 5)), requires_grad=True)
+        # the identity layer makes x the hidden pre-activation exactly, and
+        # the output layer weights ReLU(x)'s columns by 0..4
+        layers = [(Tensor(np.eye(5)), Tensor(np.zeros(5))),
+                  (Tensor(np.arange(5.0).reshape(5, 1)), Tensor(np.zeros(1)))]
 
         def run():
             tape = Tape()
             with tape:
-                s = dc.reduce_sum(dc.mul(dc.relu(x), Tensor(np.arange(5.0))))
+                s = dc.reduce_sum(dc.mlp(x, layers))
             return s, tape
 
         loss, tape = run()
@@ -161,6 +177,116 @@ class TestBackward:
         tape.backward(loss)
         worst = finite_diff(lambda: float(run()[0].data), [a])
         assert worst <= 1e-4
+
+
+def _relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0)
+    return dc._make(out, (a,), lambda g, need: (g * (a.data > 0),))
+
+
+def _unfused_mlp(x, layers):
+    """The matmul/add/ReLU chain that ``mlp`` replaces, one node per op."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = dc.add(dc.matmul(h, w), b)
+        if i < len(layers) - 1:
+            h = _relu(h)
+    return h
+
+
+def _mlp_case(rng, x_shape, widths, dtype, x_grad=True):
+    x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=x_grad)
+    dims = [x_shape[-1]] + widths
+    layers = [(Tensor(rng.normal(size=(a, b)).astype(dtype), requires_grad=True),
+               Tensor(rng.normal(size=(b,)).astype(dtype), requires_grad=True))
+              for a, b in zip(dims[:-1], dims[1:])]
+    return x, layers
+
+
+def _leaves(x, layers):
+    return [x] + [t for layer in layers for t in layer]
+
+
+def _loss_and_grads(f, x, layers, weight):
+    for t in _leaves(x, layers):
+        t.grad = None
+    tape = Tape()
+    with tape:
+        out = f(x, layers)
+        loss = dc.reduce_sum(dc.mul(out, weight))
+    tape.backward(loss)
+    return out.data, [t.grad for t in _leaves(x, layers)]
+
+
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, widths, x_grad", [
+        ((6, 4), [7, 5, 3], True),         # 2-D rows
+        ((3, 5, 4), [6, 4], True),         # K x T x D batch
+        ((6, 4), [7, 3], False),           # constant input
+        ((6, 4), [3], True),               # one layer, as linear
+    ], ids=["2d", "3d", "const_x", "one_layer"])
+    def test_matches_unfused_chain_bitwise(self, dtype, x_shape, widths, x_grad):
+        rng = np.random.default_rng(21)
+        x, layers = _mlp_case(rng, x_shape, widths, dtype, x_grad)
+        weight = Tensor(rng.normal(size=x_shape[:-1] + (widths[-1],)).astype(dtype))
+        out, grads = _loss_and_grads(dc.mlp, x, layers, weight)
+        want_out, want_grads = _loss_and_grads(_unfused_mlp, x, layers, weight)
+        assert out.dtype == dtype and np.array_equal(out, want_out)
+        assert (grads[0] is None) == (not x_grad)
+        for got, want in zip(grads, want_grads):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        if len(layers) == 1:
+            assert np.array_equal(dc.linear(x, *layers[0]).data, want_out)
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 4, 3)])
+    def test_gradient_matches_finite_differences(self, x_shape):
+        rng = np.random.default_rng(22)
+        x, layers = _mlp_case(rng, x_shape, [6, 5, 2], np.float64)
+        weight = Tensor(rng.normal(size=x_shape[:-1] + (2,)))
+
+        def loss():
+            return float(dc.reduce_sum(dc.mul(dc.mlp(x, layers), weight)).data)
+
+        _loss_and_grads(dc.mlp, x, layers, weight)
+        assert finite_diff(loss, _leaves(x, layers), rng=rng) <= 1e-4
+
+    def test_finite_checks_see_hidden_pre_activations(self):
+        x = Tensor(np.ones((2, 2)))
+        layers = [(Tensor(np.eye(2)), Tensor([-np.inf, 0.0])),
+                  (Tensor(np.ones((2, 1))), Tensor([0.0]))]
+        assert np.isfinite(dc.mlp(x, layers).data).all()  # ReLU hides the -inf
+        dc.set_finite_checks(True)
+        try:
+            with pytest.raises(NonFiniteError):
+                dc.mlp(x, layers)
+        finally:
+            dc.set_finite_checks(False)
+
+    def test_live_elements_count_hidden_activations(self):
+        x, layers = _mlp_case(np.random.default_rng(23), (6, 4), [7, 5, 3], np.float64)
+        tape = Tape()
+        with tape:
+            before = tape.live_elements
+            dc.mlp(x, layers)
+        assert tape.live_elements - before == 6 * 3 + 6 * 7 + 6 * 5
+
+    def test_backward_frees_the_mlp_node_before_replaying_the_next(self):
+        x, layers = _mlp_case(np.random.default_rng(24), (6, 4), [7, 3], np.float64)
+        seen = []
+        tape = Tape()
+        with tape:
+            # a probe node recorded before the mlp node, so replayed after it
+            probe = dc._make(x.data.copy(), (x,), lambda g, need: (
+                seen.append((hidden_ref(), out_ref())), g)[1:])
+            loss = dc.reduce_sum(dc.mlp(probe, layers))
+        out, _, fn, _ = tape._nodes[-2]
+        saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
+        hidden_ref, out_ref = weakref.ref(saved[1]), weakref.ref(out.data)
+        del out, fn, saved
+        assert hidden_ref() is not None and out_ref() is not None
+        tape.backward(loss)
+        assert seen == [(None, None)] and x.grad is not None
 
 
 class TestGru:
