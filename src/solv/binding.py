@@ -48,25 +48,23 @@ class SlotState:
 @dataclass
 class AttentionRecord:
     """Slot-token attention of the final iteration (detached copy)."""
-    a: np.ndarray             # K x N', columns sum to 1
-    kept_indices: np.ndarray  # indices of the kept tokens
-    kept_grid: np.ndarray     # N' x 2
+    a: np.ndarray          # K x N', columns sum to 1
+    kept_grid: np.ndarray  # N' x 2
 
 
 def relative_grid(g_abs, s_p, s_s, delta: float):
     """Slot-relative coordinates: (G_abs - S_p) / (delta * S_s).
 
-    Accepts numpy arrays or tensors. A single slot takes 2-vectors; K
-    slots take K x 2 positions and scales, against either a shared N' x 2
-    grid or a per-slot K x N' x 2 grid, and give K x N' x 2.
+    Takes numpy arrays, giving an array (the decoder's constant input),
+    or tensors, giving a tensor (invariant attention); not a mix. A
+    single slot takes 2-vectors; K slots take K x 2 positions and scales,
+    against either a shared N' x 2 grid or a per-slot K x N' x 2 grid,
+    and give K x N' x 2.
     """
-    g_abs = g_abs if isinstance(g_abs, Tensor) else Tensor(g_abs)
-    s_p = s_p if isinstance(s_p, Tensor) else Tensor(s_p)
-    s_s = s_s if isinstance(s_s, Tensor) else Tensor(s_s)
     if s_p.ndim == 2:  # K slots
-        s_p = dc.reshape(s_p, (s_p.shape[0], 1, 2))
-        s_s = dc.reshape(s_s, (s_s.shape[0], 1, 2))
-    return dc.div(dc.sub(g_abs, s_p), s_s * delta)
+        s_p = s_p.reshape(s_p.shape[0], 1, 2)
+        s_s = s_s.reshape(s_s.shape[0], 1, 2)
+    return (g_abs - s_p) / (s_s * delta)
 
 
 def binding_param_shapes(d_slot: int, k_slots: int, window: int) -> dict:
@@ -184,7 +182,6 @@ def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
 
 def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
                  delta: float, n_iters: int = 3, invariant: bool = True,
-                 kept_indices: np.ndarray | None = None,
                  init_z: Tensor | None = None):
     """Bind one frame's tokens to slots from the shared initialization.
 
@@ -222,10 +219,7 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         position = s_p
         s_s = params["bind.init.scale"]
 
-    if kept_indices is None:
-        kept_indices = np.arange(kept_grid.shape[0])
-    record = AttentionRecord(a=a.data.copy(), kept_indices=kept_indices,
-                             kept_grid=kept_grid)
+    record = AttentionRecord(a=a.data.copy(), kept_grid=kept_grid)
     state = SlotState(z=z, scale=s_s, position=position, grid=kept_grid)
     return z, state, record
 

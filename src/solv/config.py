@@ -79,7 +79,6 @@ class TrainConfig:
 @dataclass
 class PathsConfig:
     checkpoint_dir: str = "checkpoints"
-    report_path: str = "report.json"
 
 
 @dataclass
@@ -111,11 +110,12 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        """Hash of the sections a trained model depends on: ``model``,
+        ``data`` and ``train``. Where files go (``paths``) is not part of it."""
+        shaping = {k: v for k, v in self.to_dict().items() if k != "paths"}
+        blob = json.dumps(shaping, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _from_dict(cls, payload: dict, path: str):

@@ -8,8 +8,9 @@ replays them once in reverse, accumulating gradients into every tensor
 that requires them, and pops each node as it replays it, which releases
 the arrays the node saved. ``mlp`` records a ReLU MLP as one node that
 saves only its input and post-ReLU activations (``live_elements`` counts
-those and every node's output). Nothing here is thread-aware: a tape and
-its tensors belong to a single computation.
+those and every node output that is not a view of an operand). Nothing
+here is thread-aware: a tape and its tensors belong to a single
+computation.
 """
 
 from __future__ import annotations
@@ -265,7 +266,11 @@ class Tape:
 
     def _record(self, out: Tensor, parents, backward_fn, need) -> None:
         self._nodes.append((out, parents, backward_fn, need))
-        self.live_elements += out.data.size
+        # a view of an operand (reshape, transpose, slice) holds no values
+        owner = _buffer_owner(out.data)
+        if not any(isinstance(p, Tensor) and _buffer_owner(p.data) is owner
+                   for p in parents):
+            self.live_elements += out.data.size
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad of every reachable tensor."""
@@ -293,6 +298,13 @@ class Tape:
                 else:
                     p.grad = p.grad + pg
             out.grad = None  # free intermediate storage as we go
+
+
+def _buffer_owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``arr`` reads."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
 
 
 def _active_tape():

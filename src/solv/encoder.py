@@ -31,7 +31,6 @@ class DropPlan:
 class EncodedFrame:
     tokens: Tensor         # N' x D_slot projected features
     kept_grid: np.ndarray  # N' x 2 absolute positions in [-1, 1]^2
-    kept_indices: np.ndarray
 
 
 def make_drop_plan(n_frames: int, n_tokens: int, ratio: float, seed: int) -> DropPlan:
@@ -80,4 +79,4 @@ def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray,
     """Gather kept tokens of one frame and project them to slot width."""
     raw = Tensor(np.asarray(features[kept], params.dtype))
     tokens = project_features(raw, params, prefix)
-    return EncodedFrame(tokens=tokens, kept_grid=grid[kept], kept_indices=kept)
+    return EncodedFrame(tokens=tokens, kept_grid=grid[kept])

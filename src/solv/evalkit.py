@@ -7,9 +7,10 @@ results are reproducible under ties. The refinement re-solves only for
 columns whose reduced cost under the first solve's optimal dual is
 within the tie tolerance; no other column can be part of an optimum.
 
-Every score of a video reads one (frame, gt label, pred label) table of
-pixel counts from a single ``np.bincount``: mIoU its sum over frames,
-foreground ARI its foreground rows, and the track count of each frame
+``score_video`` is the one scoring path. It counts a video into one
+(frame, gt label, pred label) table of pixels with a single
+``np.bincount``; ``mean_fg_ari`` reads its foreground rows,
+``video_miou`` its sum over frames, and the track count of each frame is
 its nonzero columns, so a video takes one pass over its pixels.
 Metrics follow the foreground-only convention: background (label 0 in
 ground truth) is never a matchable object, while predictions label every
@@ -136,11 +137,6 @@ def hungarian(cost) -> list[tuple[int, int]]:
     return pairs
 
 
-def assignment_total(cost, pairs) -> float:
-    cost = np.asarray(cost, dtype=np.float64)
-    return float(sum(cost[r, c] for r, c in pairs))
-
-
 # ---------------------------------------------------------------------------
 # Tracking
 # ---------------------------------------------------------------------------
@@ -231,20 +227,20 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     """Pixel counts per (frame, gt label, pred label) of two same-shape
-    label videos, and the labels of its rows and columns: ascending, each
-    present somewhere. Labels that are not integers, or whose ranges would
-    make the table larger than max(pixels, 2**16), are compacted by
-    ``np.unique`` first, so no table is sized by a raw label value."""
+    label videos, and the gt labels of its rows. Only labels present
+    somewhere keep a row or column, rows and columns ascending by label.
+    Labels that are not integers, or whose ranges would make the table
+    larger than max(pixels, 2**16), are compacted by ``np.unique`` first,
+    so no table is sized by a raw label value."""
     if np.shape(pred_frames) != np.shape(gt_frames):
         raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
                          f"ground truth {np.shape(gt_frames)}")
     pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
     f = len(gt)
     if gt.size == 0:
-        none = np.zeros(0, dtype=np.int64)
-        return np.zeros((f, 0, 0), dtype=np.int64), none, none
+        return np.zeros((f, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
     pred, gt = pred.reshape(f, -1), gt.reshape(f, -1)
     direct = all(x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64) for x in (gt, pred))
     if direct:
@@ -252,7 +248,7 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n_g, n_p = g_hi - g_lo + 1, p_hi - p_lo + 1
         direct = f * n_g * n_p <= max(gt.size, 1 << 16)
     if direct:
-        g_vals, p_vals = g_lo + np.arange(n_g), p_lo + np.arange(n_p)
+        g_vals = g_lo + np.arange(n_g)
     else:
         (g_vals, gt), (p_vals, pred) = (np.unique(x, return_inverse=True)
                                         for x in (gt, pred))
@@ -266,7 +262,7 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cell += (np.arange(f, dtype=np.int64) * (n_g * n_p) + low)[:, None]
     table = np.bincount(cell.ravel(), minlength=f * n_g * n_p).reshape(f, n_g, n_p)
     g_seen, p_seen = table.any(axis=(0, 2)), table.any(axis=(0, 1))
-    return table[:, g_seen][:, :, p_seen], g_vals[g_seen], p_vals[p_seen]
+    return table[:, g_seen][:, :, p_seen], g_vals[g_seen]
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -297,23 +293,13 @@ def _ari(tables: np.ndarray) -> np.ndarray:
     return np.where(degenerate, same.astype(np.float64), ari)
 
 
-def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
-    """ARI of two labelings of the same elements (see ``_ari``)."""
-    a, b = np.ravel(a), np.ravel(b)
-    if a.size != b.size:
-        raise ValueError("labelings must have equal length")
-    return float(_ari(_table(a[None], b[None])[0])[0])
+def mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> tuple[float | None, int]:
+    """Per-frame foreground ARI of a (frame, gt, pred) count table,
+    averaged over the video.
 
-
-def fg_ari(pred: np.ndarray, gt: np.ndarray) -> float | None:
-    """ARI restricted to ground-truth foreground pixels of one frame.
-
-    Returns None when fewer than 2 foreground pixels exist.
+    Frames with fewer than 2 foreground pixels are skipped; returns
+    (mean, skipped), with mean None when no frame qualified.
     """
-    return mean_fg_ari(np.asarray(pred)[None], np.asarray(gt)[None])[0]
-
-
-def _mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> tuple[float | None, int]:
     fg = table[:, gt_ids > 0]
     scored = fg.sum(axis=(1, 2)) >= 2
     skipped = int(np.count_nonzero(~scored))
@@ -322,66 +308,28 @@ def _mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> tuple[float | None, i
     return float(np.mean(_ari(fg[scored]))), skipped
 
 
-def mean_fg_ari(pred_frames: np.ndarray, gt_frames: np.ndarray) -> tuple[float | None, int]:
-    """Per-frame foreground ARI averaged over the video.
-
-    Frames with fewer than 2 foreground pixels are skipped; returns
-    (mean, skipped), with mean None when no frame qualified.
-    """
-    return _mean_fg_ari(*_table(pred_frames, gt_frames)[:2])
-
-
-def _miou(table: np.ndarray, gt_ids: np.ndarray, pred_ids: np.ndarray,
-          exclude_pred) -> float | None:
-    """Mean IoU of the gt objects of a (gt, pred) count table after optimal
-    matching; labels with no pixel in the table take no part."""
-    objects = (gt_ids > 0) & table.any(axis=1)
+def video_miou(table: np.ndarray, gt_ids: np.ndarray) -> float | None:
+    """Mean IoU of the gt objects of a whole-video (gt, pred) count table
+    after optimal track matching; gt objects left unmatched contribute 0.
+    Every row and column holds a pixel: each foreground row is an object,
+    each column a track."""
+    objects = gt_ids > 0
     if not objects.any():
         return None
-    tracks = ~np.isin(pred_ids, list(exclude_pred)) & table.any(axis=0)
-    if not tracks.any():
-        return 0.0
-    inter = table[np.ix_(objects, tracks)]
-    union = table.sum(axis=1)[objects, None] + table.sum(axis=0)[None, tracks] - inter
+    inter = table[objects]
+    union = table.sum(axis=1)[objects, None] + table.sum(axis=0) - inter
     iou = inter / union
     pairs = hungarian(1.0 - iou)  # gt objects are the rows
     matched = {r: iou[r, c] for r, c in pairs}
     return float(np.mean([matched.get(i, 0.0) for i in range(iou.shape[0])]))
 
 
-def video_miou(pred_frames: np.ndarray, gt_frames: np.ndarray,
-               per_frame: bool = False, exclude_pred=()) -> float | None:
-    """Mean IoU of ground-truth objects after optimal track matching.
-
-    IoU is computed over the full video volume per (gt object, pred
-    track); gt objects left unmatched contribute 0. Predictions normally
-    label every pixel with some track; ``exclude_pred`` names ids that
-    are not tracks (thresholded background). ``per_frame`` matches each
-    frame independently instead (for comparison only). Prediction and
-    ground truth must have the same shape.
-    """
-    table, gt_ids, pred_ids = _table(pred_frames, gt_frames)
-    if per_frame:
-        vals = [_miou(t, gt_ids, pred_ids, exclude_pred) for t in table]
-        vals = [v for v in vals if v is not None]
-        return float(np.mean(vals)) if vals else None
-    return _miou(table.sum(axis=0), gt_ids, pred_ids, exclude_pred)
-
-
-def _k_t_histogram(table: np.ndarray) -> dict[int, int]:
-    return dict(Counter(np.count_nonzero(table.sum(axis=1), axis=1).tolist()))
-
-
-def k_t_histogram(pred_frames: np.ndarray) -> dict[int, int]:
-    """Histogram of per-frame distinct track counts."""
-    pred = np.asarray(pred_frames)
-    return _k_t_histogram(_table(pred, np.zeros(pred.shape, dtype=np.uint8))[0])
-
-
 def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
     """Foreground ARI with its skipped-frame count, video mIoU and the
-    histogram of per-frame track counts, all from one count table."""
-    table, gt_ids, pred_ids = _table(pred_frames, gt_frames)
-    ari, skipped = _mean_fg_ari(table, gt_ids)
-    return {"fg_ari": ari, "miou": _miou(table.sum(axis=0), gt_ids, pred_ids, ()),
-            "skipped_frames": skipped, "k_t_histogram": _k_t_histogram(table)}
+    histogram of per-frame track counts, all from one count table of two
+    same-shape label videos."""
+    table, gt_ids = _table(pred_frames, gt_frames)
+    ari, skipped = mean_fg_ari(table, gt_ids)
+    return {"fg_ari": ari, "miou": video_miou(table.sum(axis=0), gt_ids),
+            "skipped_frames": skipped,
+            "k_t_histogram": dict(Counter(np.count_nonzero(table.sum(axis=1), axis=1).tolist()))}

@@ -124,7 +124,7 @@ class Pipeline:
         z, _, record = binding.spatial_bind(
             enc.tokens, enc.kept_grid, self.store, m.delta,
             n_iters=m.isa_iters, invariant=m.use_invariant_attention,
-            kept_indices=enc.kept_indices, init_z=init_z)
+            init_z=init_z)
         return z, record
 
     def merge_window(self, frame_slots: list, center_record: binding.AttentionRecord,
@@ -235,5 +235,4 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
         label_frames.append(labels)
         slot_vectors.append(merged.cprime.data.copy())
     tracked = evalkit.link_tracks(slot_vectors, label_frames)
-    k_t_per_frame = [v.shape[0] for v in slot_vectors]
-    return tracked, k_t_per_frame
+    return tracked, [v.shape[0] for v in slot_vectors]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
-from .binding import AttentionRecord
+from .binding import AttentionRecord, relative_grid
 
 log = logging.getLogger(__name__)
 
@@ -165,8 +165,7 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
     n = full_grid.shape[0]
     d_slot = ms.cprime.shape[1]
 
-    rel = (full_grid[None, :, :] - ms.position[:, None, :]) \
-        / (delta * ms.scale[:, None, :])
+    rel = relative_grid(full_grid, ms.position, ms.scale, delta)
     h_rel = dc.linear(Tensor(np.asarray(rel, params.dtype)), params["merge.h.w"],
                       params["merge.h.b"])
     x = dc.add(dc.reshape(ms.cprime, (k_t, 1, d_slot)), params["dec.pos"])

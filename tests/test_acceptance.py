@@ -21,16 +21,16 @@ from solv.binding import spatial_bind, temporal_bind
 from solv.config import RunConfig, config_from_dict
 from solv.diffcore import ParamStore, Tape, Tensor
 from solv.encoder import build_position_grid, make_drop_plan, project_features
-from solv.evalkit import (
-    adjusted_rand_index, assignment_total, fg_ari, hungarian, link_tracks,
-    video_miou,
-)
+from solv.evalkit import hungarian, link_tracks
 from solv.model import Pipeline
 from solv.objecthead import (
     complete_linkage, cosine_distances, decode, merge_slots,
     reconstruction_loss,
 )
-from test_evalkit import brute_force_min_assignment, pair_counting_ari
+from test_evalkit import (
+    adjusted_rand_index, assignment_total, brute_force_min_assignment, fg_ari,
+    pair_counting_ari, video_miou,
+)
 from test_objecthead import greedy_linkage_oracle, _decoder_store, _merged
 
 

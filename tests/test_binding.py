@@ -20,18 +20,18 @@ class TestRelativeGrid:
     def test_centering(self):
         out = relative_grid(np.array([[0.5, -0.5]]), np.array([0.5, -0.5]),
                             np.array([0.7, 0.9]), delta=5.0)
-        np.testing.assert_allclose(out.data, [[0.0, 0.0]])
+        np.testing.assert_allclose(out, [[0.0, 0.0]])
 
     def test_delta_scaling_arithmetic(self):
         out = relative_grid(np.array([[1.0, 1.0]]), np.array([0.0, 0.0]),
                             np.array([1.0, 1.0]), delta=5.0)
-        np.testing.assert_allclose(out.data, [[0.2, 0.2]])
+        np.testing.assert_allclose(out, [[0.2, 0.2]])
 
     def test_doubling_scale_halves_entries(self):
         g = np.random.default_rng(0).normal(size=(6, 2))
         s_p = np.array([0.1, -0.2])
-        one = relative_grid(g, s_p, np.array([0.5, 0.8]), 5.0).data
-        two = relative_grid(g, s_p, np.array([1.0, 1.6]), 5.0).data
+        one = relative_grid(g, s_p, np.array([0.5, 0.8]), 5.0)
+        two = relative_grid(g, s_p, np.array([1.0, 1.6]), 5.0)
         np.testing.assert_allclose(one, 2.0 * two)
 
     def test_batched_slots(self):
@@ -42,7 +42,7 @@ class TestRelativeGrid:
         assert out.shape == (3, 4, 2)
         for j in range(3):
             np.testing.assert_allclose(
-                out.data[j], (g - s_p[j]) / (5.0 * s_s[j]))
+                out[j], (g - s_p[j]) / (5.0 * s_s[j]))
 
     def test_per_slot_grids(self):
         # the centered K x N' x 2 grids that invariant attention passes
@@ -53,7 +53,7 @@ class TestRelativeGrid:
         assert out.shape == (3, 5, 2)
         for j in range(3):
             np.testing.assert_array_equal(
-                out.data[j], (g[j] - s_p[j]) / (s_s[j] * 5.0))
+                out[j], (g[j] - s_p[j]) / (s_s[j] * 5.0))
 
 
 class TestSpatialBind:

@@ -84,6 +84,13 @@ class TestStrictParsing:
         c = config_from_dict({"model": {"k_slots": 4}})
         assert c.digest() != a.digest()
 
+    def test_digest_covers_model_data_train_but_not_paths(self):
+        base = RunConfig().digest()
+        assert config_from_dict({"paths": {"checkpoint_dir": "elsewhere"}}).digest() == base
+        for change in ({"model": {"tau_merge": 0.2}}, {"data": {"seed": 18}},
+                       {"train": {"epochs": 7}}):
+            assert config_from_dict(change).digest() != base
+
 
 class TestLrSchedule:
     def _sched(self, total=200):
@@ -131,8 +138,7 @@ def _tiny_cfg_dict(tmp_path, clip_count=4):
                  "seed": 5},
         "train": {"epochs": 1, "batch_size": 2, "drop_ratio": 0.25,
                   "precision": "f64"},
-        "paths": {"checkpoint_dir": str(tmp_path / "ckpt"),
-                  "report_path": str(tmp_path / "report.json")},
+        "paths": {"checkpoint_dir": str(tmp_path / "ckpt")},
     }
 
 

@@ -178,6 +178,20 @@ class TestBackward:
         worst = finite_diff(lambda: float(run()[0].data), [a])
         assert worst <= 1e-4
 
+    def test_views_of_a_recorded_tensor_add_no_live_elements(self):
+        a = Tensor(np.random.default_rng(10).normal(size=(4, 6)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = dc.mul(a, a)
+            before = tape.live_elements
+            dc.reshape(y, (6, 4))
+            t = dc.transpose(y, (1, 0))
+            dc.slice_axis(y, 1, 1, 4)
+            views = tape.live_elements - before
+            dc.reshape(t, (24,))  # not contiguous: reshape copies
+        assert views == 0
+        assert tape.live_elements - before == 24
+
 
 def _relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)

@@ -18,8 +18,7 @@ from helpers import reference_hungarian
 from solv import datagen
 from solv.config import DataConfig
 from solv.evalkit import (
-    adjusted_rand_index, assignment_total, bilinear_resize, fg_ari, hungarian,
-    k_t_histogram, link_tracks, mean_fg_ari, rasterize, score_video, video_miou,
+    bilinear_resize, hungarian, link_tracks, rasterize, score_video,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -83,20 +82,13 @@ def mask_loop_ari(a, b) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def mask_loop_miou(pred_frames, gt_frames, per_frame=False, exclude_pred=()):
-    """video_miou with IoU from full-volume boolean masks, one per
+def mask_loop_miou(pred_frames, gt_frames):
+    """Video mIoU with IoU from full-volume boolean masks, one per
     (gt object, pred track), matched by the reference solver."""
-    if per_frame:
-        vals = [mask_loop_miou(p[None], g[None], exclude_pred=exclude_pred)
-                for p, g in zip(pred_frames, gt_frames)]
-        vals = [v for v in vals if v is not None]
-        return float(np.mean(vals)) if vals else None
     gt_ids = [int(i) for i in np.unique(gt_frames) if i > 0]
     if not gt_ids:
         return None
-    pred_ids = [int(i) for i in np.unique(pred_frames) if i not in exclude_pred]
-    if not pred_ids:
-        return 0.0
+    pred_ids = [int(i) for i in np.unique(pred_frames)]
     iou = np.zeros((len(gt_ids), len(pred_ids)))
     for gi, g in enumerate(gt_ids):
         gm = gt_frames == g
@@ -124,6 +116,31 @@ def mask_loop_score(pred_frames, gt_frames) -> dict:
         "skipped_frames": len(gt_frames) - len(aris),
         "k_t_histogram": hist,
     }
+
+
+# The metrics under test, each read from ``score_video``, the program's
+# one scoring call.
+
+def fg_ari(pred, gt):
+    """Foreground ARI of one frame, scored as a one-frame video."""
+    return score_video(np.asarray(pred)[None], np.asarray(gt)[None])["fg_ari"]
+
+
+def adjusted_rand_index(a, b):
+    """ARI of two labelings of the same elements: the foreground ARI of a
+    one-frame video whose ground truth ranks ``b``'s labels from 1, so
+    every element is foreground."""
+    a, b = np.ravel(a), np.ravel(b)
+    return fg_ari(a, np.unique(b, return_inverse=True)[1] + 1)
+
+
+def video_miou(pred_frames, gt_frames):
+    return score_video(pred_frames, gt_frames)["miou"]
+
+
+def assignment_total(cost, pairs) -> float:
+    cost = np.asarray(cost, dtype=np.float64)
+    return float(sum(cost[r, c] for r, c in pairs))
 
 
 def dense_track_videos(n: int, seed: int = 0):
@@ -370,18 +387,18 @@ class TestAri:
     def test_mean_fg_ari_skips_empty_frames(self):
         gt = np.stack([np.zeros((2, 2), int), np.array([[1, 1], [2, 2]])])
         pred = gt.copy()
-        mean, skipped = mean_fg_ari(pred, gt)
-        assert mean == 1.0 and skipped == 1
+        score = score_video(pred, gt)
+        assert score["fg_ari"] == 1.0 and score["skipped_frames"] == 1
 
     def test_mean_fg_ari_no_foreground_anywhere(self):
         gt = np.zeros((3, 2, 2), int)
-        mean, skipped = mean_fg_ari(gt.copy(), gt)
-        assert mean is None and skipped == 3
+        score = score_video(gt.copy(), gt)
+        assert score["fg_ari"] is None and score["skipped_frames"] == 3
 
     def test_mean_fg_ari_rejects_shape_mismatch(self):
         gt = np.ones((5, 2, 2), int)
         with pytest.raises(ValueError, match=r"\(1, 2, 2\).*\(5, 2, 2\)"):
-            mean_fg_ari(gt[:1].copy(), gt)
+            score_video(gt[:1].copy(), gt)
 
     def test_mean_fg_ari_equals_mean_of_per_frame_loops(self):
         rng = np.random.default_rng(9)
@@ -394,8 +411,10 @@ class TestAri:
             scores = [mask_loop_ari(p[g > 0], g[g > 0])
                       for p, g in zip(pred, gt) if (g > 0).sum() >= 2]
             want = (float(np.mean(scores)) if scores else None, len(gt) - len(scores))
-            assert mean_fg_ari(pred, gt) == want
-        assert mean_fg_ari(np.zeros((0, 3, 3), int), np.zeros((0, 3, 3), int)) == (None, 0)
+            score = score_video(pred, gt)
+            assert (score["fg_ari"], score["skipped_frames"]) == want
+        score = score_video(np.zeros((0, 3, 3), int), np.zeros((0, 3, 3), int))
+        assert (score["fg_ari"], score["skipped_frames"]) == (None, 0)
 
 
 class TestVideoMiou:
@@ -403,12 +422,11 @@ class TestVideoMiou:
         gt = np.array([[[1, 1], [2, 0]], [[1, 1], [2, 0]]])
         assert video_miou(gt.copy(), gt) == 1.0
 
-    @pytest.mark.parametrize("per_frame", [False, True])
-    def test_rejects_shape_mismatch(self, per_frame):
+    def test_rejects_shape_mismatch(self):
         # the same labels reshaped: equal element counts, different videos
         gt = np.arange(32).reshape(2, 4, 4) % 3
         with pytest.raises(ValueError, match=r"\(4, 2, 4\).*\(2, 4, 4\)"):
-            video_miou(gt.reshape(4, 2, 4), gt, per_frame=per_frame)
+            video_miou(gt.reshape(4, 2, 4), gt)
 
     def test_partial_overlap_one_third(self):
         # one object of 4 pixels; prediction covers 2 of them plus 2
@@ -424,14 +442,6 @@ class TestVideoMiou:
         # restrict prediction track 0 elsewhere so only track 7 overlaps
         assert video_miou(pred, gt) == pytest.approx(2.0 / 6.0, abs=1e-10)
 
-    def test_disjoint_is_zero(self):
-        # with a thresholded background id, tracks can be fully disjoint
-        gt = np.zeros((1, 2, 2), int)
-        gt[0, 0, 0] = 1
-        pred = np.zeros((1, 2, 2), int)
-        pred[0, 1, 1] = 3
-        assert video_miou(pred, gt, exclude_pred=(0,)) == 0.0
-
     def test_covering_track_partial_overlap(self):
         gt = np.zeros((1, 2, 2), int)
         gt[0, 0, 0] = 1
@@ -443,11 +453,6 @@ class TestVideoMiou:
 
     def test_no_gt_objects(self):
         assert video_miou(np.zeros((1, 2, 2), int), np.zeros((1, 2, 2), int)) is None
-
-    def test_per_frame_ignores_objects_absent_from_the_frame(self):
-        gt = np.array([[[1, 1], [2, 2]], [[1, 1], [1, 0]]])
-        assert video_miou(gt.copy(), gt, per_frame=True) == 1.0
-        assert mask_loop_miou(gt.copy(), gt, per_frame=True) == 1.0
 
     def test_unmatched_gt_objects_count_zero(self):
         gt = np.zeros((1, 4, 4), int)
@@ -524,16 +529,12 @@ class TestMetricsMatchMaskLoops:
         rng = np.random.default_rng(len(case))
         for _ in range(5):
             pred, gt = self._volumes(case, rng)
-            excluded = (int(pred.flat[0]), int(pred.flat[1]))
-            for kwargs in ({}, {"exclude_pred": excluded}, {"per_frame": True},
-                           {"per_frame": True, "exclude_pred": excluded}):
-                assert video_miou(pred, gt, **kwargs) == mask_loop_miou(pred, gt, **kwargs)
             assert adjusted_rand_index(pred, gt) == mask_loop_ari(pred, gt)
             for p, g in zip(pred, gt):
                 fg = g > 0
                 if fg.sum() >= 2:
                     assert fg_ari(p, g) == mask_loop_ari(p[fg], g[fg])
-            hist = k_t_histogram(pred)
+            hist = score_video(pred, np.zeros_like(pred))["k_t_histogram"]
             want = {}
             for k in (np.unique(frame).size for frame in pred):
                 want[k] = want.get(k, 0) + 1
@@ -560,14 +561,8 @@ class TestMetricsMatchMaskLoops:
             "fg_ari": None, "miou": None, "skipped_frames": 1,
             "k_t_histogram": {12: 1}}
 
-    def test_no_tracks_after_exclusion_is_zero(self):
-        pred = np.zeros((2, 3, 4), dtype=np.uint16)
-        gt = np.ones((2, 3, 4), dtype=np.uint16)
-        assert video_miou(pred, gt, exclude_pred=(0,)) == 0.0
-        assert mask_loop_miou(pred, gt, exclude_pred=(0,)) == 0.0
-
 
 class TestKtHistogram:
     def test_counts_distinct_labels_per_frame(self):
         frames = np.array([[[0, 0], [1, 1]], [[2, 2], [2, 2]]])
-        assert k_t_histogram(frames) == {2: 1, 1: 1}
+        assert score_video(frames, np.zeros_like(frames))["k_t_histogram"] == {2: 1, 1: 1}

@@ -50,7 +50,7 @@ def _record(k, n, seed=0):
     a = rng.random((k, n))
     a /= a.sum(axis=0, keepdims=True)
     grid = build_position_grid(int(np.sqrt(n)), int(np.sqrt(n)))
-    return AttentionRecord(a=a, kept_indices=np.arange(n), kept_grid=grid)
+    return AttentionRecord(a=a, kept_grid=grid)
 
 
 class TestCompleteLinkage:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solv import datagen
+from solv import datagen, evalkit
 from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
@@ -31,8 +31,7 @@ def tiny_cfg(tmp_path, **overrides):
                         sprite_max=2, clip_count=6, frames=3, seed=11),
         train=TrainConfig(epochs=2, batch_size=2, precision="f64",
                           drop_ratio=0.25),
-        paths=PathsConfig(checkpoint_dir=str(tmp_path / "ckpt"),
-                          report_path=str(tmp_path / "report.json")),
+        paths=PathsConfig(checkpoint_dir=str(tmp_path / "ckpt")),
     )
     for key, value in overrides.items():
         section, field = key.split(".")
@@ -71,6 +70,14 @@ class TestTrainingLoop:
             check_compatible(result.checkpoint, other)
         with pytest.raises(ConfigError):
             load_pipeline(other, result.checkpoint)
+
+    def test_checkpoint_loads_under_another_checkpoint_dir(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "trained")
+        store, result = train(cfg)
+        moved = tiny_cfg(tmp_path / "elsewhere")
+        assert moved.paths.checkpoint_dir != cfg.paths.checkpoint_dir
+        loaded = load_pipeline(moved, result.checkpoint)
+        assert loaded.store.step == store.step > 0
 
     def test_max_steps_truncation(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -356,6 +363,30 @@ class TestEvaluateDirs:
         assert report["mean_fg_ari"] == 1.0
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == report
+
+    def test_scores_each_video_through_the_traced_metric_names(self, tmp_path, monkeypatch):
+        # bench/tracer.py times scoring by wrapping these two module attributes
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+        rng = np.random.default_rng(2)
+        for vid in ("a", "b", "c"):
+            masks = rng.integers(0, 3, size=(2, 8, 8)).astype(np.uint16)
+            datagen.write_masks(str(tmp_path / "gt" / f"{vid}.mask"), masks)
+            datagen.write_masks(str(tmp_path / "pred" / f"{vid}.mask"), masks[::-1])
+        calls = {"video_miou": 0, "mean_fg_ari": 0}
+
+        def counting(name):
+            real = getattr(evalkit, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evalkit, name, counting(name))
+        evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        assert calls == {"video_miou": 3, "mean_fg_ari": 3}
 
     def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
         for side in ("gt", "pred"):
