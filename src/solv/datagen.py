@@ -236,9 +236,9 @@ def write_tensor(path: str, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str) -> np.ndarray:
-    r = BinaryReader(path, _TNSR_MAGIC, _FILE_VERSION)
-    arr = r.f32_array("tensor")
-    r.done("payload")
+    with BinaryReader(path, _TNSR_MAGIC, _FILE_VERSION) as r:
+        arr = r.f32_array("tensor")
+        r.done("payload")
     return arr
 
 
@@ -268,12 +268,12 @@ def write_masks(path: str, masks: np.ndarray) -> None:
         f.write(_MASK_MAGIC)
         f.write(struct.pack("<I", _FILE_VERSION))
         f.write(struct.pack("<III", frames, h, w))
-        f.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())
+        f.write(np.ascontiguousarray(arr, dtype="<u2"))
 
 
 def read_masks(path: str) -> np.ndarray:
-    r = BinaryReader(path, _MASK_MAGIC, _FILE_VERSION)
-    dims = r.unpack("<III", "dims")
-    masks = r.array(dims, "<u2", "payload")
-    r.done("payload")
+    with BinaryReader(path, _MASK_MAGIC, _FILE_VERSION) as r:
+        dims = r.unpack("<III", "dims")
+        masks = r.array(dims, "<u2", "payload")
+        r.done("payload")
     return masks

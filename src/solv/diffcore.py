@@ -65,62 +65,100 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 class BinaryReader:
-    """Bounds-checked little-endian cursor over a whole file.
+    """Bounds-checked little-endian reader that streams a file.
 
-    Opening checks the 8-byte magic and the u32 version; every error is a
-    ``FormatError`` naming the path and the byte offset.
+    A context manager: it opens ``path``, checks the 8-byte magic and the
+    u32 version, and closes the file on every path out, a failed open
+    included. It reads as it goes and holds no copy of the file. Every
+    length is checked against the file's size (``os.fstat``) before it is
+    read or skipped, so every error is a ``FormatError`` naming the path
+    and the byte offset. ``array`` reads a payload straight into the
+    array it returns.
     """
 
     def __init__(self, path: str, magic: bytes, version: int):
-        with open(path, "rb") as f:
-            self.blob = f.read()
-        self.off = 0
         self.path = path
-        found = self.take(len(magic), "magic")
-        if found != magic:
-            raise FormatError(f"{path}: bad magic {found!r} at byte 0, expected {magic!r}")
-        (found_version,) = self.unpack("<I", "version")
-        if found_version != version:
-            raise FormatError(
-                f"{path}: unsupported version {found_version} at byte {len(magic)}")
+        self.off = 0
+        self.f = open(path, "rb")
+        try:
+            self.size = os.fstat(self.f.fileno()).st_size
+            found = self.take(len(magic), "magic")
+            if found != magic:
+                raise FormatError(f"{path}: bad magic {found!r} at byte 0, expected {magic!r}")
+            (found_version,) = self.unpack("<I", "version")
+            if found_version != version:
+                raise FormatError(
+                    f"{path}: unsupported version {found_version} at byte {len(magic)}")
+        except BaseException:
+            self.f.close()
+            raise
+
+    def __enter__(self) -> "BinaryReader":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.f.close()
+        return False
+
+    def _truncated(self, what: str, at: int) -> FormatError:
+        return FormatError(f"{self.path}: truncated, expected {what} at byte {at}")
+
+    def _claim(self, n: int, what: str) -> int:
+        """Check that ``n`` more bytes lie within the file; return their offset."""
+        at = self.off
+        if at + n > self.size:
+            raise self._truncated(what, at)
+        self.off += n
+        return at
 
     def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.blob):
-            raise FormatError(
-                f"{self.path}: truncated, expected {what} at byte {self.off}"
-            )
-        chunk = self.blob[self.off:self.off + n]
-        self.off += n
+        at = self._claim(n, what)
+        chunk = self.f.read(n)
+        if len(chunk) != n:  # the file shrank after fstat
+            raise self._truncated(what, at)
         return chunk
+
+    def skip(self, n: int, what: str) -> None:
+        self._claim(n, what)
+        self.f.seek(n, os.SEEK_CUR)
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dims, dtype: str, what: str) -> np.ndarray:
         dt = np.dtype(dtype)
-        payload = self.take(dt.itemsize * math.prod(dims), what)
-        return np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+        n = dt.itemsize * math.prod(dims)
+        at = self._claim(n, what)  # before allocating what the header declares
+        out = np.empty(dims, dtype=dt)
+        if n and self.f.readinto(out) != n:
+            raise self._truncated(what, at)
+        return out
+
+    def f32_dims(self, what: str) -> tuple:
+        """Read the rank and dims of the record ``write_f32_array`` writes."""
+        (rank,) = self.unpack("<I", f"rank of {what}")
+        return self.unpack(f"<{rank}Q", f"dims of {what}")
 
     def f32_array(self, what: str) -> np.ndarray:
         """Read the record ``write_f32_array`` writes."""
-        (rank,) = self.unpack("<I", f"rank of {what}")
-        dims = self.unpack(f"<{rank}Q", f"dims of {what}")
-        return self.array(dims, "<f4", f"payload of {what}")
+        return self.array(self.f32_dims(what), "<f4", f"payload of {what}")
 
     def at_end(self) -> bool:
-        return self.off == len(self.blob)
+        return self.off == self.size
 
     def done(self, what: str) -> None:
         if not self.at_end():
             raise FormatError(
-                f"{self.path}: {len(self.blob) - self.off} trailing bytes after {what} at byte {self.off}"
+                f"{self.path}: {self.size - self.off} trailing bytes after {what} at byte {self.off}"
             )
 
 
 def write_f32_array(f, arr: np.ndarray) -> None:
-    """Write ``rank u32, dims u64 x rank, payload f32``."""
+    """Write ``rank u32, dims u64 x rank, payload f32``; the payload is
+    written from the array's own buffer when it is already contiguous
+    little-endian f32."""
     f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 @contextlib.contextmanager
@@ -649,8 +687,9 @@ class ParamStore:
             raise ConfigError(f"parameter {name!r} registered twice")
         t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
         self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
+        # np.zeros leaves the pages untouched until Adam first writes them
+        self.m[name] = np.zeros(t.data.shape, self.dtype)
+        self.v[name] = np.zeros(t.data.shape, self.dtype)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -726,31 +765,64 @@ class ParamStore:
                 write_f32_array(f, arr)
 
     def load(self, path: str) -> None:
-        """Restore parameters and moments from a checkpoint file."""
-        records, step = read_checkpoint(path)
+        """Restore the parameters and the step counter from a checkpoint file.
+
+        The ``.m``/``.v`` Adam moment records are stepped over, still
+        bounds-checked, and the store's moments are left as they are. Every
+        record must be a parameter of this store or its moment, appear once
+        and have the parameter's shape, and every parameter must be present.
+        All of it is checked before anything is assigned, so a failed load
+        leaves the store as it was.
+        """
+        expected = {}
+        for name, t in self.params.items():
+            for key in (name, name + ".m", name + ".v"):
+                expected[key] = t.data.shape
+        records, shapes, step = _read_records(path, keep=self.params)
+        for key, found in shapes.items():
+            if key not in expected:
+                raise FormatError(
+                    f"{path}: record {key!r} is neither a parameter of this model "
+                    f"nor a parameter's .m/.v moment")
+            if found != expected[key]:
+                raise ShapeError(
+                    f"{path}: checkpoint record {key!r} has shape {found}, expected {expected[key]}")
+        for name in self.params:
+            if name not in records:
+                raise FormatError(f"{path}: checkpoint missing parameter {name!r}")
         self.step = step
         for name, t in self.params.items():
-            if name not in records:
-                raise FormatError(f"checkpoint missing parameter {name!r}")
-            arr = records[name]
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"checkpoint parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
-                )
-            t.data = arr.astype(self.dtype)
-            if name + ".m" in records:
-                self.m[name] = records[name + ".m"].astype(self.dtype)
-            if name + ".v" in records:
-                self.v[name] = records[name + ".v"].astype(self.dtype)
+            t.data = records[name].astype(self.dtype, copy=False)
+
+
+def _read_records(path: str, keep=None) -> tuple[dict[str, np.ndarray], dict[str, tuple], int]:
+    """Stream a checkpoint: {name: f32 array} of the records named in
+    ``keep`` (every record when None), the shape of every record, skipped
+    ones included, and the step counter. The payload of every other record
+    is stepped over, bounds-checked. A name that repeats is a
+    ``FormatError``."""
+    with BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION) as r:
+        (step,) = r.unpack("<Q", "step counter")
+        records: dict[str, np.ndarray] = {}
+        shapes: dict[str, tuple] = {}
+        while not r.at_end():
+            at = r.off
+            (name_len,) = r.unpack("<I", "name length")
+            try:
+                name = r.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: record name at byte {at + 4} is not UTF-8") from None
+            if name in shapes:
+                raise FormatError(f"{path}: duplicate record {name!r} at byte {at}")
+            shapes[name] = r.f32_dims(repr(name))
+            if keep is None or name in keep:
+                records[name] = r.array(shapes[name], "<f4", f"payload of {name!r}")
+            else:
+                r.skip(4 * math.prod(shapes[name]), f"payload of {name!r}")
+    return records, shapes, step
 
 
 def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Parse a checkpoint file into {name: f32 array} plus the step counter."""
-    r = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION)
-    (step,) = r.unpack("<Q", "step counter")
-    records: dict[str, np.ndarray] = {}
-    while not r.at_end():
-        (name_len,) = r.unpack("<I", "name length")
-        name = r.take(name_len, "name").decode("utf-8")
-        records[name] = r.f32_array(repr(name))
+    records, _, step = _read_records(path)
     return records, step

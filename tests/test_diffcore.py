@@ -2,13 +2,15 @@
 finite differences, optimizer behavior, and the checkpoint format."""
 
 import math
+import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solv import diffcore as dc
+from solv import datagen, diffcore as dc
 from solv.diffcore import (
     ConfigError, FormatError, NonFiniteError, ParamStore, ShapeError, Tape,
     Tensor,
@@ -508,7 +510,7 @@ class TestCheckpoint:
             fresh["enc.w"].data.astype(np.float32),
             store["enc.w"].data.astype(np.float32))
         np.testing.assert_array_equal(
-            fresh.m["dec.b"].astype(np.float32),
+            dc.read_checkpoint(path)[0]["dec.b.m"],
             store.m["dec.b"].astype(np.float32))
 
     def test_bad_magic(self, tmp_path):
@@ -537,3 +539,202 @@ class TestCheckpoint:
         other.register("w", np.ones((3, 2)))
         with pytest.raises(ShapeError):
             other.load(path)
+
+    @staticmethod
+    def _two_param_store():
+        store = ParamStore("f64")
+        store.register("a", np.full((2, 3), 1.5))
+        store.register("b", np.full((4,), -2.0))
+        store.m["a"][...] = 0.25
+        store.v["b"][...] = 0.5
+        store.step = 9
+        return store
+
+    @pytest.mark.parametrize("records, error, message", [
+        ([("a", (2, 3))], FormatError, "missing parameter 'b'"),
+        ([("a", (2, 3)), ("b", (5,))], ShapeError, r"'b' has shape \(5,\)"),
+        ([("a", (2, 3)), ("b", (4,)), ("a.m", (3, 2))], ShapeError, "'a.m'"),
+        ([("a", (2, 3)), ("b", (4,)), ("b.v", (2,))], ShapeError, "'b.v'"),
+        ([("a", (2, 3)), ("b", (4,)), ("c", (1,))], FormatError, "record 'c'"),
+        ([("a", (2, 3)), ("b", (4,)), ("c.m", (1,))], FormatError, "record 'c.m'"),
+        ([("a", (2, 3)), ("a", (2, 3)), ("b", (4,))], FormatError,
+         "duplicate record 'a' at byte 69"),
+        ([("a", (2, 3)), ("b", (4,)), ("a.v", (2, 3)), ("a.v", (2, 3))],
+         FormatError, "duplicate record 'a.v'"),
+    ], ids=["missing", "param_shape", "m_shape", "v_shape", "unknown",
+            "unknown_moment", "duplicate", "duplicate_moment"])
+    def test_failed_load_changes_nothing(self, tmp_path, records, error, message):
+        path = str(tmp_path / "bad.ckpt")
+        with open(path, "wb") as f:
+            f.write(b"SOLVCKPT" + struct.pack("<IQ", 1, 3))
+            for name, shape in records:
+                f.write(struct.pack("<I", len(name)) + name.encode())
+                dc.write_f32_array(f, np.full(shape, 7.0))
+        store = self._two_param_store()
+        before = {name: (t.data, store.m[name], store.v[name])
+                  for name, t in store.params.items()}
+        with pytest.raises(error, match=message):
+            store.load(path)
+        assert store.step == 9
+        for name, (data, m, v) in before.items():
+            assert store[name].data is data and store.m[name] is m and store.v[name] is v
+        np.testing.assert_array_equal(store["a"].data, 1.5)
+        np.testing.assert_array_equal(store.m["a"], 0.25)
+
+    def test_load_leaves_moments(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        self._two_param_store().save(path)
+        store = ParamStore("f64")
+        store.register("a", np.zeros((2, 3)))
+        store.register("b", np.zeros(4))
+        moments = {name: (store.m[name], store.v[name]) for name in store.names()}
+        store.load(path)
+        assert store.step == 9
+        np.testing.assert_array_equal(store["a"].data, 1.5)
+        for name, (m, v) in moments.items():
+            assert store.m[name] is m and store.v[name] is v
+            assert not m.any() and not v.any()
+
+    @staticmethod
+    def _big_store():
+        """8 parameters of 256 x 256, f32: 2 MiB of parameters and 4 MiB of moments."""
+        store = ParamStore("f32")
+        for i in range(8):
+            store.register(f"w{i}", np.full((256, 256), float(i)))
+        return store
+
+    def test_read_checkpoint_holds_one_copy(self, tmp_path):
+        path = str(tmp_path / "big.ckpt")
+        self._big_store().save(path)
+        tracemalloc.start()
+        try:
+            records, _ = dc.read_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = sum(a.nbytes for a in records.values())
+        assert len(records) == 24 and payload == 24 * 256 * 256 * 4
+        assert peak <= 1.1 * payload
+
+    def test_load_reads_no_moments(self, tmp_path):
+        path = str(tmp_path / "big.ckpt")
+        self._big_store().save(path)
+        store = self._big_store()
+        params = sum(t.data.nbytes for t in store.params.values())
+        tracemalloc.start()
+        try:
+            store.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one moment array would add 256 KiB; the moments together 4 MiB
+        assert peak <= params + 256 * 1024 * 0.5
+
+
+def _tracking_open(monkeypatch):
+    """Replace ``open`` inside diffcore with one that remembers its files."""
+    opened = []
+
+    def tracking(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(dc, "open", tracking, raising=False)
+    return opened
+
+
+def _tensor_file(path):
+    datagen.write_tensor(path, np.arange(6.0).reshape(2, 3))  # payload at 32, ends at 56
+
+
+def _mask_file(path):
+    datagen.write_masks(path, np.arange(24).reshape(2, 3, 4))  # payload at 24, ends at 72
+
+
+def _ckpt_file(path):
+    store = ParamStore("f32")  # records 'w' at 20, 'w.m' at 69, 'w.v' at 120; ends at 171
+    store.register("w", np.arange(6.0).reshape(2, 3))
+    store.save(path)
+
+
+_FORMATS = {
+    "tensor": (_tensor_file, datagen.read_tensor),
+    "mask": (_mask_file, datagen.read_masks),
+    "ckpt": (_ckpt_file, lambda path: dc.read_checkpoint(path)[0]),
+}
+
+
+def _edit(blob, cut=None, at=None, put=b"", tail=b""):
+    """Cut the file to ``cut`` bytes, overwrite from ``at`` with ``put``,
+    then append ``tail``."""
+    blob = blob[:cut]
+    if at is not None:
+        blob = blob[:at] + put + blob[at + len(put):]
+    return blob + tail
+
+
+class TestBinaryFormats:
+    @pytest.mark.parametrize("fmt, edit, message", [
+        ("tensor", dict(at=0, put=b"X"), "bad magic .* at byte 0"),
+        ("mask", dict(at=0, put=b"X"), "bad magic .* at byte 0"),
+        ("ckpt", dict(at=0, put=b"X"), "bad magic .* at byte 0"),
+        ("tensor", dict(cut=0), "expected magic at byte 0"),
+        ("tensor", dict(at=8, put=b"\x02"), "unsupported version 2 at byte 8"),
+        ("mask", dict(at=8, put=b"\x02"), "unsupported version 2 at byte 8"),
+        ("ckpt", dict(at=8, put=b"\x02"), "unsupported version 2 at byte 8"),
+        ("tensor", dict(cut=10), "expected version at byte 8"),
+        ("mask", dict(cut=10), "expected version at byte 8"),
+        ("ckpt", dict(cut=16), "expected step counter at byte 12"),
+        ("tensor", dict(cut=14), "expected rank of tensor at byte 12"),
+        ("tensor", dict(cut=20), "expected dims of tensor at byte 16"),
+        ("mask", dict(cut=16), "expected dims at byte 12"),
+        ("ckpt", dict(cut=22), "expected name length at byte 20"),
+        ("ckpt", dict(cut=35), "expected dims of 'w' at byte 29"),
+        ("ckpt", dict(at=24, put=b"\xff"), "record name at byte 24 is not UTF-8"),
+        ("tensor", dict(cut=50), "expected payload of tensor at byte 32"),
+        ("mask", dict(cut=70), "expected payload at byte 24"),
+        ("ckpt", dict(cut=60), "expected payload of 'w' at byte 45"),
+        ("ckpt", dict(cut=160), r"expected payload of 'w.v' at byte 147"),
+        # a header whose dims ask for far more than the file holds
+        ("tensor", dict(at=16, put=struct.pack("<Q", 2 ** 40)),
+         "expected payload of tensor at byte 32"),
+        ("tensor", dict(tail=b"xx"), "2 trailing bytes after payload at byte 56"),
+        ("mask", dict(tail=b"xx"), "2 trailing bytes after payload at byte 72"),
+        ("ckpt", dict(tail=b"xx"), "expected name length at byte 171"),
+    ])
+    def test_corruption_names_offset_and_closes_file(self, tmp_path, monkeypatch,
+                                                     fmt, edit, message):
+        write, read = _FORMATS[fmt]
+        path = tmp_path / "file.bin"
+        write(str(path))
+        path.write_bytes(_edit(path.read_bytes(), **edit))
+        opened = _tracking_open(monkeypatch)
+        with pytest.raises(FormatError, match=message):
+            read(str(path))
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize("fmt", sorted(_FORMATS))
+    def test_reads_close_the_file(self, tmp_path, monkeypatch, fmt):
+        write, read = _FORMATS[fmt]
+        path = str(tmp_path / "file.bin")
+        write(path)
+        opened = _tracking_open(monkeypatch)
+        read(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_zero_size_payloads_read_back(self, tmp_path):
+        path = str(tmp_path / "t.bin")
+        datagen.write_tensor(path, np.zeros((0, 4, 3), np.float32))
+        assert datagen.read_tensor(path).shape == (0, 4, 3)
+        datagen.write_masks(path, np.zeros((0, 8, 8), np.uint16))
+        assert datagen.read_masks(path).shape == (0, 8, 8)
+        store = ParamStore("f32")
+        store.register("empty", np.zeros((3, 0)))
+        store.register("w", np.ones(2))
+        store.save(path)
+        records, _ = dc.read_checkpoint(path)
+        assert records["empty"].shape == records["empty.m"].shape == (3, 0)
+        np.testing.assert_array_equal(records["w"], 1.0)
+        store.load(path)
+        assert store["empty"].data.shape == (3, 0)

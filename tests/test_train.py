@@ -14,7 +14,7 @@ from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
-from solv.diffcore import ConfigError, Tape, Tensor, read_checkpoint
+from solv.diffcore import ConfigError, FormatError, Tape, Tensor, read_checkpoint
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
@@ -78,6 +78,24 @@ class TestTrainingLoop:
         assert moved.paths.checkpoint_dir != cfg.paths.checkpoint_dir
         loaded = load_pipeline(moved, result.checkpoint)
         assert loaded.store.step == store.step > 0
+
+    def test_load_pipeline_reads_parameters_and_checks_moments(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        saved = init_params(cfg, seed=4)
+        for name in saved.names():
+            saved.m[name][...] = 1.0
+        path = str(tmp_path / "w.ckpt")
+        saved.save(path)
+        pipe = load_pipeline(cfg, path)
+        for name, t in saved.params.items():
+            np.testing.assert_array_equal(pipe.store[name].data, t.data.astype(np.float32))
+            assert not pipe.store.m[name].any()
+        # the last record is a moment, which inference steps over
+        last = saved.names()[-1] + ".v"
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-3])
+        with pytest.raises(FormatError, match=f"payload of '{last}' at byte"):
+            load_pipeline(cfg, path)
 
     def test_max_steps_truncation(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
