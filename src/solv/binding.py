@@ -24,6 +24,12 @@ position encoder would need the K x N' x D tensors back.
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
 frames masked out of attention, and returns the center frame's slots.
+
+Both stages take leading batch axes: ``spatial_bind`` binds (..., N', D)
+tokens of many frames and ``temporal_bind`` relates (..., K, T, D)
+stacked windows in one call. Every matmul runs per frame or per window
+slice and every reduction runs along a per-frame axis, so a batched call
+gives bitwise the outputs of one call per frame or window.
 """
 
 from __future__ import annotations
@@ -39,17 +45,17 @@ from .diffcore import Tensor
 @dataclass
 class SlotState:
     """Absolute per-slot state after binding: contents, scale, position."""
-    z: Tensor        # K x D_slot
-    scale: Tensor    # K x 2, strictly positive after any iteration
-    position: Tensor # K x 2
-    grid: np.ndarray # N' x 2 kept absolute positions
+    z: Tensor        # ... x K x D_slot
+    scale: Tensor    # ... x K x 2, strictly positive after any iteration
+    position: Tensor # ... x K x 2
+    grid: np.ndarray # ... x N' x 2 kept absolute positions
 
 
 @dataclass
 class AttentionRecord:
     """Slot-token attention of the final iteration (detached copy)."""
-    a: np.ndarray          # K x N', columns sum to 1
-    kept_grid: np.ndarray  # N' x 2
+    a: np.ndarray          # ... x K x N', columns sum to 1
+    kept_grid: np.ndarray  # ... x N' x 2
 
 
 def relative_grid(g_abs, s_p, s_s, delta: float):
@@ -57,13 +63,13 @@ def relative_grid(g_abs, s_p, s_s, delta: float):
 
     Takes numpy arrays, giving an array (the decoder's constant input),
     or tensors, giving a tensor (invariant attention); not a mix. A
-    single slot takes 2-vectors; K slots take K x 2 positions and scales,
-    against either a shared N' x 2 grid or a per-slot K x N' x 2 grid,
-    and give K x N' x 2.
+    single slot takes 2-vectors; K slots take (..., K, 2) positions and
+    scales, against either a shared N' x 2 grid or per-slot (..., K, N',
+    2) grids, and give (..., K, N', 2).
     """
-    if s_p.ndim == 2:  # K slots
-        s_p = s_p.reshape(s_p.shape[0], 1, 2)
-        s_s = s_s.reshape(s_s.shape[0], 1, 2)
+    if s_p.ndim >= 2:  # K slots
+        s_p = s_p.reshape(s_p.shape[:-1] + (1, 2))
+        s_s = s_s.reshape(s_s.shape[:-1] + (1, 2))
     return (g_abs - s_p) / (s_s * delta)
 
 
@@ -118,46 +124,52 @@ def _slot_mlp(z: Tensor, params) -> Tensor:
     return dc.add(z, h)
 
 
+def _swap_last(t: Tensor) -> Tensor:
+    """Transpose the last two axes."""
+    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
+    return dc.transpose(t, axes)
+
+
 def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
                   pkf: Tensor, pvf: Tensor, pg_w: Tensor, pg_b: Tensor,
                   params, delta: float, eps: float = 1e-8):
     """One invariant attention iteration in centered coordinates.
 
-    centered is G_abs - S_p_init (K x N' x 2); drift accumulates the slot
-    position offset from its initialization, so the absolute position is
-    S_p_init + drift. Returns (z, scale, drift, attention).
+    centered is G_abs - S_p_init (... x K x N' x 2); drift accumulates the
+    slot position offset from its initialization, so the absolute
+    position is S_p_init + drift. Returns (z, scale, drift, attention).
     """
-    k, d_slot = z.shape
-    n_kept = centered.shape[1]
+    *lead, k, d_slot = z.shape
+    n_kept = centered.shape[-2]
 
     # keys[k, n] = pkf[n] + rel[k, n] @ pg_w + pg_b, contracted with the
     # query term by term so that no K x N' x D key is built
-    rel = relative_grid(centered, drift, s_s, delta)    # K x N' x 2
+    rel = relative_grid(centered, drift, s_s, delta)    # ... x K x N' x 2
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
-    content = dc.matmul(qz, dc.transpose(pkf, (1, 0)))  # K x N'
-    q_pos = dc.reshape(dc.matmul(qz, dc.transpose(pg_w, (1, 0))), (k, 1, 2))
-    q_bias = dc.matmul(qz, dc.reshape(pg_b, (d_slot, 1)))  # K x 1
+    content = dc.matmul(qz, _swap_last(pkf))           # ... x K x N'
+    q_pos = dc.reshape(dc.matmul(qz, _swap_last(pg_w)), (*lead, k, 1, 2))
+    q_bias = dc.matmul(qz, dc.reshape(pg_b, (d_slot, 1)))  # ... x K x 1
     pos_term = dc.add(dc.reduce_sum(dc.mul(rel, q_pos), axis=-1), q_bias)
-    logits = dc.add(content, pos_term) * (1.0 / np.sqrt(d_slot))  # K x N'
-    a = dc.softmax(logits, axis=0)                      # normalize over slots
+    logits = dc.add(content, pos_term) * (1.0 / np.sqrt(d_slot))  # ... x K x N'
+    a = dc.softmax(logits, axis=-2)                     # normalize over slots
 
-    a3 = dc.reshape(a, (k, n_kept, 1))
-    mass = dc.reduce_sum(a, axis=1, keepdims=True) + eps  # K x 1
-    new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=1), mass)
-    spread = dc.sub(centered, dc.reshape(new_drift, (k, 1, 2)))
-    var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=1), mass)
+    a3 = dc.reshape(a, (*lead, k, n_kept, 1))
+    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps  # ... x K x 1
+    new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=-2), mass)
+    spread = dc.sub(centered, dc.reshape(new_drift, (*lead, k, 1, 2)))
+    var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=-2), mass)
     new_scale = dc.sqrt(var + eps)
 
     # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
     # taken term by term
     rel2 = relative_grid(centered, new_drift, new_scale, delta)
-    w = dc.div(a, mass)                                 # K x N'
-    w_rel2 = dc.reduce_sum(dc.mul(dc.reshape(w, (k, n_kept, 1)), rel2), axis=1)
+    w = dc.div(a, mass)                                 # ... x K x N'
+    w_rel2 = dc.reduce_sum(dc.mul(dc.reshape(w, (*lead, k, n_kept, 1)), rel2), axis=-2)
     updates = dc.add(
         dc.add(dc.matmul(w, pvf), dc.matmul(w_rel2, pg_w)),
-        dc.mul(dc.reduce_sum(w, axis=1, keepdims=True), pg_b),
-    )                                                   # K x D
+        dc.mul(dc.reduce_sum(w, axis=-1, keepdims=True), pg_b),
+    )                                                   # ... x K x D
 
     z = dc.gru_cell(z, updates, _gru_params(params))
     z = _slot_mlp(z, params)
@@ -167,12 +179,12 @@ def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
 def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
                               eps: float = 1e-8):
     """Original slot attention iteration (no position/scale machinery)."""
-    d_slot = z.shape[1]
+    d_slot = z.shape[-1]
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
-    logits = dc.matmul(qz, dc.transpose(kf, (1, 0))) * (1.0 / np.sqrt(d_slot))  # K x N'
-    a = dc.softmax(logits, axis=0)
-    mass = dc.reduce_sum(a, axis=1, keepdims=True) + eps
+    logits = dc.matmul(qz, _swap_last(kf)) * (1.0 / np.sqrt(d_slot))  # ... x K x N'
+    a = dc.softmax(logits, axis=-2)
+    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps
     w = dc.div(a, mass)
     updates = dc.matmul(w, vf)
     z = dc.gru_cell(z, updates, _gru_params(params))
@@ -183,20 +195,27 @@ def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
 def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
                  delta: float, n_iters: int = 3, invariant: bool = True,
                  init_z: Tensor | None = None):
-    """Bind one frame's tokens to slots from the shared initialization.
+    """Bind frames' tokens to slots from the shared initialization.
 
-    The same initialization tensors feed every frame of a clip; outputs
+    ``tokens`` is (..., N', D) and ``kept_grid`` (..., N', 2); leading
+    axes index frames, bound independently in one call, and every output
+    carries them in front: slots (..., K, D), attention (..., K, N'). The
+    same initialization tensors feed every frame of a clip; outputs
     differ only through the frame's features and kept grid. ``init_z``
     overrides the stored slot contents (training jitters them per clip).
     """
+    lead = tokens.shape[:-2]
     z = init_z if init_z is not None else params["bind.init.z"]
     s_s = params["bind.init.scale"]
     s_p = params["bind.init.pos"]
     k = z.shape[0]
+    if lead:
+        z = dc.broadcast_to(z, lead + z.shape)
 
     if invariant:
-        grid_t = Tensor(np.asarray(kept_grid, params.dtype))
-        centered = dc.sub(grid_t, dc.reshape(s_p, (k, 1, 2)))  # K x N' x 2
+        grid = np.asarray(kept_grid, params.dtype)
+        grid_t = Tensor(grid.reshape(grid.shape[:-2] + (1,) + grid.shape[-2:]))
+        centered = dc.sub(grid_t, dc.reshape(s_p, (k, 1, 2)))  # ... x K x N' x 2
         kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
         vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
         pkf = dc.linear(kf, params["bind.p.w"], params["bind.p.b"])
@@ -225,52 +244,52 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
 
 
 def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
-    """Masked multi-head self-attention over axis 1 of a (K, T, D) tensor."""
-    k_b, t, d = x.shape
+    """Masked multi-head self-attention over the T axis of (..., K, T, D)."""
+    *lead, t, d = x.shape
     dh = d // heads
+    nd = x.ndim + 1
+    swap = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # T <-> heads
 
     def split_heads(v):
-        return dc.transpose(dc.reshape(v, (k_b, t, heads, dh)), (0, 2, 1, 3))
+        return dc.transpose(dc.reshape(v, (*lead, t, heads, dh)), swap)
 
     q = split_heads(dc.linear(x, params[prefix + "wq"], params[prefix + "bq"]))
     kk = split_heads(dc.linear(x, params[prefix + "wk"], params[prefix + "bk"]))
     v = split_heads(dc.linear(x, params[prefix + "wv"], params[prefix + "bv"]))
-    scores = dc.matmul(q, dc.transpose(kk, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    scores = dc.matmul(q, _swap_last(kk)) * (1.0 / np.sqrt(dh))
     scores = dc.add(scores, Tensor(mask_bias))
     probs = dc.softmax(scores, axis=-1)
-    out = dc.matmul(probs, v)                                # K x h x T x dh
-    out = dc.reshape(dc.transpose(out, (0, 2, 1, 3)), (k_b, t, d))
-    return dc.linear(out, params[prefix + "wo"], params[prefix + "bo"]), probs
+    out = dc.matmul(probs, v)                                # ... x h x T x dh
+    out = dc.reshape(dc.transpose(out, swap), (*lead, t, d))
+    return dc.linear(out, params[prefix + "wo"], params[prefix + "bo"])
 
 
-def temporal_bind(frame_slots: list, availability: np.ndarray, params,
+def temporal_bind(windows: Tensor, availability: np.ndarray, params,
                   n_layers: int = 3, heads: int = 8, center: int | None = None):
     """Relate same-index slots across the clip window.
 
-    Adds the frame's learnable temporal encoding to all of its slots, runs
-    the per-index transformer with unavailable frames masked out of every
-    attention, and returns the center position's output.
+    ``windows`` stacks each window's frame slots as (..., K, T, D) and
+    ``availability`` (..., T) marks the frames that exist; leading axes
+    index windows, related independently in one call. Adds each frame's
+    learnable temporal encoding to all of its slots, runs the per-index
+    transformer with unavailable frames masked out of every attention,
+    and returns the center position's output, (..., K, D).
     """
-    t = len(frame_slots)
+    *lead, k, t, d = windows.shape
     if center is None:
         center = t // 2
-    if not availability[center]:
+    availability = np.asarray(availability, bool)
+    if not availability[..., center].all():
         raise ValueError("center frame must be available")
-    x = dc.stack(frame_slots, axis=1)                        # K x T x D
-    x = dc.add(x, params["tbind.temb"])
-    mask_bias = np.where(np.asarray(availability, bool), 0.0, -1e30)
-    mask_bias = mask_bias.reshape(1, 1, 1, t).astype(x.data.dtype)
-    attn_maps = []
+    x = dc.add(windows, params["tbind.temb"])
+    mask_bias = np.where(availability, 0.0, -1e30).astype(x.data.dtype)
+    mask_bias = mask_bias.reshape(availability.shape[:-1] + (1, 1, 1, t))
     for l in range(n_layers):
         pre = f"tbind.l{l}."
         h = dc.layernorm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        att, probs = _mha(h, mask_bias, params, pre, heads)
-        attn_maps.append(probs.data.copy())
-        x = dc.add(x, att)
+        x = dc.add(x, _mha(h, mask_bias, params, pre, heads))
         h = dc.layernorm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
         h = dc.mlp(h, [(params[pre + "ff_w1"], params[pre + "ff_b1"]),
                        (params[pre + "ff_w2"], params[pre + "ff_b2"])])
         x = dc.add(x, h)
-    k_b, _, d = x.shape
-    center_out = dc.gather_rows(dc.transpose(x, (1, 0, 2)), np.array([center]))
-    return dc.reshape(center_out, (k_b, d)), attn_maps
+    return dc.reshape(dc.slice_axis(x, -2, center, center + 1), (*lead, k, d))

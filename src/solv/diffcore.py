@@ -37,7 +37,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul",
     "exp", "sqrt", "sigmoid", "tanh",
     "reduce_sum", "reduce_mean", "softmax", "layernorm",
-    "reshape", "transpose", "concat", "stack", "gather_rows", "slice_axis",
+    "reshape", "transpose", "broadcast_to", "concat", "stack", "gather_rows",
+    "slice_axis",
     "linear", "mlp", "gru_cell", "gru_param_shapes",
 ]
 
@@ -515,6 +516,12 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
     return _make(out, (a,), lambda g, need: (g.transpose(inv),))
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """A read-only view of ``a`` repeated along new or unit axes."""
+    out = np.broadcast_to(a.data, shape)
+    return _make(out, (a,), lambda g, need: (_unbroadcast(g, a.shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

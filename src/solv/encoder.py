@@ -29,8 +29,8 @@ class DropPlan:
 
 @dataclass
 class EncodedFrame:
-    tokens: Tensor         # N' x D_slot projected features
-    kept_grid: np.ndarray  # N' x 2 absolute positions in [-1, 1]^2
+    tokens: Tensor         # ... x N' x D_slot projected features
+    kept_grid: np.ndarray  # ... x N' x 2 absolute positions in [-1, 1]^2
 
 
 def make_drop_plan(n_frames: int, n_tokens: int, ratio: float, seed: int) -> DropPlan:
@@ -76,7 +76,13 @@ def project_features(raw: Tensor, params, prefix: str = "enc.proj.") -> Tensor:
 
 def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray,
                  params, prefix: str = "enc.proj.") -> EncodedFrame:
-    """Gather kept tokens of one frame and project them to slot width."""
-    raw = Tensor(np.asarray(features[kept], params.dtype))
-    tokens = project_features(raw, params, prefix)
+    """Gather each frame's kept tokens and project them to slot width.
+
+    ``features`` is (..., N, D_in) and ``kept`` (..., N') holds each
+    frame's kept token indices; leading axes index frames, which are
+    projected independently in one call.
+    """
+    kept = np.asarray(kept)
+    raw = np.take_along_axis(np.asarray(features), kept[..., None], axis=-2)
+    tokens = project_features(Tensor(raw.astype(params.dtype, copy=False)), params, prefix)
     return EncodedFrame(tokens=tokens, kept_grid=grid[kept])

@@ -3,9 +3,17 @@
 One forward covers a (2n+1)-frame window in two stages: per frame,
 encode the available frame with token drop and bind it spatially from the
 shared slot initialization; per window, relate slots temporally and
-merge them, then decode the center frame over the full grid. Inference
-runs the first stage once per frame and the second once per window, and
-decodes only the frames that keep two or more slots.
+merge them, then decode the center frame over the full grid.
+
+Both stages take leading batch axes: ``Pipeline.bind_frames`` binds
+(..., N, D) features of many frames to (..., K, D_slot) slots, and
+``Pipeline.bind_windows`` relates (..., K, T, D_slot) stacked windows to
+their (..., K, D_slot) center slots. Training binds one frame per call,
+without a leading axis. Inference binds each frame once, ``CHUNK``
+frames per call, relates ``CHUNK`` windows per call, then merges and
+decodes frame by frame, decoding only the frames that keep two or more
+slots. A batched call gives bitwise the result of one call per frame or
+window.
 """
 
 from __future__ import annotations
@@ -15,8 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binding, encoder, objecthead
+from . import diffcore as dc
 from .config import RunConfig
 from .diffcore import ParamStore, Tensor
+
+# Frames per spatial-binding call and windows per temporal-binding call
+# in infer_video. Binding a whole 48-frame video in one call was no
+# faster on the infer-long benchmark and raised its peak RSS from 136 to
+# 156 MB; 8 keeps a chunk's activations small.
+CHUNK = 8
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -27,71 +42,56 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def param_shapes(cfg: RunConfig) -> dict:
+    """Name and shape of every learnable tensor, in registration order."""
+    m, d = cfg.model, cfg.data
+    shapes = {"enc.proj." + name: shape for name, shape in
+              encoder.projection_param_shapes(d.d_features, m.d_slot).items()}
+    shapes.update(binding.binding_param_shapes(m.d_slot, m.k_slots, m.window))
+    shapes.update(binding.transformer_param_shapes(m.d_slot, m.transformer_layers))
+    shapes.update(objecthead.decoder_param_shapes(
+        m.d_slot, d.n_tokens, d.d_features, m.decoder_hidden, m.decoder_layers))
+    return shapes
+
+
+def _initial_value(name: str, shape, rng: np.random.Generator) -> np.ndarray:
+    if name.endswith(("ln_g", "ln_q.g", "ln1_g", "ln2_g")):
+        return np.ones(shape)
+    if name == "bind.init.scale":
+        # small initial scales sharpen first-iteration relative
+        # coordinates so slots specialize by position immediately
+        return np.abs(rng.normal(0.1, 0.02, size=shape)) + 1e-3
+    if name == "bind.init.pos":
+        return rng.normal(0.0, 0.6, size=shape)
+    if name == "bind.g.w":
+        # fan-in of 2: He-style scale keeps the position term
+        # comparable to the content term in the attention logits
+        return rng.normal(0.0, 1.0, size=shape)
+    if name == "bind.q.w":
+        # query gain sharpens first-forward attention so slots grab
+        # distinct token clusters immediately instead of averaging
+        return 4.0 * _glorot(rng, shape)
+    if name == "bind.gru.b_u":
+        # bias the update gate open: slot contents start as bounded
+        # functions of their own aggregated tokens rather than an
+        # accumulating state, which keeps slots distinguishable
+        return np.full(shape, 2.0)
+    if name in ("tbind.temb", "dec.pos"):
+        return rng.normal(0.0, 0.02, size=shape)
+    if name == "merge.h.w":
+        # fan-in of 2: keep the per-slot position blob visible next to
+        # the broadcast slot contents so masks can localize early
+        return rng.normal(0.0, 2.0, size=shape)
+    return _glorot(rng, shape)  # zeros for biases and layer-norm shifts
+
+
 def init_params(cfg: RunConfig, seed: int | None = None) -> ParamStore:
     """Build and initialize every learnable tensor of the pipeline."""
-    m, d = cfg.model, cfg.data
     rng = np.random.default_rng(
-        np.random.SeedSequence([seed if seed is not None else d.seed, 0x9A7A]))
+        np.random.SeedSequence([seed if seed is not None else cfg.data.seed, 0x9A7A]))
     store = ParamStore(cfg.train.precision)
-
-    def reg(name, arr):
-        store.register(name, arr)
-
-    for name, shape in encoder.projection_param_shapes(d.d_features, m.d_slot).items():
-        full = "enc.proj." + name
-        if name == "ln_g":
-            reg(full, np.ones(shape))
-        elif len(shape) == 1:
-            reg(full, np.zeros(shape))
-        else:
-            reg(full, _glorot(rng, shape))
-
-    for name, shape in binding.binding_param_shapes(m.d_slot, m.k_slots, m.window).items():
-        if name == "bind.init.z":
-            reg(name, _glorot(rng, shape))
-        elif name == "bind.init.scale":
-            # small initial scales sharpen first-iteration relative
-            # coordinates so slots specialize by position immediately
-            reg(name, np.abs(rng.normal(0.1, 0.02, size=shape)) + 1e-3)
-        elif name == "bind.init.pos":
-            reg(name, rng.normal(0.0, 0.6, size=shape))
-        elif name == "bind.g.w":
-            # fan-in of 2: He-style scale keeps the position term
-            # comparable to the content term in the attention logits
-            reg(name, rng.normal(0.0, 1.0, size=shape))
-        elif name == "bind.q.w":
-            # query gain sharpens first-forward attention so slots grab
-            # distinct token clusters immediately instead of averaging
-            reg(name, 4.0 * _glorot(rng, shape))
-        elif name == "bind.gru.b_u":
-            # bias the update gate open: slot contents start as bounded
-            # functions of their own aggregated tokens rather than an
-            # accumulating state, which keeps slots distinguishable
-            reg(name, np.full(shape, 2.0))
-        elif name == "tbind.temb":
-            reg(name, rng.normal(0.0, 0.02, size=shape))
-        elif name.endswith(("ln_g", "ln_q.g")):
-            reg(name, np.ones(shape))
-        else:
-            reg(name, _glorot(rng, shape))
-
-    for name, shape in binding.transformer_param_shapes(m.d_slot, m.transformer_layers).items():
-        if name.endswith(("ln1_g", "ln2_g")):
-            reg(name, np.ones(shape))
-        else:
-            reg(name, _glorot(rng, shape))
-
-    dec_shapes = objecthead.decoder_param_shapes(
-        m.d_slot, d.n_tokens, d.d_features, m.decoder_hidden, m.decoder_layers)
-    for name, shape in dec_shapes.items():
-        if name == "dec.pos":
-            reg(name, rng.normal(0.0, 0.02, size=shape))
-        elif name == "merge.h.w":
-            # fan-in of 2: keep the per-slot position blob visible next to
-            # the broadcast slot contents so masks can localize early
-            reg(name, rng.normal(0.0, 2.0, size=shape))
-        else:
-            reg(name, _glorot(rng, shape))
+    for name, shape in param_shapes(cfg).items():
+        store.register(name, _initial_value(name, shape, rng))
     return store
 
 
@@ -111,12 +111,14 @@ class Pipeline:
         d = cfg.data
         self.grid = encoder.build_position_grid(d.grid_rows, d.grid_cols)
 
-    def bind_frame(self, features: np.ndarray, kept: np.ndarray,
-                   init_z: Tensor | None = None):
-        """Per-frame stage: encode one frame's kept tokens and bind them to
-        slots. Returns (K x D_slot slots, attention record).
+    def bind_frames(self, features: np.ndarray, kept: np.ndarray,
+                    init_z: Tensor | None = None):
+        """Per-frame stage: encode each frame's kept tokens and bind them to
+        slots. ``features`` is (..., N, D) and ``kept`` (..., N'); returns
+        (..., K, D_slot) slots and the attention record, whose ``a`` is
+        (..., K, N').
 
-        Without ``init_z`` the result depends on the frame alone, so
+        Without ``init_z`` a frame's slots depend on that frame alone, so
         inference binds each frame once and reuses it in every window.
         """
         m = self.cfg.model
@@ -127,29 +129,20 @@ class Pipeline:
             init_z=init_z)
         return z, record
 
-    def merge_window(self, frame_slots: list, center_record: binding.AttentionRecord,
-                     apply_merge: bool) -> objecthead.MergedSlots:
-        """Per-window stage: temporal binding and merge of the center
-        frame's slots.
-
-        ``frame_slots`` holds one entry per window frame: the frame's
-        slots, or None where the frame is unavailable (zero slots that
-        temporal attention masks out).
-        """
+    def bind_windows(self, windows: Tensor, availability: np.ndarray) -> Tensor:
+        """Per-window stage: temporal binding of stacked windows (..., K, T,
+        D_slot), with zero slots where ``availability`` (..., T) is False.
+        Returns the center frames' slots, (..., K, D_slot)."""
         m = self.cfg.model
-        center = len(frame_slots) // 2
-        availability = np.array([z is not None for z in frame_slots])
-        if not availability[center]:
-            raise ValueError("center frame must be available")
-        empty = Tensor(np.zeros((m.k_slots, m.d_slot), self.store.dtype))
-        slots = [empty if z is None else z for z in frame_slots]
-        if m.use_temporal_binding:
-            c, _ = binding.temporal_bind(
-                slots, availability, self.store,
-                n_layers=m.transformer_layers, heads=m.transformer_heads,
-                center=center)
-        else:
-            c = slots[center]
+        return binding.temporal_bind(windows, availability, self.store,
+                                     n_layers=m.transformer_layers,
+                                     heads=m.transformer_heads)
+
+    def merge(self, c: Tensor, center_record: binding.AttentionRecord,
+              apply_merge: bool) -> objecthead.MergedSlots:
+        """Merge one center frame's K x D_slot slots, or keep them all
+        apart unless both ``apply_merge`` and the config allow merging."""
+        m = self.cfg.model
         partition = None
         if not (apply_merge and m.use_merging):
             partition = objecthead.identity_partition(m.k_slots)
@@ -169,20 +162,32 @@ class Pipeline:
         """features: (window, N, D) with arbitrary content on unavailable
         frames (they are masked out of temporal attention).
 
-        ``init_jitter`` (K x D_slot) perturbs the shared slot
-        initialization for this whole window; training draws one per clip
-        so slot identities cannot act as a fixed code across clips.
+        Binds one frame per call, so the tape accumulates the gradients
+        of shared parameters frame by frame. ``init_jitter`` (K x D_slot)
+        perturbs the shared slot initialization for this whole window;
+        training draws one per clip so slot identities cannot act as a
+        fixed code across clips.
         """
+        m = self.cfg.model
+        center = len(availability) // 2
+        if not availability[center]:
+            raise ValueError("center frame must be available")
         init_z = None
         if init_jitter is not None:
             init_z = self.store["bind.init.z"] + init_jitter
-        slots, records = [], []
+        empty = Tensor(np.zeros((m.k_slots, m.d_slot), self.store.dtype))
+        slots = []
         for t, available in enumerate(availability):
-            z, record = (self.bind_frame(features[t], kept_indices[t], init_z)
-                         if available else (None, None))
+            z = empty
+            if available:
+                z, record = self.bind_frames(features[t], kept_indices[t], init_z)
+                if t == center:
+                    center_record = record
             slots.append(z)
-            records.append(record)
-        merged = self.merge_window(slots, records[len(slots) // 2], apply_merge)
+        c = slots[center]
+        if m.use_temporal_binding:
+            c = self.bind_windows(dc.stack(slots, axis=1), availability)
+        merged = self.merge(c, center_record, apply_merge)
         return WindowOutput(decoded=self.decode(merged), merged=merged)
 
     def window_loss(self, out: WindowOutput, center_features: np.ndarray) -> Tensor:
@@ -195,14 +200,16 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     Every frame becomes the center of its own window; frames outside the
     video are masked via availability. Token drop is off, so each frame
     is bound once and every window containing it reuses those slots.
-    Merging is always applied, and the decoder runs only for frames left
-    with two or more slots: one slot labels every pixel 0. Returns
-    (tracked segmentation, per-frame slot counts).
+    Frames are bound ``CHUNK`` per call and windows related ``CHUNK``
+    per call; merging (always applied) and decoding run per frame, and
+    the decoder runs only for frames left with two or more slots: one
+    slot labels every pixel 0. Returns (tracked segmentation, per-frame
+    slot counts).
     """
     from . import evalkit
 
     cfg = pipe.cfg
-    d = cfg.data
+    d, m = cfg.data, cfg.model
     features = np.asarray(features)
     if features.ndim != 3:
         raise ValueError(f"features must be rank 3 (frames x tokens x dim), "
@@ -218,15 +225,34 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     finite = np.isfinite(features).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"non-finite features in frame {int(np.argmin(finite))}")
-    n = cfg.model.n_window
-    keep = np.arange(n_tok, dtype=np.int64)
-    bound = [pipe.bind_frame(frame, keep) for frame in features]
+
+    keep = np.broadcast_to(np.arange(n_tok, dtype=np.int64), (CHUNK, n_tok))
+    slots = np.empty((f_total, m.k_slots, m.d_slot), pipe.store.dtype)
+    records = []
+    for s in range(0, f_total, CHUNK):
+        chunk = features[s:s + CHUNK]
+        z, record = pipe.bind_frames(chunk, keep[:len(chunk)])
+        slots[s:s + len(chunk)] = z.data
+        records += map(binding.AttentionRecord, record.a, record.kept_grid)
+
+    centers = slots
+    if m.use_temporal_binding:
+        # window t holds video frames t - n .. t + n, which are rows
+        # t .. t + 2n of the video padded with n zero frames at each end
+        n = m.n_window
+        padded = np.zeros((f_total + 2 * n,) + slots.shape[1:], slots.dtype)
+        padded[n:n + f_total] = slots
+        centers = np.empty_like(slots)
+        for s in range(0, f_total, CHUNK):
+            rows = np.arange(s, min(s + CHUNK, f_total))[:, None] + np.arange(m.window)
+            windows = np.ascontiguousarray(padded[rows].transpose(0, 2, 1, 3))
+            available = (rows >= n) & (rows < n + f_total)
+            centers[s:s + len(rows)] = pipe.bind_windows(Tensor(windows), available).data
+
     label_frames = []
     slot_vectors = []
     for t in range(f_total):
-        window = [bound[i][0] if 0 <= i < f_total else None
-                  for i in range(t - n, t + n + 1)]
-        merged = pipe.merge_window(window, bound[t][1], apply_merge=True)
+        merged = pipe.merge(Tensor(centers[t]), records[t], apply_merge=True)
         if merged.k_t > 1:
             labels = evalkit.rasterize(pipe.decode(merged).m.data, d.grid_rows,
                                        d.grid_cols, d.canvas_h, d.canvas_w)

@@ -21,7 +21,7 @@ from . import datagen, evalkit
 from .config import LrSchedule, RunConfig
 from .diffcore import ConfigError, ParamStore, Tape, atomic_write
 from .encoder import make_drop_plan
-from .model import Pipeline, infer_video, init_params
+from .model import Pipeline, infer_video, init_params, param_shapes
 from .objecthead import merge_gate
 
 log = logging.getLogger(__name__)
@@ -179,8 +179,13 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 # ---------------------------------------------------------------------------
 
 def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
+    """A pipeline whose parameters are read from ``ckpt_path``. The store
+    is registered from the parameter shapes with zero arrays, whose pages
+    stay untouched until the checkpoint's arrays replace them."""
     check_compatible(ckpt_path, cfg)
-    store = init_params(cfg)
+    store = ParamStore(cfg.train.precision)
+    for name, shape in param_shapes(cfg).items():
+        store.register(name, np.zeros(shape, store.dtype))
     store.load(ckpt_path)
     return Pipeline(cfg, store)
 

@@ -117,8 +117,8 @@ class TestGradientOracle:
             def run():
                 tape = Tape()
                 with tape:
-                    out, _ = temporal_bind(slots, np.ones(3, bool), store,
-                                           n_layers=1, heads=2)
+                    out = temporal_bind(dc.stack(slots, axis=1), np.ones(3, bool),
+                                        store, n_layers=1, heads=2)
                     loss = dc.reduce_mean(dc.mul(out, out))
                 return loss, tape
 

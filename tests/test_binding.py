@@ -291,17 +291,19 @@ class TestFactoredAttention:
 
 
 class TestTemporalBind:
-    def _slots(self, rng, window, k=3, d=8):
-        return [Tensor(rng.normal(size=(k, d))) for _ in range(window)]
+    def _slots(self, rng, window, k=3, d=8, requires_grad=False):
+        return [Tensor(rng.normal(size=(k, d)), requires_grad=requires_grad)
+                for _ in range(window)]
+
+    def _bind(self, slots, availability, store, **kwargs):
+        return temporal_bind(dc.stack(slots, axis=1), availability, store, **kwargs)
 
     def test_degenerate_single_frame_window(self):
         store = binding_store(d_slot=8, k_slots=3, window=1, seed=25)
         slots = self._slots(np.random.default_rng(26), 1)
-        out, maps = temporal_bind(slots, np.array([True]), store,
-                                  n_layers=2, heads=2)
+        out = self._bind(slots, np.array([True]), store, n_layers=2, heads=2)
         assert out.shape == (3, 8)
-        for probs in maps:
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.isfinite(out.data).all()
 
     def test_masked_prefix_equals_physical_truncation(self):
         window, k, d = 5, 3, 8
@@ -309,49 +311,52 @@ class TestTemporalBind:
         store = binding_store(d_slot=d, k_slots=k, window=window, seed=28)
         slots = self._slots(rng, window, k, d)
         avail = np.array([False, False, True, True, True])
-        masked_out, _ = temporal_bind(slots, avail, store, n_layers=2,
-                                      heads=2, center=2)
+        masked_out = self._bind(slots, avail, store, n_layers=2, heads=2, center=2)
 
         truncated = binding_store(d_slot=d, k_slots=k, window=3, seed=28)
         for name in truncated.names():
             if name != "tbind.temb":
                 truncated[name].data = store[name].data.copy()
         truncated["tbind.temb"].data = store["tbind.temb"].data[2:].copy()
-        trunc_out, _ = temporal_bind(slots[2:], np.array([True] * 3),
-                                     truncated, n_layers=2, heads=2, center=0)
+        trunc_out = self._bind(slots[2:], np.array([True] * 3), truncated,
+                               n_layers=2, heads=2, center=0)
         np.testing.assert_allclose(masked_out.data, trunc_out.data, atol=1e-12)
 
-    def test_attention_rows_sum_to_one_over_available(self):
+    def test_unavailable_frames_do_not_reach_the_center(self):
         window = 5
         store = binding_store(d_slot=8, k_slots=3, window=window, seed=29)
-        slots = self._slots(np.random.default_rng(30), window)
+        rng = np.random.default_rng(30)
+        slots = self._slots(rng, window)
         avail = np.array([True, False, True, True, False])
-        _, maps = temporal_bind(slots, avail, store, n_layers=2, heads=2)
-        for probs in maps:
-            assert probs.shape == (3, 2, window, window)
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
-            assert np.abs(probs[..., ~avail]).max() < 1e-12
+        base = self._bind(slots, avail, store, n_layers=2, heads=2)
+        for t in np.flatnonzero(~avail):
+            moved = list(slots)
+            moved[t] = Tensor(1e3 * rng.normal(size=slots[t].shape))
+            out = self._bind(moved, avail, store, n_layers=2, heads=2)
+            assert np.array_equal(out.data, base.data)
+        moved = list(slots)
+        moved[0] = Tensor(slots[0].data + 1.0)  # an available frame does
+        assert not np.array_equal(
+            self._bind(moved, avail, store, n_layers=2, heads=2).data, base.data)
 
     def test_center_must_be_available(self):
         store = binding_store(d_slot=8, k_slots=3, window=3, seed=31)
         slots = self._slots(np.random.default_rng(32), 3)
         with pytest.raises(ValueError):
-            temporal_bind(slots, np.array([True, False, True]), store,
-                          n_layers=1, heads=2)
+            self._bind(slots, np.array([True, False, True]), store,
+                       n_layers=1, heads=2)
 
     def test_cross_slot_isolation(self):
         window, k, d = 3, 4, 8
         store = binding_store(d_slot=d, k_slots=k, window=window, seed=33)
         rng = np.random.default_rng(34)
         base = [rng.normal(size=(k, d)) for _ in range(window)]
-        out_a, _ = temporal_bind([Tensor(x) for x in base],
-                                 np.ones(window, bool), store,
-                                 n_layers=2, heads=2)
+        out_a = self._bind([Tensor(x) for x in base], np.ones(window, bool),
+                           store, n_layers=2, heads=2)
         modified = [x.copy() for x in base]
         modified[1][2] += 5.0  # perturb slot 2 of frame 1
-        out_b, _ = temporal_bind([Tensor(x) for x in modified],
-                                 np.ones(window, bool), store,
-                                 n_layers=2, heads=2)
+        out_b = self._bind([Tensor(x) for x in modified], np.ones(window, bool),
+                           store, n_layers=2, heads=2)
         keep = [j for j in range(k) if j != 2]
         assert np.array_equal(out_a.data[keep], out_b.data[keep])
         assert not np.array_equal(out_a.data[2], out_b.data[2])
@@ -360,15 +365,14 @@ class TestTemporalBind:
         window, k, d = 3, 2, 8
         store = binding_store(d_slot=d, k_slots=k, window=window,
                               n_layers=1, seed=35)
-        rng = np.random.default_rng(36)
-        base = [Tensor(rng.normal(size=(k, d)), requires_grad=True)
-                for _ in range(window)]
+        base = self._slots(np.random.default_rng(36), window, k, d,
+                           requires_grad=True)
 
         def run():
             tape = Tape()
             with tape:
-                out, _ = temporal_bind(base, np.ones(window, bool), store,
-                                       n_layers=1, heads=2)
+                out = self._bind(base, np.ones(window, bool), store,
+                                 n_layers=1, heads=2)
                 loss = dc.reduce_mean(dc.mul(out, out))
             return loss, tape
 
@@ -379,3 +383,50 @@ class TestTemporalBind:
         worst = finite_diff(lambda: float(run()[0].data),
                             base + [store[n] for n in names], max_coords=8)
         assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+class TestBatchedCalls:
+    """A call over stacked frames or windows gives bitwise what one call
+    per frame or window gives."""
+
+    @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "plain"])
+    def test_spatial_bind_stacked_frames(self, precision, invariant):
+        frames, rows, cols, d = 5, 4, 5, 8
+        store = binding_store(d_slot=d, k_slots=4, seed=50, precision=precision)
+        rng = np.random.default_rng(51)
+        grid = build_position_grid(rows, cols)
+        kept = np.stack([np.sort(rng.permutation(rows * cols)[:12])
+                         for _ in range(frames)])
+        assert len({tuple(k) for k in kept}) == frames  # distinct kept grids
+        tokens = rng.normal(size=(frames, 12, d)).astype(store.dtype)
+        z, state, record = spatial_bind(Tensor(tokens), grid[kept], store,
+                                        delta=5.0, invariant=invariant)
+        assert z.shape == (frames, 4, d) and record.a.shape == (frames, 4, 12)
+        assert z.data.dtype == store.dtype
+        for f in range(frames):
+            z_f, state_f, record_f = spatial_bind(
+                Tensor(tokens[f]), grid[kept[f]], store, delta=5.0,
+                invariant=invariant)
+            assert np.array_equal(z.data[f], z_f.data)
+            assert np.array_equal(record.a[f], record_f.a)
+            assert np.array_equal(record.kept_grid[f], record_f.kept_grid)
+            if invariant:
+                assert np.array_equal(state.position.data[f], state_f.position.data)
+                assert np.array_equal(state.scale.data[f], state_f.scale.data)
+
+    def test_temporal_bind_stacked_windows(self, precision):
+        windows, window, k, d = 6, 5, 3, 8
+        store = binding_store(d_slot=d, k_slots=k, window=window, seed=52,
+                              precision=precision)
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(windows, k, window, d)).astype(store.dtype)
+        # masked leading and trailing edges, as at the ends of a video
+        avail = np.ones((windows, window), bool)
+        avail[0, :2] = avail[1, :1] = avail[-1, 3:] = avail[-2, 4:] = False
+        x[~avail[:, None, :].repeat(k, axis=1)] = 0.0
+        out = temporal_bind(Tensor(x), avail, store, n_layers=2, heads=2)
+        assert out.shape == (windows, k, d) and out.data.dtype == store.dtype
+        for w in range(windows):
+            one = temporal_bind(Tensor(x[w]), avail[w], store, n_layers=2, heads=2)
+            assert np.array_equal(out.data[w], one.data)

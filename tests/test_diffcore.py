@@ -172,7 +172,8 @@ class TestBackward:
                 parts = dc.concat([g, g], axis=1)
                 st = dc.stack([parts, parts], axis=0)
                 sl = dc.slice_axis(st, 2, 1, 4)
-                s = dc.reduce_sum(dc.mul(sl, sl))
+                b = dc.broadcast_to(sl, (3,) + sl.shape)
+                s = dc.reduce_sum(dc.mul(b, sl))
             return s, tape
 
         loss, tape = run()
@@ -189,6 +190,7 @@ class TestBackward:
             dc.reshape(y, (6, 4))
             t = dc.transpose(y, (1, 0))
             dc.slice_axis(y, 1, 1, 4)
+            dc.broadcast_to(y, (2, 4, 6))
             views = tape.live_elements - before
             dc.reshape(t, (24,))  # not contiguous: reshape copies
         assert views == 0

@@ -1,17 +1,20 @@
-"""Inference binds each frame once, decodes only frames with two or
-more slots, and matches the per-window forward."""
+"""Inference binds each frame once, in chunks of frames and windows,
+decodes only frames with two or more slots, and matches the per-window
+forward."""
+
+import math
 
 import numpy as np
 import pytest
 
-from solv import binding, datagen, diffcore as dc, evalkit, objecthead
+from solv import binding, datagen, diffcore as dc, evalkit, model, objecthead
 from solv.config import DataConfig, ModelConfig, RunConfig, TrainConfig
 from solv.diffcore import Tape
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video
 
 
-def small_cfg(**model_overrides) -> RunConfig:
+def small_cfg(precision="f64", **model_overrides) -> RunConfig:
     model = dict(k_slots=4, d_slot=16, n_window=2, transformer_layers=1,
                  transformer_heads=2, decoder_layers=3, decoder_hidden=24,
                  tau_merge=0.05)
@@ -20,7 +23,7 @@ def small_cfg(**model_overrides) -> RunConfig:
         model=ModelConfig(**model),
         data=DataConfig(canvas_h=32, canvas_w=32, patch=8, d_features=12,
                         sprite_max=3, seed=5),
-        train=TrainConfig(precision="f64"),
+        train=TrainConfig(precision=precision),
     ).validate()
 
 
@@ -46,6 +49,36 @@ def per_window_oracle(pipe: Pipeline, features: np.ndarray):
     return tracked, [v.shape[0] for v in slot_vectors]
 
 
+def _video(cfg: RunConfig, frames: int, seed: int) -> np.ndarray:
+    d = cfg.data
+    oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
+    spec = datagen.random_scene(seed, (d.canvas_h, d.canvas_w), d.patch, frames,
+                                (d.sprite_min, d.sprite_max))
+    return datagen.render_clip(spec, oracle).features
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list that receives
+    each call's first argument."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _assert_same_segmentation(got, want):
+    (tracked, k_t), (expected, expected_k_t) = got, want
+    assert np.array_equal(tracked.frames, expected.frames)
+    assert len(tracked.track_maps) == len(expected.track_maps)
+    for got_map, want_map in zip(tracked.track_maps, expected.track_maps):
+        assert np.array_equal(got_map, want_map)
+    assert k_t == expected_k_t
+
+
 @pytest.mark.parametrize("frames, seed, model_overrides", [
     (1, 1, {}),
     (3, 3, {}),
@@ -61,41 +94,52 @@ def per_window_oracle(pipe: Pipeline, features: np.ndarray):
 def test_infer_video_matches_per_window_oracle(frames, seed, model_overrides,
                                                monkeypatch):
     cfg = small_cfg(**model_overrides)
-    d = cfg.data
     pipe = Pipeline(cfg, seed=seed)
-    oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
-    spec = datagen.random_scene(seed, (d.canvas_h, d.canvas_w), d.patch, frames,
-                                (d.sprite_min, d.sprite_max))
-    features = datagen.render_clip(spec, oracle).features
-    expected, expected_k_t = per_window_oracle(pipe, features)
+    features = _video(cfg, frames, seed)
+    expected = per_window_oracle(pipe, features)
 
-    def counting(module, name):
-        real, calls = getattr(module, name), []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-        return calls
-
-    binds = counting(binding, "spatial_bind")
-    decodes = counting(objecthead, "decode")
+    binds = _counting(monkeypatch, binding, "spatial_bind")
+    decodes = _counting(monkeypatch, objecthead, "decode")
     tracked, k_t = infer_video(pipe, features)
 
-    assert len(binds) == frames
+    # every frame is bound once, at most CHUNK frames per call
+    frames_per_call = [math.prod(tokens.shape[:-2]) for tokens in binds]
+    assert sum(frames_per_call) == frames
+    assert max(frames_per_call) <= model.CHUNK == 8
     assert len(decodes) == sum(k > 1 for k in k_t)
-    assert np.array_equal(tracked.frames, expected.frames)
-    assert len(tracked.track_maps) == len(expected.track_maps)
-    for got, want in zip(tracked.track_maps, expected.track_maps):
-        assert np.array_equal(got, want)
-    assert k_t == expected_k_t
+    _assert_same_segmentation((tracked, k_t), expected)
     if not cfg.model.use_merging:
         assert k_t == [cfg.model.k_slots] * frames
     if cfg.model.tau_merge == 1.99 or cfg.model.k_slots == 1:
         assert k_t == [1] * frames
     if cfg.model.tau_merge == 0.3:
         assert min(k_t) == 1 < max(k_t)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("frames", [1, 7, 8, 9, 17])
+def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypatch):
+    """Frame counts around the chunk size: a partial chunk, one full
+    chunk, a full chunk and one frame, and two full chunks and one. The
+    center slots that reach merging are bitwise those of one forward per
+    window; without merging every frame is decoded."""
+    cfg = small_cfg(precision, use_merging=False)
+    pipe = Pipeline(cfg, seed=frames)
+    features = _video(cfg, frames, seed=frames)
+    merges = _counting(monkeypatch, objecthead, "merge_slots")
+    expected = per_window_oracle(pipe, features)
+    want = [c.data.copy() for c in merges]
+    merges.clear()
+    windows = _counting(monkeypatch, binding, "temporal_bind")
+    got = infer_video(pipe, features)
+
+    assert len(merges) == len(want) == frames
+    for c, c_want in zip(merges, want):
+        assert c.data.dtype == np.dtype(precision.replace("f", "float"))
+        assert np.array_equal(c.data, c_want)
+    _assert_same_segmentation(got, expected)
+    # one temporal-binding call per chunk of windows
+    assert [w.shape[0] for w in windows] == [min(8, frames - s) for s in range(0, frames, 8)]
 
 
 def _features(cfg: RunConfig, frames: int) -> np.ndarray:

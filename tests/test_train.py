@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from solv import datagen, evalkit
+from solv import model as model_mod
 from solv import train as train_mod
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
-from solv.diffcore import ConfigError, FormatError, Tape, Tensor, read_checkpoint
+from solv.diffcore import (
+    ConfigError, FormatError, ParamStore, Tape, Tensor, read_checkpoint,
+)
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
@@ -95,6 +98,30 @@ class TestTrainingLoop:
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-3])
         with pytest.raises(FormatError, match=f"payload of '{last}' at byte"):
+            load_pipeline(cfg, path)
+
+    def test_load_pipeline_draws_no_parameters(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        saved = init_params(cfg, seed=5)
+        path = str(tmp_path / "w.ckpt")
+        saved.save(path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_pipeline drew parameters")
+
+        monkeypatch.setattr(model_mod, "init_params", no_init)
+        monkeypatch.setattr(train_mod, "init_params", no_init)
+        pipe = load_pipeline(cfg, path)
+        assert pipe.store.names() == saved.names()
+        for name, t in saved.params.items():
+            np.testing.assert_array_equal(pipe.store[name].data,
+                                          t.data.astype(np.float32))
+        # a checkpoint missing a parameter still fails
+        partial = ParamStore(cfg.train.precision)
+        for name in saved.names()[1:]:
+            partial.register(name, saved[name].data)
+        partial.save(path)
+        with pytest.raises(FormatError, match=f"missing parameter '{saved.names()[0]}'"):
             load_pipeline(cfg, path)
 
     def test_max_steps_truncation(self, tmp_path):
