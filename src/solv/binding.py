@@ -24,6 +24,8 @@ position encoder would need the K x N' x D tensors back.
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
 frames masked out of attention, and returns the center frame's slots.
+Masked frames get an attention weight of exactly zero, so their slots
+must be finite: zero times a non-finite value is not zero.
 
 Both stages take leading batch axes: ``spatial_bind`` binds (..., N', D)
 tokens of many frames and ``temporal_bind`` relates (..., K, T, D)
@@ -40,15 +42,6 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-
-
-@dataclass
-class SlotState:
-    """Absolute per-slot state after binding: contents, scale, position."""
-    z: Tensor        # ... x K x D_slot
-    scale: Tensor    # ... x K x 2, strictly positive after any iteration
-    position: Tensor # ... x K x 2
-    grid: np.ndarray # ... x N' x 2 kept absolute positions
 
 
 @dataclass
@@ -203,6 +196,7 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
     same initialization tensors feed every frame of a clip; outputs
     differ only through the frame's features and kept grid. ``init_z``
     overrides the stored slot contents (training jitters them per clip).
+    Returns the slots and the final iteration's ``AttentionRecord``.
     """
     lead = tokens.shape[:-2]
     z = init_z if init_z is not None else params["bind.init.z"]
@@ -224,23 +218,15 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         pg_b = dc.matmul(dc.reshape(params["bind.g.b"], (1, -1)), params["bind.p.w"])
         pg_b = dc.reshape(pg_b, (-1,))
         drift = Tensor(np.zeros((k, 2), params.dtype))
-        a = None
         for _ in range(n_iters):
             z, s_s, drift, a = isa_iteration(
                 z, s_s, drift, centered, pkf, pvf, pg_w, pg_b, params, delta)
-        position = dc.add(s_p, drift)
     else:
         kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
         vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
-        a = None
         for _ in range(n_iters):
             z, a = plain_attention_iteration(z, kf, vf, params)
-        position = s_p
-        s_s = params["bind.init.scale"]
-
-    record = AttentionRecord(a=a.data.copy(), kept_grid=kept_grid)
-    state = SlotState(z=z, scale=s_s, position=position, grid=kept_grid)
-    return z, state, record
+    return z, AttentionRecord(a=a.data.copy(), kept_grid=kept_grid)
 
 
 def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -11,7 +10,7 @@ import sys
 
 from . import ablate as ablate_mod
 from . import datagen
-from .config import DataConfig, RunConfig, load_config
+from .config import DataConfig, RunConfig, load_config, section_from_dict
 from .diffcore import ConfigError
 from .model import infer_video
 from .train import evaluate_dirs, load_pipeline, train
@@ -81,12 +80,12 @@ def cmd_ablate(args) -> int:
 def cmd_gen(args) -> int:
     with open(args.spec) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{args.spec}: generation spec root must be a JSON object")
     split = payload.pop("split", "all")
-    known = {f.name for f in dataclasses.fields(DataConfig)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown generation spec keys: {unknown}")
-    d = DataConfig(**payload)
+    if split not in ("train", "val", "all"):
+        raise ConfigError(f"split must be train, val or all, got {split!r}")
+    d = section_from_dict(DataConfig, payload, "data.")
     train_specs, val_specs = datagen.dataset_split(
         d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,
         (d.sprite_min, d.sprite_max))

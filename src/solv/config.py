@@ -5,9 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .diffcore import ConfigError
 
@@ -118,11 +117,29 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _from_dict(cls, payload: dict, path: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - fields)
+# What a JSON value must be for a field of each annotated type: a bool is
+# not a number here, and a float field takes an int.
+_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def section_from_dict(cls, payload: dict, path: str):
+    """Build config section ``cls`` from ``payload``, refusing unknown
+    keys and values of the wrong type; ``path`` prefixes field names in
+    errors (``"data."``)."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown config keys at {path or 'top level'}: {unknown}")
+        raise ConfigError(f"unknown config keys at {path}: {unknown}")
+    for name, value in payload.items():
+        expected, ok = _KINDS[fields[name]]
+        if not ok(value):
+            raise ConfigError(f"{path}{name} must be {expected}, got {value!r}")
     return cls(**payload)
 
 
@@ -138,7 +155,7 @@ def config_from_dict(payload: dict) -> RunConfig:
         if name in payload:
             if not isinstance(payload[name], dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            kwargs[name] = _from_dict(cls, payload[name], f"{name}.")
+            kwargs[name] = section_from_dict(cls, payload[name], f"{name}.")
     return RunConfig(**kwargs).validate()
 
 

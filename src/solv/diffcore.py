@@ -27,17 +27,15 @@ __all__ = [
     "Tape",
     "ParamStore",
     "ShapeError",
-    "NonFiniteError",
     "FormatError",
     "ConfigError",
     "BinaryReader",
     "write_f32_array",
     "atomic_write",
-    "set_finite_checks",
     "add", "sub", "mul", "div", "neg", "matmul",
     "exp", "sqrt", "sigmoid", "tanh",
     "reduce_sum", "reduce_mean", "softmax", "layernorm",
-    "reshape", "transpose", "broadcast_to", "concat", "stack", "gather_rows",
+    "reshape", "transpose", "broadcast_to", "stack", "gather_rows",
     "slice_axis",
     "linear", "mlp", "gru_cell", "gru_param_shapes",
 ]
@@ -47,10 +45,6 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
-
-
-class NonFiniteError(FloatingPointError):
-    """A forward operation produced NaN or Inf; the step must be aborted."""
 
 
 class FormatError(ValueError):
@@ -178,19 +172,10 @@ def atomic_write(path: str, mode: str = "wb"):
     os.replace(tmp, path)
 
 
-_finite_checks = False
-
-
 def get_precision() -> str:
     """Precision of the default config, which every benchmark workload
     runs; read only by the run header of ``bench/run.py``."""
     return "f32"
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle per-operation NaN/Inf checks (off by default; slow)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +335,8 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
-        raise NonFiniteError("non-finite values in forward result")
-
-
 def _make(out_data, parents, backward_fn) -> Tensor:
     """Create the result tensor, recording it when a tape is active."""
-    _check_finite(out_data)
     tape = _active_tape()
     if tape is None:
         need = None
@@ -524,18 +503,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _make(out, (a,), lambda g, need: (_unbroadcast(g, a.shape),))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def backward(g, need):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return _make(out, tuple(tensors), backward)
-
-
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.stack([t.data for t in tensors], axis=axis)
@@ -587,7 +554,7 @@ def mlp(x: Tensor, layers) -> Tensor:
     every layer but the last, as one tape node. The arithmetic is that of
     a ``matmul``/``add``/ReLU chain, done in place, so results are bitwise
     the same; a ReLU mask is read from its output, which is > 0 exactly
-    where the pre-activation is. Finite checks see every pre-activation."""
+    where the pre-activation is."""
     parents = (x,) + tuple(t for layer in layers for t in layer)
     tape = _active_tape()
     keep = tape is not None and any(p.requires_grad for p in parents)
@@ -599,7 +566,6 @@ def mlp(x: Tensor, layers) -> Tensor:
         h = h @ w.data
         h += b.data
         if i < last:
-            _check_finite(h)
             np.maximum(h, 0, out=h)
             if keep:
                 saved.append(h)

@@ -19,8 +19,6 @@ from .diffcore import ConfigError, Tensor
 @dataclass(frozen=True)
 class DropPlan:
     kept_indices: tuple[np.ndarray, ...]  # per frame, sorted unique indices into 0..N-1
-    ratio: float
-    seed: int
 
     @property
     def n_kept(self) -> int:
@@ -45,7 +43,7 @@ def make_drop_plan(n_frames: int, n_tokens: int, ratio: float, seed: int) -> Dro
         idx = rng.permutation(n_tokens)[:n_keep]
         idx.sort()
         kept.append(idx.astype(np.int64))
-    return DropPlan(tuple(kept), ratio, seed)
+    return DropPlan(tuple(kept))
 
 
 def build_position_grid(rows: int, cols: int) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Pipeline assembly: parameter initialization and window-level forward.
 
 One forward covers a (2n+1)-frame window in two stages: per frame,
-encode the available frame with token drop and bind it spatially from the
-shared slot initialization; per window, relate slots temporally and
-merge them, then decode the center frame over the full grid.
+encode the frame with token drop and bind it spatially from the shared
+slot initialization; per window, relate slots temporally and merge them,
+then decode the center frame over the full grid.
 
 Both stages take leading batch axes: ``Pipeline.bind_frames`` binds
 (..., N, D) features of many frames to (..., K, D_slot) slots, and
 ``Pipeline.bind_windows`` relates (..., K, T, D_slot) stacked windows to
-their (..., K, D_slot) center slots. Training binds one frame per call,
-without a leading axis. Inference binds each frame once, ``CHUNK``
-frames per call, relates ``CHUNK`` windows per call, then merges and
-decodes frame by frame, decoding only the frames that keep two or more
-slots. A batched call gives bitwise the result of one call per frame or
-window.
+their (..., K, D_slot) center slots. Training binds a clip's frames in
+one call and relates them in one call. Unavailable frames are bound like
+the others and masked out of temporal attention, so their features must
+be finite. Inference binds each frame once, ``CHUNK`` frames per call,
+relates ``CHUNK`` windows per call, then merges and decodes frame by
+frame, decoding only the frames that keep two or more slots. A batched
+call gives bitwise the result of one call per frame or window.
 """
 
 from __future__ import annotations
@@ -123,11 +124,10 @@ class Pipeline:
         """
         m = self.cfg.model
         enc = encoder.encode_frame(features, self.grid, kept, self.store)
-        z, _, record = binding.spatial_bind(
+        return binding.spatial_bind(
             enc.tokens, enc.kept_grid, self.store, m.delta,
             n_iters=m.isa_iters, invariant=m.use_invariant_attention,
             init_z=init_z)
-        return z, record
 
     def bind_windows(self, windows: Tensor, availability: np.ndarray) -> Tensor:
         """Per-window stage: temporal binding of stacked windows (..., K, T,
@@ -159,14 +159,14 @@ class Pipeline:
     def forward_window(self, features: np.ndarray, availability: np.ndarray,
                        kept_indices: list, apply_merge: bool,
                        init_jitter: np.ndarray | None = None) -> WindowOutput:
-        """features: (window, N, D) with arbitrary content on unavailable
-        frames (they are masked out of temporal attention).
+        """features: (window, N, D). Every frame is bound, in one call, and
+        unavailable frames are masked out of temporal attention, so their
+        content is arbitrary but must be finite.
 
-        Binds one frame per call, so the tape accumulates the gradients
-        of shared parameters frame by frame. ``init_jitter`` (K x D_slot)
-        perturbs the shared slot initialization for this whole window;
-        training draws one per clip so slot identities cannot act as a
-        fixed code across clips.
+        ``kept_indices`` holds each frame's kept token indices, all of one
+        length. ``init_jitter`` (K x D_slot) perturbs the shared slot
+        initialization for this whole window; training draws one per clip
+        so slot identities cannot act as a fixed code across clips.
         """
         m = self.cfg.model
         center = len(availability) // 2
@@ -175,18 +175,13 @@ class Pipeline:
         init_z = None
         if init_jitter is not None:
             init_z = self.store["bind.init.z"] + init_jitter
-        empty = Tensor(np.zeros((m.k_slots, m.d_slot), self.store.dtype))
-        slots = []
-        for t, available in enumerate(availability):
-            z = empty
-            if available:
-                z, record = self.bind_frames(features[t], kept_indices[t], init_z)
-                if t == center:
-                    center_record = record
-            slots.append(z)
-        c = slots[center]
-        if m.use_temporal_binding:
-            c = self.bind_windows(dc.stack(slots, axis=1), availability)
+        z, record = self.bind_frames(features, np.stack(kept_indices), init_z)
+        if m.use_temporal_binding:  # (T, K, D) frames to one (K, T, D) window
+            c = self.bind_windows(dc.transpose(z, (1, 0, 2)), availability)
+        else:
+            c = dc.reshape(dc.slice_axis(z, 0, center, center + 1), z.shape[1:])
+        center_record = binding.AttentionRecord(record.a[center],
+                                                record.kept_grid[center])
         merged = self.merge(c, center_record, apply_merge)
         return WindowOutput(decoded=self.decode(merged), merged=merged)
 

@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 class TrainLog:
     epoch_losses: list = field(default_factory=list)
     step_losses: list = field(default_factory=list)
-    lrs: list = field(default_factory=list)
     k_t_histograms: list = field(default_factory=list)
     skipped_steps: int = 0
     checkpoint: str = ""
@@ -154,7 +153,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
             nonfinite_streak = 0
             mean_loss = float(np.mean(losses))
             result.step_losses.append(mean_loss)
-            result.lrs.append(lr)
             epoch_losses.append(mean_loss)
             if progress is not None:
                 progress(step, total_steps, mean_loss, lr)

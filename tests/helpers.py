@@ -23,6 +23,28 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
     return store
 
 
+def record_isa_moments(monkeypatch, iteration=None):
+    """Install a wrapper of ``iteration`` (the installed
+    ``binding.isa_iteration`` by default) that records each call's
+    (scale, drift); returns the list that receives them."""
+    real, moments = iteration or binding.isa_iteration, []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        moments.append(out[1:3])
+        return out
+
+    monkeypatch.setattr(binding, "isa_iteration", recording)
+    return moments
+
+
+def final_moments(moments, params):
+    """Scale and absolute position of the slots after the last recorded
+    iteration: the position is ``bind.init.pos`` plus the drift."""
+    scale, drift = moments[-1]
+    return scale, dc.add(params["bind.init.pos"], drift)
+
+
 def finite_diff(f, tensors, h=1e-5, rng=None, max_coords=40):
     """Central finite differences of a scalar function at sampled coords.
 

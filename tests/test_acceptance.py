@@ -82,8 +82,8 @@ class TestGradientOracle:
             def run():
                 tape = Tape()
                 with tape:
-                    z, _, _ = spatial_bind(tokens, grid, store, delta=5.0,
-                                           n_iters=1)
+                    z, _ = spatial_bind(tokens, grid, store, delta=5.0,
+                                       n_iters=1)
                     loss = dc.reduce_mean(dc.mul(z, z))
                 return loss, tape
 
@@ -260,7 +260,7 @@ class TestNormalizationInvariance:
         store = binding_store(d_slot=8, k_slots=4, seed=3)
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(4).normal(size=(20, 8)))
-        _, _, rec = spatial_bind(tokens, grid, store, delta=5.0)
+        _, rec = spatial_bind(tokens, grid, store, delta=5.0)
         attn_ok = np.allclose(rec.a.sum(axis=0), 1.0, atol=1e-6)
 
         # decoder masks sum to 1 per token
@@ -275,11 +275,11 @@ class TestNormalizationInvariance:
             [[0.25, -0.5], [-0.125, 0.375], [0.75, 0.0]])
         grid2 = build_position_grid(5, 5)
         feats = np.random.default_rng(8).normal(size=(25, 8))
-        z_a, _, rec_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0)
+        z_a, rec_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0)
         offset = np.array([0.75, -0.25])
         store2["bind.init.pos"].data = store2["bind.init.pos"].data + offset
-        z_b, _, rec_b = spatial_bind(Tensor(feats), grid2 + offset, store2,
-                                     delta=5.0)
+        z_b, rec_b = spatial_bind(Tensor(feats), grid2 + offset, store2,
+                                  delta=5.0)
         translation_ok = np.array_equal(rec_a.a, rec_b.a) and \
             np.array_equal(z_a.data, z_b.data)
 

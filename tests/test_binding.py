@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import binding_store, finite_diff, reference_isa_iteration
+from helpers import (
+    binding_store, final_moments, finite_diff, record_isa_moments,
+    reference_isa_iteration,
+)
 from solv import binding, diffcore as dc
 from solv.binding import relative_grid, spatial_bind, temporal_bind
 from solv.diffcore import Tape, Tensor
@@ -57,16 +60,18 @@ class TestRelativeGrid:
 
 
 class TestSpatialBind:
-    def test_single_slot_attention_is_ones_and_centroid(self):
+    def test_single_slot_attention_is_ones_and_centroid(self, monkeypatch):
         store = binding_store(d_slot=6, k_slots=1)
         grid = build_position_grid(3, 3)
         tokens = Tensor(np.random.default_rng(4).normal(size=(9, 6)))
-        _, state, record = spatial_bind(tokens, grid, store, delta=5.0)
+        moments = record_isa_moments(monkeypatch)
+        _, record = spatial_bind(tokens, grid, store, delta=5.0)
+        _, position = final_moments(moments, store)
         np.testing.assert_array_equal(record.a, np.ones((1, 9)))
-        np.testing.assert_allclose(state.position.data[0], grid.mean(axis=0),
+        np.testing.assert_allclose(position.data[0], grid.mean(axis=0),
                                    atol=1e-9)
 
-    def test_uniform_attention_moves_every_slot_to_centroid(self):
+    def test_uniform_attention_moves_every_slot_to_centroid(self, monkeypatch):
         # identical queries and position-free keys give uniform attention
         store = binding_store(d_slot=6, k_slots=3, seed=5)
         store["bind.init.z"].data[:] = 0.0
@@ -76,11 +81,12 @@ class TestSpatialBind:
         store["bind.g.b"].data[:] = 0.0
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(6).normal(size=(16, 6)))
-        _, state, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                        n_iters=1)
+        moments = record_isa_moments(monkeypatch)
+        _, record = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
+        _, position = final_moments(moments, store)
         np.testing.assert_allclose(record.a, 1.0 / 3.0, atol=1e-12)
         for j in range(3):
-            np.testing.assert_allclose(state.position.data[j],
+            np.testing.assert_allclose(position.data[j],
                                        grid.mean(axis=0), atol=1e-9)
 
     def test_hand_computed_two_by_two_attention(self):
@@ -96,8 +102,7 @@ class TestSpatialBind:
         store["bind.init.z"].data = z.copy()
         f = np.array([[0.3, 1.2], [-0.7, 0.4]])
         grid = np.zeros((2, 2))
-        _, _, record = spatial_bind(Tensor(f), grid, store, delta=5.0,
-                                    n_iters=1)
+        _, record = spatial_bind(Tensor(f), grid, store, delta=5.0, n_iters=1)
         logits = f @ _layernorm_np(z).T / np.sqrt(d)  # token x slot
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = (e / e.sum(axis=1, keepdims=True)).T  # slot x token
@@ -108,36 +113,38 @@ class TestSpatialBind:
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(9).normal(size=(20, 8)))
         for iters in (1, 2, 3):
-            _, _, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                        n_iters=iters)
+            _, record = spatial_bind(tokens, grid, store, delta=5.0,
+                                     n_iters=iters)
             np.testing.assert_allclose(record.a.sum(axis=0), 1.0, atol=1e-6)
 
     def test_identical_frames_shared_init_identical_slots(self):
         store = binding_store(d_slot=8, k_slots=3, seed=10)
         grid = build_position_grid(3, 4)
         feats = np.random.default_rng(11).normal(size=(12, 8))
-        za, _, ra = spatial_bind(Tensor(feats), grid, store, delta=5.0)
-        zb, _, rb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0)
+        za, ra = spatial_bind(Tensor(feats), grid, store, delta=5.0)
+        zb, rb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0)
         assert np.array_equal(za.data, zb.data)
         assert np.array_equal(ra.a, rb.a)
 
-    def test_positions_stay_inside_grid_hull(self):
+    def test_positions_stay_inside_grid_hull(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=12)
         grid = build_position_grid(5, 5)
         tokens = Tensor(np.random.default_rng(13).normal(size=(25, 8)))
-        _, state, _ = spatial_bind(tokens, grid, store, delta=5.0)
-        pos = state.position.data
+        moments = record_isa_moments(monkeypatch)
+        spatial_bind(tokens, grid, store, delta=5.0)
+        pos = final_moments(moments, store)[1].data
         assert (pos >= grid.min(axis=0) - 1e-6).all()
         assert (pos <= grid.max(axis=0) + 1e-6).all()
 
-    def test_scales_strictly_positive(self):
+    def test_scales_strictly_positive(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=14)
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(15).normal(size=(16, 8)))
-        _, state, _ = spatial_bind(tokens, grid, store, delta=5.0)
-        assert (state.scale.data > 0).all()
+        moments = record_isa_moments(monkeypatch)
+        spatial_bind(tokens, grid, store, delta=5.0)
+        assert (final_moments(moments, store)[0].data > 0).all()
 
-    def test_translation_invariance_bit_exact_on_dyadic_inputs(self):
+    def test_translation_invariance_bit_exact_on_dyadic_inputs(self, monkeypatch):
         # offsets and coordinates exactly representable in binary keep the
         # centered grid bitwise identical, and binding is a pure function
         # of the centered grid
@@ -146,27 +153,30 @@ class TestSpatialBind:
             [[0.25, -0.5], [-0.125, 0.375], [0.75, 0.0]])
         grid = build_position_grid(5, 5)  # multiples of 0.5
         tokens = np.random.default_rng(17).normal(size=(25, 8))
-        _, state_a, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        moments = record_isa_moments(monkeypatch)
+        _, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        _, position_a = final_moments(moments, store)
         z_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)[0]
 
         offset = np.array([0.75, -0.25])
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
-        z_b, state_b, rec_b = spatial_bind(Tensor(tokens), grid + offset,
-                                           store, delta=5.0)
+        z_b, rec_b = spatial_bind(Tensor(tokens), grid + offset,
+                                  store, delta=5.0)
+        _, position_b = final_moments(moments, store)
         assert np.array_equal(rec_a.a, rec_b.a)
         assert np.array_equal(z_a.data, z_b.data)
-        np.testing.assert_allclose(state_b.position.data,
-                                   state_a.position.data + offset, atol=1e-12)
+        np.testing.assert_allclose(position_b.data,
+                                   position_a.data + offset, atol=1e-12)
 
     def test_translation_invariance_tolerance_on_random_offsets(self):
         store = binding_store(d_slot=8, k_slots=3, seed=18)
         grid = build_position_grid(4, 4)
         tokens = np.random.default_rng(19).normal(size=(16, 8))
-        z_a, _, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        z_a, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
         offset = np.random.default_rng(20).normal(size=2)
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
-        z_b, _, rec_b = spatial_bind(Tensor(tokens), grid + offset, store,
-                                     delta=5.0)
+        z_b, rec_b = spatial_bind(Tensor(tokens), grid + offset, store,
+                                  delta=5.0)
         np.testing.assert_allclose(rec_a.a, rec_b.a, atol=1e-10)
         np.testing.assert_allclose(z_a.data, z_b.data, atol=1e-9)
 
@@ -174,8 +184,8 @@ class TestSpatialBind:
         store = binding_store(d_slot=8, k_slots=4, seed=21)
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(22).normal(size=(16, 8)))
-        z, state, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                        invariant=False)
+        z, record = spatial_bind(tokens, grid, store, delta=5.0,
+                                 invariant=False)
         assert z.shape == (4, 8)
         np.testing.assert_allclose(record.a.sum(axis=0), 1.0, atol=1e-6)
 
@@ -188,8 +198,7 @@ class TestSpatialBind:
         def run():
             tape = Tape()
             with tape:
-                z, _, _ = spatial_bind(tokens, grid, store, delta=5.0,
-                                       n_iters=1)
+                z, _ = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
                 loss = dc.reduce_mean(dc.mul(z, z))
             return loss, tape
 
@@ -214,21 +223,22 @@ class TestFactoredAttention:
     it must agree with the unfactored reference to rounding."""
 
     def _bind_with(self, iteration, store, tokens, grid, n_iters, monkeypatch):
-        monkeypatch.setattr(binding, "isa_iteration", iteration)
+        moments = record_isa_moments(monkeypatch, iteration)
         store.zero_grads()
         tokens.grad = None
         rng = np.random.default_rng(40)
         tape = Tape()
         with tape:
-            z, state, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                            n_iters=n_iters)
+            z, record = spatial_bind(tokens, grid, store, delta=5.0,
+                                     n_iters=n_iters)
+            scale, position = final_moments(moments, store)
             loss = Tensor(0.0)
-            for out in (z, state.scale, state.position):
+            for out in (z, scale, position):
                 loss = dc.add(loss, dc.reduce_sum(
                     dc.mul(out, Tensor(rng.normal(size=out.shape)))))
         tape.backward(loss)
-        outputs = {"z": z.data, "scale": state.scale.data,
-                   "position": state.position.data, "a": record.a}
+        outputs = {"z": z.data, "scale": scale.data,
+                   "position": position.data, "a": record.a}
         grads = {name: store[name].grad.copy() for name in store.names()
                  if store[name].grad is not None}
         grads["tokens"] = tokens.grad.copy()
@@ -391,7 +401,7 @@ class TestBatchedCalls:
     per frame or window gives."""
 
     @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "plain"])
-    def test_spatial_bind_stacked_frames(self, precision, invariant):
+    def test_spatial_bind_stacked_frames(self, precision, invariant, monkeypatch):
         frames, rows, cols, d = 5, 4, 5, 8
         store = binding_store(d_slot=d, k_slots=4, seed=50, precision=precision)
         rng = np.random.default_rng(51)
@@ -400,20 +410,24 @@ class TestBatchedCalls:
                          for _ in range(frames)])
         assert len({tuple(k) for k in kept}) == frames  # distinct kept grids
         tokens = rng.normal(size=(frames, 12, d)).astype(store.dtype)
-        z, state, record = spatial_bind(Tensor(tokens), grid[kept], store,
-                                        delta=5.0, invariant=invariant)
+        moments = record_isa_moments(monkeypatch)
+        z, record = spatial_bind(Tensor(tokens), grid[kept], store,
+                                 delta=5.0, invariant=invariant)
+        if invariant:
+            scale, position = final_moments(moments, store)
         assert z.shape == (frames, 4, d) and record.a.shape == (frames, 4, 12)
         assert z.data.dtype == store.dtype
         for f in range(frames):
-            z_f, state_f, record_f = spatial_bind(
+            z_f, record_f = spatial_bind(
                 Tensor(tokens[f]), grid[kept[f]], store, delta=5.0,
                 invariant=invariant)
             assert np.array_equal(z.data[f], z_f.data)
             assert np.array_equal(record.a[f], record_f.a)
             assert np.array_equal(record.kept_grid[f], record_f.kept_grid)
             if invariant:
-                assert np.array_equal(state.position.data[f], state_f.position.data)
-                assert np.array_equal(state.scale.data[f], state_f.scale.data)
+                scale_f, position_f = final_moments(moments, store)
+                assert np.array_equal(position.data[f], position_f.data)
+                assert np.array_equal(scale.data[f], scale_f.data)
 
     def test_temporal_bind_stacked_windows(self, precision):
         windows, window, k, d = 6, 5, 3, 8

@@ -92,6 +92,57 @@ class TestStrictParsing:
             assert config_from_dict(change).digest() != base
 
 
+class TestValueTypes:
+    """Each value must suit its field's type; a mismatch names the field."""
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"data": {"clip_count": "x"}}, "data.clip_count"),
+        ({"model": {"k_slots": 2.5}}, "model.k_slots"),
+        ({"model": {"k_slots": True}}, "model.k_slots"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"model": {"delta": False}}, "model.delta"),
+        ({"model": {"delta": "5"}}, "model.delta"),
+        ({"train": {"peak_lr": float("nan")}}, "train.peak_lr"),
+        ({"data": {"sigma_noise": float("inf")}}, "data.sigma_noise"),
+        ({"model": {"use_merging": 1}}, "model.use_merging"),
+        ({"train": {"precision": 32}}, "train.precision"),
+        ({"paths": {"checkpoint_dir": None}}, "paths.checkpoint_dir"),
+    ])
+    def test_mismatch_names_the_field(self, payload, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            config_from_dict(payload)
+
+    def test_float_field_takes_an_int(self):
+        cfg = config_from_dict({"model": {"delta": 4}, "train": {"peak_lr": 1}})
+        assert (cfg.model.delta, cfg.train.peak_lr) == (4, 1)
+
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["infer", "--checkpoint", "x.ckpt", "--features", "synthetic:1", "--out", "o"],
+        ["evaluate", "--pred", "p", "--gt", "g", "--report", "r.json"],
+        ["ablate", "--axis", "components"],
+    ], ids=lambda c: c[0])
+    def test_every_command_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"data": {"clip_count": "x"}}))
+        assert cli_main(command + ["--config", str(path)]) == 2
+        assert "data.clip_count must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "root must be a JSON object"),
+        ({"split": "test"}, "split must be train, val or all"),
+        ({"clip_count": "x"}, "data.clip_count must be an integer"),
+        ({"frames": 2.0}, "data.frames must be an integer"),
+    ], ids=["list_root", "bad_split", "string_count", "float_frames"])
+    def test_gen_rejects_bad_spec(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert cli_main(["gen", "--spec", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLrSchedule:
     def _sched(self, total=200):
         return LrSchedule(peak=4e-4, warmup_steps=10, total_steps=total,

@@ -12,8 +12,7 @@ import pytest
 
 from solv import datagen, diffcore as dc
 from solv.diffcore import (
-    ConfigError, FormatError, NonFiniteError, ParamStore, ShapeError, Tape,
-    Tensor,
+    ConfigError, FormatError, ParamStore, ShapeError, Tape, Tensor,
 )
 
 from helpers import finite_diff
@@ -46,14 +45,6 @@ class TestForwardValues:
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
-
-    def test_finite_check_mode(self):
-        dc.set_finite_checks(True)
-        try:
-            with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-                dc.div(Tensor([1.0]), Tensor([0.0]))
-        finally:
-            dc.set_finite_checks(False)
 
 
 class TestBackward:
@@ -169,9 +160,8 @@ class TestBackward:
             tape = Tape()
             with tape:
                 g = dc.gather_rows(a, idx)
-                parts = dc.concat([g, g], axis=1)
-                st = dc.stack([parts, parts], axis=0)
-                sl = dc.slice_axis(st, 2, 1, 4)
+                st = dc.stack([g, g], axis=0)
+                sl = dc.slice_axis(st, 2, 1, 3)
                 b = dc.broadcast_to(sl, (3,) + sl.shape)
                 s = dc.reduce_sum(dc.mul(b, sl))
             return s, tape
@@ -268,18 +258,6 @@ class TestMlp:
 
         _loss_and_grads(dc.mlp, x, layers, weight)
         assert finite_diff(loss, _leaves(x, layers), rng=rng) <= 1e-4
-
-    def test_finite_checks_see_hidden_pre_activations(self):
-        x = Tensor(np.ones((2, 2)))
-        layers = [(Tensor(np.eye(2)), Tensor([-np.inf, 0.0])),
-                  (Tensor(np.ones((2, 1))), Tensor([0.0]))]
-        assert np.isfinite(dc.mlp(x, layers).data).all()  # ReLU hides the -inf
-        dc.set_finite_checks(True)
-        try:
-            with pytest.raises(NonFiniteError):
-                dc.mlp(x, layers)
-        finally:
-            dc.set_finite_checks(False)
 
     def test_live_elements_count_hidden_activations(self):
         x, layers = _mlp_case(np.random.default_rng(23), (6, 4), [7, 5, 3], np.float64)

@@ -1,15 +1,16 @@
-"""Inference binds each frame once, in chunks of frames and windows,
-decodes only frames with two or more slots, and matches the per-window
-forward."""
+"""Training binds a clip's frames in one call and matches a per-frame
+forward; inference binds each frame once, in chunks of frames and
+windows, decodes only frames with two or more slots, and matches the
+per-window forward."""
 
 import math
 
 import numpy as np
 import pytest
 
-from solv import binding, datagen, diffcore as dc, evalkit, model, objecthead
+from solv import binding, datagen, diffcore as dc, encoder, evalkit, model, objecthead
 from solv.config import DataConfig, ModelConfig, RunConfig, TrainConfig
-from solv.diffcore import Tape
+from solv.diffcore import Tape, Tensor
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video
 
@@ -197,3 +198,112 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     assert set(built) == {np.dtype(dtype)}
     assert grads == {np.dtype(dtype)}
     assert {t.data.dtype for t in pipe.store.params.values()} == {np.dtype(dtype)}
+
+
+# ---------------------------------------------------------------------------
+# The training forward against one binding call per frame
+# ---------------------------------------------------------------------------
+
+# Largest |batched - per-frame| parameter gradient of one clip over the
+# tensor's largest |gradient|. Only the encoder projection and spatial
+# binding gradients may differ: their frames' contributions are summed in
+# one call instead of frame by frame.
+GRAD_TOLERANCE = {"f32": 1e-5, "f64": 1e-13}
+
+
+def per_frame_forward(pipe: Pipeline, features, availability, kept,
+                      apply_merge, init_jitter=None) -> model.WindowOutput:
+    """``forward_window`` as one ``bind_frames`` per available frame, with
+    zero slots on unavailable frames, stacked by ``dc.stack``."""
+    m = pipe.cfg.model
+    center = len(availability) // 2
+    init_z = None
+    if init_jitter is not None:
+        init_z = pipe.store["bind.init.z"] + init_jitter
+    empty = Tensor(np.zeros((m.k_slots, m.d_slot), pipe.store.dtype))
+    slots, records = [], {}
+    for t, available in enumerate(availability):
+        z = empty
+        if available:
+            z, records[t] = pipe.bind_frames(features[t], kept[t], init_z)
+        slots.append(z)
+    c = slots[center]
+    if m.use_temporal_binding:
+        c = pipe.bind_windows(dc.stack(slots, axis=1), availability)
+    merged = pipe.merge(c, records[center], apply_merge)
+    return model.WindowOutput(decoded=pipe.decode(merged), merged=merged)
+
+
+def _clip_case(precision, availability, jitter, **model_overrides):
+    cfg = small_cfg(precision, **model_overrides)
+    d, m = cfg.data, cfg.model
+    pipe = Pipeline(cfg, seed=3)
+    clip = datagen.render_clip(datagen.random_scene(
+        3, (d.canvas_h, d.canvas_w), d.patch, m.window,
+        (d.sprite_min, d.sprite_max)), datagen.FeatureOracle(
+            d.seed, d.n_identities, d.d_features, d.sigma_noise))
+    kept = list(make_drop_plan(m.window, d.n_tokens, 0.5, seed=3).kept_indices)
+    init_jitter = None
+    if jitter:
+        init_jitter = 0.5 * np.random.default_rng(3).standard_normal((m.k_slots, m.d_slot))
+    args = (clip.features, np.asarray(availability), kept, True, init_jitter)
+    return pipe, args, clip.features[clip.center]
+
+
+def _loss_and_grads(pipe, forward, args, target):
+    pipe.store.zero_grads()
+    tape = Tape()
+    with tape:
+        out = forward(*args)
+        loss = pipe.window_loss(out, target)
+    tape.backward(loss)
+    grads = {name: t.grad.copy() for name, t in pipe.store.params.items()
+             if t.grad is not None}
+    return out, loss, grads
+
+
+CLIP_CASES = {
+    "all_available": ([True] * 5, True, {}),
+    "edges_unavailable": ([False, True, True, True, False], True, {}),
+    "leading_unavailable": ([False, False, True, True, True], False, {}),
+    "no_temporal_binding": ([True] * 5, True, {"use_temporal_binding": False}),
+    "no_jitter_merged": ([True, True, True, True, False], False, {"tau_merge": 0.5}),
+}
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("case", CLIP_CASES.values(), ids=CLIP_CASES.keys())
+def test_forward_window_matches_per_frame_oracle(precision, case):
+    """The batched forward is bitwise the per-frame one: loss, decoded
+    output and merged slots. Decoder, merge and temporal-binding
+    gradients are bitwise too; the rest are within GRAD_TOLERANCE."""
+    availability, jitter, overrides = case
+    pipe, args, target = _clip_case(precision, availability, jitter, **overrides)
+    want, want_loss, want_grads = _loss_and_grads(
+        pipe, lambda *a: per_frame_forward(pipe, *a), args, target)
+    got, got_loss, got_grads = _loss_and_grads(pipe, pipe.forward_window, args, target)
+
+    assert np.array_equal(got_loss.data, want_loss.data)
+    assert np.array_equal(got.decoded.y.data, want.decoded.y.data)
+    assert np.array_equal(got.decoded.m.data, want.decoded.m.data)
+    assert np.array_equal(got.merged.cprime.data, want.merged.cprime.data)
+    assert got.merged.k_t == want.merged.k_t
+    assert got_grads.keys() == want_grads.keys()
+    for name, want_g in want_grads.items():
+        if name.startswith(("enc.", "bind.")):
+            scale = np.abs(want_g).max()
+            assert np.abs(got_grads[name] - want_g).max() <= GRAD_TOLERANCE[precision] * scale, name
+        else:
+            assert np.array_equal(got_grads[name], want_g), name
+
+
+def test_training_clip_binds_in_one_call(monkeypatch):
+    """One encode and one spatial-binding call per clip, not one per frame."""
+    pipe, args, target = _clip_case("f32", [True] * 5, True)
+    encodes = _counting(monkeypatch, encoder, "encode_frame")
+    binds = _counting(monkeypatch, binding, "spatial_bind")
+    windows = _counting(monkeypatch, binding, "temporal_bind")
+    _loss_and_grads(pipe, pipe.forward_window, args, target)
+    assert [f.shape[0] for f in encodes] == [5]
+    assert [tokens.shape[:-2] for tokens in binds] == [(5,)]
+    assert [w.shape for w in windows] == [(4, 5, 16)]
