@@ -21,6 +21,19 @@ with ``pg_w``/``pg_b`` separately, and the slot updates apply ``pg_w`` to
 the attention-weighted relative coordinates (K x 2). A non-affine
 position encoder would need the K x N' x D tensors back.
 
+The slot geometry is token-major: the centered grid and the relative
+coordinates are (N', 2, ..., K) tensors, and the attention enters the
+moment sums as an (N', 1, ..., K) copy, so numpy loops over the frame
+and slot axes instead of over a token's two coordinates. A sum over N'
+then reduces the outermost axis, which numpy adds token after token as
+before; a contiguous last axis it would sum pairwise, so N' is never the
+last axis of a tensor summed over it. The attention itself stays (...,
+K, N'). Gradients add in their old order too: the centered grid and the
+first relative coordinates are built frame-major, so the initial
+moments' gradients sum over frames before tokens, and each relative
+coordinate tensor is computed where it is used, since a tensor shared by
+two consumers sums their gradients before passing them on.
+
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
 frames masked out of attention, and returns the center frame's slots.
@@ -55,10 +68,10 @@ def relative_grid(g_abs, s_p, s_s, delta: float):
     """Slot-relative coordinates: (G_abs - S_p) / (delta * S_s).
 
     Takes numpy arrays, giving an array (the decoder's constant input),
-    or tensors, giving a tensor (invariant attention); not a mix. A
-    single slot takes 2-vectors; K slots take (..., K, 2) positions and
-    scales, against either a shared N' x 2 grid or per-slot (..., K, N',
-    2) grids, and give (..., K, N', 2).
+    or tensors, giving a tensor; not a mix. A single slot takes
+    2-vectors; K slots take (..., K, 2) positions and scales, against
+    either a shared N' x 2 grid or per-slot (..., K, N', 2) grids, and
+    give (..., K, N', 2).
     """
     if s_p.ndim >= 2:  # K slots
         s_p = s_p.reshape(s_p.shape[:-1] + (1, 2))
@@ -123,42 +136,58 @@ def _swap_last(t: Tensor) -> Tensor:
     return dc.transpose(t, axes)
 
 
-def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
-                  pkf: Tensor, pvf: Tensor, pg_w: Tensor, pg_b: Tensor,
-                  params, delta: float, eps: float = 1e-8):
+def _last_first(t: Tensor) -> Tensor:
+    """(..., K, X) to (X, ..., K), copied row-major."""
+    return dc.transpose(t, (t.ndim - 1,) + tuple(range(t.ndim - 1)), contiguous=True)
+
+
+def _first_last(t: Tensor) -> Tensor:
+    """(X, ..., K) to (..., K, X), copied row-major."""
+    return dc.transpose(t, tuple(range(1, t.ndim)) + (0,), contiguous=True)
+
+
+def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
+                  pvf: Tensor, pg_w: Tensor, pg_b: Tensor, params,
+                  delta: float, eps: float = 1e-8):
     """One invariant attention iteration in centered coordinates.
 
-    centered is G_abs - S_p_init (... x K x N' x 2); drift accumulates the
-    slot position offset from its initialization, so the absolute
-    position is S_p_init + drift. Returns (z, scale, drift, attention).
+    ``centered`` is G_abs - S_p_init and ``rel`` the tokens' coordinates
+    relative to the current slot moments, (centered - drift) / (scale *
+    delta), both token-major (N' x 2 x ... x K); drift is the slot
+    position's offset from its initialization, so the absolute position
+    is S_p_init + drift. Returns (z, scale, drift, attention), the new
+    scale and drift as (..., K, 2).
     """
     *lead, k, d_slot = z.shape
-    n_kept = centered.shape[-2]
+    n_kept = centered.shape[0]
 
     # keys[k, n] = pkf[n] + rel[k, n] @ pg_w + pg_b, contracted with the
     # query term by term so that no K x N' x D key is built
-    rel = relative_grid(centered, drift, s_s, delta)    # ... x K x N' x 2
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
     content = dc.matmul(qz, _swap_last(pkf))           # ... x K x N'
-    q_pos = dc.reshape(dc.matmul(qz, _swap_last(pg_w)), (*lead, k, 1, 2))
+    q_pos = _last_first(dc.matmul(qz, _swap_last(pg_w)))  # 2 x ... x K
     q_bias = dc.matmul(qz, dc.reshape(pg_b, (d_slot, 1)))  # ... x K x 1
-    pos_term = dc.add(dc.reduce_sum(dc.mul(rel, q_pos), axis=-1), q_bias)
+    pos_term = dc.add(_first_last(dc.reduce_sum(dc.mul(rel, q_pos), axis=1)), q_bias)
     logits = dc.add(content, pos_term) * (1.0 / np.sqrt(d_slot))  # ... x K x N'
     a = dc.softmax(logits, axis=-2)                     # normalize over slots
 
-    a3 = dc.reshape(a, (*lead, k, n_kept, 1))
+    a_t = dc.reshape(_last_first(a), (n_kept, 1, *lead, k))
     mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps  # ... x K x 1
-    new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=-2), mass)
-    spread = dc.sub(centered, dc.reshape(new_drift, (*lead, k, 1, 2)))
-    var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=-2), mass)
+    # one reshape of mass per use, so that its gradients add in their old order
+    new_drift = dc.div(dc.reduce_sum(dc.mul(a_t, centered), axis=0),
+                       dc.reshape(mass, (*lead, k)))   # 2 x ... x K
+    spread = dc.sub(centered, new_drift)
+    var = dc.div(dc.reduce_sum(dc.mul(a_t, dc.mul(spread, spread)), axis=0),
+                 dc.reshape(mass, (*lead, k)))
     new_scale = dc.sqrt(var + eps)
 
     # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
     # taken term by term
-    rel2 = relative_grid(centered, new_drift, new_scale, delta)
+    rel2 = (centered - new_drift) / (new_scale * delta)
     w = dc.div(a, mass)                                 # ... x K x N'
-    w_rel2 = dc.reduce_sum(dc.mul(dc.reshape(w, (*lead, k, n_kept, 1)), rel2), axis=-2)
+    w_t = dc.reshape(_last_first(w), (n_kept, 1, *lead, k))
+    w_rel2 = _first_last(dc.reduce_sum(dc.mul(w_t, rel2), axis=0))  # ... x K x 2
     updates = dc.add(
         dc.add(dc.matmul(w, pvf), dc.matmul(w_rel2, pg_w)),
         dc.mul(dc.reduce_sum(w, axis=-1, keepdims=True), pg_b),
@@ -166,7 +195,7 @@ def isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
 
     z = dc.gru_cell(z, updates, _gru_params(params))
     z = _slot_mlp(z, params)
-    return z, new_scale, new_drift, a
+    return z, _first_last(new_scale), _first_last(new_drift), a
 
 
 def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
@@ -198,6 +227,8 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
     overrides the stored slot contents (training jitters them per clip).
     Returns the slots and the final iteration's ``AttentionRecord``.
     """
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     lead = tokens.shape[:-2]
     z = init_z if init_z is not None else params["bind.init.z"]
     s_s = params["bind.init.scale"]
@@ -207,9 +238,13 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         z = dc.broadcast_to(z, lead + z.shape)
 
     if invariant:
-        grid = np.asarray(kept_grid, params.dtype)
-        grid_t = Tensor(grid.reshape(grid.shape[:-2] + (1,) + grid.shape[-2:]))
-        centered = dc.sub(grid_t, dc.reshape(s_p, (k, 1, 2)))  # ... x K x N' x 2
+        # built frame-major, then made token-major; zero initial drift
+        grid = np.broadcast_to(np.asarray(kept_grid, params.dtype), tokens.shape[:-1] + (2,))
+        centered = dc.sub(Tensor(grid[..., None]), _swap_last(s_p))  # ... x N' x 2 x K
+        rel = centered / (_swap_last(s_s) * delta)
+        token_major = (len(lead), len(lead) + 1, *range(len(lead)), len(lead) + 2)
+        centered = dc.transpose(centered, token_major, contiguous=True)
+        rel = dc.transpose(rel, token_major, contiguous=True)
         kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
         vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
         pkf = dc.linear(kf, params["bind.p.w"], params["bind.p.b"])
@@ -217,10 +252,11 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         pg_w = dc.matmul(params["bind.g.w"], params["bind.p.w"])  # 2 x D composite
         pg_b = dc.matmul(dc.reshape(params["bind.g.b"], (1, -1)), params["bind.p.w"])
         pg_b = dc.reshape(pg_b, (-1,))
-        drift = Tensor(np.zeros((k, 2), params.dtype))
-        for _ in range(n_iters):
+        for i in range(n_iters):
+            if i:
+                rel = (centered - _last_first(drift)) / (_last_first(s_s) * delta)
             z, s_s, drift, a = isa_iteration(
-                z, s_s, drift, centered, pkf, pvf, pg_w, pg_b, params, delta)
+                z, rel, centered, pkf, pvf, pg_w, pg_b, params, delta)
     else:
         kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
         vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])

@@ -80,6 +80,19 @@ class PathsConfig:
     checkpoint_dir: str = "checkpoints"
 
 
+# The least value of each count; a smaller one fails in the first
+# forward, a division or an empty loop.
+_LEAST = (
+    [("model", name, 1) for name in (
+        "k_slots", "d_slot", "isa_iters", "transformer_layers",
+        "transformer_heads", "decoder_layers", "decoder_hidden")]
+    + [("model", "n_window", 0)]
+    + [("data", name, 1) for name in (
+        "canvas_h", "canvas_w", "patch", "frames")]
+    + [("train", name, 1) for name in ("epochs", "batch_size")]
+)
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -88,6 +101,10 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> "RunConfig":
+        for section, name, least in _LEAST:
+            value = getattr(getattr(self, section), name)
+            if value < least:
+                raise ConfigError(f"{section}.{name} must be >= {least}, got {value}")
         if self.data.canvas_h % self.data.patch or self.data.canvas_w % self.data.patch:
             raise ConfigError("canvas dimensions must be divisible by the patch size")
         if not 0.0 <= self.train.drop_ratio < 1.0:

@@ -16,6 +16,7 @@ computation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -474,7 +475,13 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(a: Tensor, axis: int) -> Tensor:
     # Max subtraction for stability; the shift is treated as a constant,
     # which leaves the gradient unchanged (softmax is shift invariant).
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    # numpy reduces a last axis one short row at a time; a max is exact in
+    # any order, so there it is the elementwise maximum of the slices.
+    if axis % a.ndim == a.ndim - 1:
+        top = functools.reduce(np.maximum, np.moveaxis(a.data, -1, 0))[..., None]
+    else:
+        top = a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - top
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -490,11 +497,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out, (a,), lambda g, need: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
+def transpose(a: Tensor, axes, contiguous: bool = False) -> Tensor:
+    """A view with permuted axes; ``contiguous`` copies it, and the
+    gradient it passes back, into row-major order, so that later
+    reductions see the memory order their summation order depends on."""
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
-    return _make(out, (a,), lambda g, need: (g.transpose(inv),))
+    if not contiguous:
+        return _make(a.data.transpose(axes), (a,), lambda g, need: (g.transpose(inv),))
+    out = np.ascontiguousarray(a.data.transpose(axes))
+    return _make(out, (a,), lambda g, need: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:

@@ -72,15 +72,22 @@ def project_features(raw: Tensor, params, prefix: str = "enc.proj.") -> Tensor:
     return dc.layernorm(h, params[prefix + "ln_g"], params[prefix + "ln_b"])
 
 
-def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray,
+def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray | None,
                  params, prefix: str = "enc.proj.") -> EncodedFrame:
     """Gather each frame's kept tokens and project them to slot width.
 
     ``features`` is (..., N, D_in) and ``kept`` (..., N') holds each
     frame's kept token indices; leading axes index frames, which are
-    projected independently in one call.
+    projected independently in one call. With ``kept`` None every token
+    is kept: the frames are projected as they are and the kept grid is
+    ``grid`` broadcast to each frame.
     """
-    kept = np.asarray(kept)
-    raw = np.take_along_axis(np.asarray(features), kept[..., None], axis=-2)
+    features = np.asarray(features)
+    if kept is None:
+        raw, kept_grid = features, np.broadcast_to(grid, features.shape[:-1] + (2,))
+    else:
+        kept = np.asarray(kept)
+        raw = np.take_along_axis(features, kept[..., None], axis=-2)
+        kept_grid = grid[kept]
     tokens = project_features(Tensor(raw.astype(params.dtype, copy=False)), params, prefix)
-    return EncodedFrame(tokens=tokens, kept_grid=grid[kept])
+    return EncodedFrame(tokens=tokens, kept_grid=kept_grid)

@@ -179,10 +179,9 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
                 cur_map[j] = next_id
                 next_id += 1
         track_maps.append(cur_map)
-    out = np.stack([
-        track_maps[t][label_frames[t].astype(np.int64)]
-        for t in range(len(label_frames))
-    ])
+    out = np.empty((len(label_frames),) + np.shape(label_frames[0]), np.int64)
+    for t, labels in enumerate(label_frames):
+        np.take(track_maps[t], labels, out=out[t])
     return TrackedSegmentation(frames=out, track_maps=track_maps, n_tracks=next_id)
 
 

@@ -112,12 +112,12 @@ class Pipeline:
         d = cfg.data
         self.grid = encoder.build_position_grid(d.grid_rows, d.grid_cols)
 
-    def bind_frames(self, features: np.ndarray, kept: np.ndarray,
+    def bind_frames(self, features: np.ndarray, kept: np.ndarray | None,
                     init_z: Tensor | None = None):
         """Per-frame stage: encode each frame's kept tokens and bind them to
-        slots. ``features`` is (..., N, D) and ``kept`` (..., N'); returns
-        (..., K, D_slot) slots and the attention record, whose ``a`` is
-        (..., K, N').
+        slots. ``features`` is (..., N, D) and ``kept`` (..., N'), or None
+        to keep every token; returns (..., K, D_slot) slots and the
+        attention record, whose ``a`` is (..., K, N').
 
         Without ``init_z`` a frame's slots depend on that frame alone, so
         inference binds each frame once and reuses it in every window.
@@ -195,7 +195,8 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     Every frame becomes the center of its own window; frames outside the
     video are masked via availability. Token drop is off, so each frame
     is bound once and every window containing it reuses those slots.
-    Frames are bound ``CHUNK`` per call and windows related ``CHUNK``
+    The video is cast to the store's dtype once and its frames encoded
+    whole. Frames are bound ``CHUNK`` per call and windows related ``CHUNK``
     per call; merging (always applied) and decoding run per frame, and
     the decoder runs only for frames left with two or more slots: one
     slot labels every pixel 0. Returns (tracked segmentation, per-frame
@@ -217,16 +218,19 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     if width != d.d_features:
         raise ValueError(f"feature width {width} does not match config "
                          f"d_features {d.d_features}")
+    # checked after the cast: a finite value beyond the store's range is
+    # infinite in the computation
+    with np.errstate(over="ignore"):
+        features = features.astype(pipe.store.dtype, copy=False)
     finite = np.isfinite(features).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"non-finite features in frame {int(np.argmin(finite))}")
 
-    keep = np.broadcast_to(np.arange(n_tok, dtype=np.int64), (CHUNK, n_tok))
     slots = np.empty((f_total, m.k_slots, m.d_slot), pipe.store.dtype)
     records = []
     for s in range(0, f_total, CHUNK):
         chunk = features[s:s + CHUNK]
-        z, record = pipe.bind_frames(chunk, keep[:len(chunk)])
+        z, record = pipe.bind_frames(chunk, None)
         slots[s:s + len(chunk)] = z.data
         records += map(binding.AttentionRecord, record.a, record.kept_grid)
 
@@ -244,6 +248,9 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
             available = (rows >= n) & (rows < n + f_total)
             centers[s:s + len(rows)] = pipe.bind_windows(Tensor(windows), available).data
 
+    # what rasterize returns for one slot (argmax over one slot is 0),
+    # shared by every frame left with one slot
+    one_slot = np.zeros((d.canvas_h, d.canvas_w), np.int64)
     label_frames = []
     slot_vectors = []
     for t in range(f_total):
@@ -251,8 +258,8 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
         if merged.k_t > 1:
             labels = evalkit.rasterize(pipe.decode(merged).m.data, d.grid_rows,
                                        d.grid_cols, d.canvas_h, d.canvas_w)
-        else:  # what rasterize returns: argmax over one slot is 0
-            labels = np.zeros((d.canvas_h, d.canvas_w), np.int64)
+        else:
+            labels = one_slot
         label_frames.append(labels)
         slot_vectors.append(merged.cprime.data.copy())
     tracked = evalkit.link_tracks(slot_vectors, label_frames)

@@ -49,24 +49,31 @@ class DecodedFrame:
 def complete_linkage(dist: np.ndarray, threshold: float) -> list[list[int]]:
     """Agglomerate while the merged cluster's max internal distance <= threshold.
 
-    Ties pick the lexicographically first pair. Returns the partition
-    sorted by smallest member.
+    Each step merges the closest pair of clusters; ties pick the first
+    pair in row-major order of the upper triangle, and a NaN distance is
+    never the closest. Returns the partition sorted by smallest member.
+    There are at most K x K entries, so the search runs on Python lists.
     """
-    n = dist.shape[0]
-    clusters = [[i] for i in range(n)]
-    d = dist.astype(np.float64).copy()
+    clusters = [[i] for i in range(dist.shape[0])]
+    d = dist.astype(np.float64).tolist()
     while len(clusters) > 1:
-        m = d + np.where(np.tri(len(clusters), dtype=bool), np.inf, 0.0)
-        i, j = np.unravel_index(np.argmin(m), m.shape)
-        if m[i, j] > threshold:
+        best, pair = np.inf, None
+        for i, row in enumerate(d):
+            for j in range(i + 1, len(row)):
+                if row[j] < best:
+                    best, pair = row[j], (i, j)
+        if pair is None or best > threshold:
             break
-        clusters[i] = clusters[i] + clusters[j]
-        del clusters[j]
-        merged_row = np.maximum(d[i], d[j])
-        d[i, :] = merged_row
-        d[:, i] = merged_row
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
-        d[i, i] = 0.0
+        i, j = pair
+        clusters[i] += clusters.pop(j)
+        merged_row = [max(x, y) for x, y in zip(d[i], d[j])]
+        merged_row[i] = 0.0
+        for row, value in zip(d, merged_row):
+            row[i] = value
+        d[i] = merged_row
+        del d[j]
+        for row in d:
+            del row[j]
     parts = [sorted(c) for c in clusters]
     parts.sort(key=lambda c: c[0])
     return parts

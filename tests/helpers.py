@@ -183,27 +183,27 @@ def reference_hungarian(cost) -> list[tuple[int, int]]:
 # to rounding.
 # ---------------------------------------------------------------------------
 
-def reference_isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Tensor,
+def reference_isa_iteration(z: Tensor, rel: Tensor, centered: Tensor,
                             pkf: Tensor, pvf: Tensor, pg_w: Tensor, pg_b: Tensor,
                             params, delta: float, eps: float = 1e-8):
-    """One invariant attention iteration in centered coordinates.
+    """One invariant attention iteration in centered coordinates, one frame.
 
-    centered is G_abs - S_p_init (K x N' x 2); drift accumulates the slot
-    position offset from its initialization, so the absolute position is
+    centered is G_abs - S_p_init and rel the coordinates relative to the
+    current slot moments, both token-major (N' x 2 x K) as
+    binding.isa_iteration takes them; drift accumulates the slot position
+    offset from its initialization, so the absolute position is
     S_p_init + drift. Returns (z, scale, drift, attention).
     """
     k, d_slot = z.shape
     inv_temp = Tensor(1.0 / np.sqrt(d_slot))
 
-    def pg_of(rel):
-        return dc.add(dc.matmul(rel, pg_w), pg_b)
+    def slot_major(t):  # N' x 2 x K to K x N' x 2
+        return dc.transpose(t, (2, 0, 1))
 
-    def rel_of(dr, sc):
-        denom = dc.mul(dc.reshape(sc, (k, 1, 2)), Tensor(float(delta)))
-        return dc.div(dc.sub(centered, dc.reshape(dr, (k, 1, 2))), denom)
+    def pg_of(r):
+        return dc.add(dc.matmul(r, pg_w), pg_b)
 
-    rel = rel_of(drift, s_s)
-    keys = dc.add(pkf, pg_of(rel))                      # K x N' x D
+    keys = dc.add(pkf, pg_of(slot_major(rel)))          # K x N' x D
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
     logits = dc.mul(
@@ -212,6 +212,7 @@ def reference_isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Ten
     )                                                   # K x N'
     a = dc.softmax(logits, axis=0)                      # normalize over slots
 
+    centered = slot_major(centered)
     a3 = dc.reshape(a, (k, a.shape[1], 1))
     mass = dc.add(dc.reduce_sum(a, axis=1, keepdims=True), Tensor(eps))  # K x 1
     new_drift = dc.div(dc.reduce_sum(dc.mul(a3, centered), axis=1), mass)
@@ -219,7 +220,8 @@ def reference_isa_iteration(z: Tensor, s_s: Tensor, drift: Tensor, centered: Ten
     var = dc.div(dc.reduce_sum(dc.mul(a3, dc.mul(spread, spread)), axis=1), mass)
     new_scale = dc.sqrt(dc.add(var, Tensor(eps)))
 
-    rel2 = rel_of(new_drift, new_scale)
+    denom = dc.mul(dc.reshape(new_scale, (k, 1, 2)), Tensor(float(delta)))
+    rel2 = dc.div(dc.sub(centered, dc.reshape(new_drift, (k, 1, 2))), denom)
     vals = dc.add(pvf, pg_of(rel2))                     # K x N' x D
     w = dc.div(a3, dc.reshape(mass, (k, 1, 1)))
     updates = dc.reduce_sum(dc.mul(w, vals), axis=1)    # K x D

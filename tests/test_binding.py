@@ -1,5 +1,7 @@
 """Spatial and temporal binding: attention oracles, invariances, masking."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,14 @@ class TestSpatialBind:
         np.testing.assert_allclose(rec_a.a, rec_b.a, atol=1e-10)
         np.testing.assert_allclose(z_a.data, z_b.data, atol=1e-9)
 
+    @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "plain"])
+    def test_fewer_than_one_iteration_is_refused(self, invariant):
+        store = binding_store(d_slot=6, k_slots=2, seed=37)
+        tokens = Tensor(np.random.default_rng(38).normal(size=(9, 6)))
+        with pytest.raises(ValueError, match="n_iters must be >= 1"):
+            spatial_bind(tokens, build_position_grid(3, 3), store, delta=5.0,
+                         n_iters=0, invariant=invariant)
+
     def test_plain_attention_variant_shapes_and_normalization(self):
         store = binding_store(d_slot=8, k_slots=4, seed=21)
         grid = build_position_grid(4, 4)
@@ -298,6 +308,39 @@ class TestFactoredAttention:
 
         assert (k, rows * cols, d) in shapes_built(reference_isa_iteration)
         assert (k, rows * cols, d) not in shapes_built(factored)
+
+    @pytest.mark.parametrize("with_tape", [True, False], ids=["train", "infer"])
+    def test_geometry_is_token_major(self, with_tape, monkeypatch):
+        """No tensor the iteration builds ends in the length-2 coordinate
+        axis behind an N'-long axis: numpy would run its elementwise ops
+        and sums over that axis two elements at a time."""
+        frames, k, rows, cols, d = 4, 3, 4, 5, 8
+        n_kept = rows * cols
+        store = binding_store(d_slot=d, k_slots=k, seed=46)
+        tokens = Tensor(np.random.default_rng(47).normal(size=(frames, n_kept, d)))
+        kept_grid = np.broadcast_to(build_position_grid(rows, cols), (frames, n_kept, 2))
+        real_make, real_iteration = dc._make, binding.isa_iteration
+        shapes, inside = [], []
+
+        def recording_make(out_data, parents, backward_fn):
+            if inside:
+                shapes.append(np.shape(out_data))
+            return real_make(out_data, parents, backward_fn)
+
+        def iteration(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_iteration(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(dc, "_make", recording_make)
+        monkeypatch.setattr(binding, "isa_iteration", iteration)
+        with Tape() if with_tape else contextlib.nullcontext():
+            spatial_bind(tokens, kept_grid, store, delta=5.0)
+        monkeypatch.setattr(dc, "_make", real_make)
+        assert (n_kept, 2, frames, k) in shapes  # the geometry itself
+        assert not [s for s in shapes if s[-1:] == (2,) and n_kept in s[:-1]]
 
 
 class TestTemporalBind:

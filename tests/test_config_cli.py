@@ -112,6 +112,22 @@ class TestValueTypes:
         with pytest.raises(ConfigError, match=rf"^{field} must be "):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"model": {"transformer_heads": 0}}, "model.transformer_heads"),
+        ({"data": {"patch": 0}}, "data.patch"),
+        ({"model": {"isa_iters": 0}}, "model.isa_iters"),
+        ({"model": {"k_slots": 0}}, "model.k_slots"),
+        ({"model": {"transformer_layers": 0}}, "model.transformer_layers"),
+        ({"model": {"decoder_layers": 0}}, "model.decoder_layers"),
+        ({"model": {"n_window": -1}}, "model.n_window"),
+        ({"train": {"epochs": -1}}, "train.epochs"),
+        ({"train": {"batch_size": 0}}, "train.batch_size"),
+        ({"data": {"frames": 0}}, "data.frames"),
+    ])
+    def test_count_below_its_least_names_the_field(self, payload, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be >= "):
+            config_from_dict(payload)
+
     def test_float_field_takes_an_int(self):
         cfg = config_from_dict({"model": {"delta": 4}, "train": {"peak_lr": 1}})
         assert (cfg.model.delta, cfg.train.peak_lr) == (4, 1)

@@ -92,6 +92,18 @@ class TestPositionGrid:
                              grid, kept, store)
         assert np.array_equal(frame.kept_grid, grid[kept])
 
+    def test_full_frames_equal_keeping_every_index(self):
+        """Without kept indices the frames are projected as they are, with
+        no gather, and give bitwise what keeping every index gives."""
+        grid = build_position_grid(4, 4)
+        store = _projection_store(8, 6)
+        features = np.random.default_rng(1).normal(size=(3, 16, 8))
+        full = encode_frame(features, grid, None, store)
+        gathered = encode_frame(features, grid, np.tile(np.arange(16), (3, 1)), store)
+        assert np.array_equal(full.tokens.data, gathered.tokens.data)
+        assert np.array_equal(full.kept_grid, gathered.kept_grid)
+        assert full.kept_grid.shape == (3, 16, 2)
+
 
 class TestProjection:
     def test_zero_params_give_zeros(self):

@@ -160,6 +160,17 @@ def test_infer_video_rejects_bad_features(features, message):
         infer_video(Pipeline(cfg, seed=0), features(cfg))
 
 
+def test_infer_video_checks_finiteness_in_the_store_dtype():
+    """A finite float64 value beyond the float32 range is infinite in an
+    f32 model, so it is refused as non-finite; an f64 model takes it."""
+    features = _features(small_cfg(), 3)
+    features[1, 2, 3] = 1e39
+    with pytest.raises(ValueError, match="non-finite features in frame 1"):
+        infer_video(Pipeline(small_cfg("f32"), seed=0), features)
+    tracked, k_t = infer_video(Pipeline(small_cfg("f64"), seed=0), features)
+    assert tracked.frames.shape[0] == len(k_t) == 3
+
+
 @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
 def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     """The config's precision, not what ran before in the process, sets

@@ -106,6 +106,51 @@ class TestCompleteLinkage:
         assert len(complete_linkage(dist, 1e-12)) == 5
 
 
+class TestLinkageTies:
+    """Equal distances merge the first pair in row-major order of the upper
+    triangle, and a distance equal to the threshold merges, as the oracle
+    says."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.1, 0.12])
+    def test_all_equal_off_diagonal(self, tau):
+        dist = np.full((6, 6), 0.1)
+        np.fill_diagonal(dist, 0.0)
+        got = complete_linkage(dist, tau)
+        assert got == greedy_linkage_oracle(dist, tau)
+        assert got == ([list(range(6))] if tau >= 0.1 else identity_partition(6))
+
+    def test_tie_decides_the_partition(self):
+        # (0, 1) and (1, 2) tie; merging (0, 1) first keeps 2 apart
+        dist = np.array([[0.0, 0.1, 0.5], [0.1, 0.0, 0.1], [0.5, 0.1, 0.0]])
+        assert complete_linkage(dist, 0.2) == greedy_linkage_oracle(dist, 0.2) \
+            == [[0, 1], [2]]
+
+    def test_distance_equal_to_threshold_merges(self):
+        tau = 0.12
+        dist = np.array([[0.0, tau, 0.7], [tau, 0.0, 0.7], [0.7, 0.7, 0.0]])
+        assert complete_linkage(dist, tau) == greedy_linkage_oracle(dist, tau) \
+            == [[0, 1], [2]]
+
+    def test_zero_norm_rows_sit_at_distance_two(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        dist = cosine_distances(vectors)
+        assert dist[1, 3] == dist[0, 1] == 2.0
+        for tau in (0.12, 1.99):
+            assert complete_linkage(dist, tau) == greedy_linkage_oracle(dist, tau) \
+                == [[0, 2], [1], [3]]
+
+    def test_rounded_matrices_with_common_ties(self):
+        rng = np.random.default_rng(60)
+        ties = 0
+        for _ in range(200):
+            upper = np.triu(np.round(rng.uniform(0.0, 0.3, size=(8, 8)), 2), 1)
+            dist = upper + upper.T
+            ties += len(np.unique(upper[np.triu_indices(8, 1)])) < 28
+            for tau in (0.05, 0.12, 0.2):
+                assert complete_linkage(dist, tau) == greedy_linkage_oracle(dist, tau)
+        assert ties > 150
+
+
 class TestMergedStatistics:
     def test_mean_slots_and_attention_sums(self):
         rng = np.random.default_rng(4)

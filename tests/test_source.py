@@ -16,3 +16,21 @@ def test_no_process_global_switches():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Global)]
     assert not found, f"global statements: {found}"
+
+
+def test_no_module_starts_threads_or_processes():
+    """The program runs on one thread: no module imports a threading,
+    process or queue library."""
+    banned = {"threading", "concurrent", "multiprocessing", "queue"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in banned]
+    assert not found, f"thread, process or queue imports: {found}"
