@@ -59,11 +59,11 @@ def peak_live_values(cfg: RunConfig) -> int:
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
     clip = datagen.render_clip(spec, oracle)
     pipe = Pipeline(cfg)
-    plan = make_drop_plan(d.frames, d.n_tokens, cfg.train.drop_ratio, d.seed)
+    kept = make_drop_plan(d.frames, d.n_tokens, cfg.train.drop_ratio, d.seed)
     tape = Tape()
     with tape:
         out = pipe.forward_window(clip.features, np.ones(d.frames, bool),
-                                  list(plan.kept_indices), apply_merge=False)
+                                  kept, apply_merge=False)
         pipe.window_loss(out, clip.features[clip.center])
     return tape.live_elements
 

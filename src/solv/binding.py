@@ -22,17 +22,14 @@ the attention-weighted relative coordinates (K x 2). A non-affine
 position encoder would need the K x N' x D tensors back.
 
 The slot geometry is token-major: the centered grid and the relative
-coordinates are (N', 2, ..., K) tensors, and the attention enters the
-moment sums as an (N', 1, ..., K) copy, so numpy loops over the frame
-and slot axes instead of over a token's two coordinates. A sum over N'
-then reduces the outermost axis, which numpy adds token after token as
-before; a contiguous last axis it would sum pairwise, so N' is never the
-last axis of a tensor summed over it. The attention itself stays (...,
-K, N'). Gradients add in their old order too: the centered grid and the
-first relative coordinates are built frame-major, so the initial
-moments' gradients sum over frames before tokens, and each relative
-coordinate tensor is computed where it is used, since a tensor shared by
-two consumers sums their gradients before passing them on.
+coordinates are (N', 2, ..., K) tensors, built so from a row-major copy
+of the kept grid, and the attention enters the moment sums as an (N',
+1, ..., K) copy, so numpy loops over the frame and slot axes instead of
+over a token's two coordinates. A sum over N' then reduces the outermost
+axis of a row-major tensor, which numpy adds token after token; a
+contiguous last axis it would sum pairwise, so N' is never the last axis
+of a tensor summed over it. The attention itself stays (..., K, N').
+Each iteration hands its relative coordinates to the next.
 
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
@@ -109,7 +106,7 @@ def transformer_param_shapes(d_slot: int, n_layers: int) -> dict:
         shapes.update({
             pre + "ln1_g": (d_slot,), pre + "ln1_b": (d_slot,),
             pre + "wq": (d_slot, d_slot), pre + "bq": (d_slot,),
-            pre + "wk": (d_slot, d_slot), pre + "bk": (d_slot,),
+            pre + "wk": (d_slot, d_slot),
             pre + "wv": (d_slot, d_slot), pre + "bv": (d_slot,),
             pre + "wo": (d_slot, d_slot), pre + "bo": (d_slot,),
             pre + "ln2_g": (d_slot,), pre + "ln2_b": (d_slot,),
@@ -155,8 +152,10 @@ def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
     relative to the current slot moments, (centered - drift) / (scale *
     delta), both token-major (N' x 2 x ... x K); drift is the slot
     position's offset from its initialization, so the absolute position
-    is S_p_init + drift. Returns (z, scale, drift, attention), the new
-    scale and drift as (..., K, 2).
+    is S_p_init + drift. Returns (z, rel, scale, drift, attention): the
+    coordinates relative to the new moments, which the next iteration
+    takes, token-major like ``rel``, and the new scale and drift as (2 x
+    ... x K).
     """
     *lead, k, d_slot = z.shape
     n_kept = centered.shape[0]
@@ -174,17 +173,15 @@ def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
 
     a_t = dc.reshape(_last_first(a), (n_kept, 1, *lead, k))
     mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps  # ... x K x 1
-    # one reshape of mass per use, so that its gradients add in their old order
-    new_drift = dc.div(dc.reduce_sum(dc.mul(a_t, centered), axis=0),
-                       dc.reshape(mass, (*lead, k)))   # 2 x ... x K
-    spread = dc.sub(centered, new_drift)
-    var = dc.div(dc.reduce_sum(dc.mul(a_t, dc.mul(spread, spread)), axis=0),
-                 dc.reshape(mass, (*lead, k)))
-    new_scale = dc.sqrt(var + eps)
+    mass_t = dc.reshape(mass, (*lead, k))
+    drift = dc.div(dc.reduce_sum(dc.mul(a_t, centered), axis=0), mass_t)  # 2 x ... x K
+    spread = dc.sub(centered, drift)
+    var = dc.div(dc.reduce_sum(dc.mul(a_t, dc.mul(spread, spread)), axis=0), mass_t)
+    scale = dc.sqrt(var + eps)
 
     # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
     # taken term by term
-    rel2 = (centered - new_drift) / (new_scale * delta)
+    rel2 = spread / (scale * delta)
     w = dc.div(a, mass)                                 # ... x K x N'
     w_t = dc.reshape(_last_first(w), (n_kept, 1, *lead, k))
     w_rel2 = _first_last(dc.reduce_sum(dc.mul(w_t, rel2), axis=0))  # ... x K x 2
@@ -195,7 +192,7 @@ def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
 
     z = dc.gru_cell(z, updates, _gru_params(params))
     z = _slot_mlp(z, params)
-    return z, _first_last(new_scale), _first_last(new_drift), a
+    return z, rel2, scale, drift, a
 
 
 def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
@@ -225,41 +222,41 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
     same initialization tensors feed every frame of a clip; outputs
     differ only through the frame's features and kept grid. ``init_z``
     overrides the stored slot contents (training jitters them per clip).
-    Returns the slots and the final iteration's ``AttentionRecord``.
+    Invariant attention centers the grid and takes the first relative
+    coordinates once; each iteration passes its relative coordinates to
+    the next. Returns the slots and the final iteration's
+    ``AttentionRecord``.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     lead = tokens.shape[:-2]
     z = init_z if init_z is not None else params["bind.init.z"]
-    s_s = params["bind.init.scale"]
-    s_p = params["bind.init.pos"]
     k = z.shape[0]
     if lead:
         z = dc.broadcast_to(z, lead + z.shape)
+    kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
+    vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
 
     if invariant:
-        # built frame-major, then made token-major; zero initial drift
+        # a row-major N' x 2 x ... x 1 copy: numpy lays out each result
+        # like its operands, and that layout fixes the order of the sums
+        # over N'. Zero initial drift.
         grid = np.broadcast_to(np.asarray(kept_grid, params.dtype), tokens.shape[:-1] + (2,))
-        centered = dc.sub(Tensor(grid[..., None]), _swap_last(s_p))  # ... x N' x 2 x K
-        rel = centered / (_swap_last(s_s) * delta)
-        token_major = (len(lead), len(lead) + 1, *range(len(lead)), len(lead) + 2)
-        centered = dc.transpose(centered, token_major, contiguous=True)
-        rel = dc.transpose(rel, token_major, contiguous=True)
-        kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
-        vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
+        grid = np.ascontiguousarray(np.moveaxis(grid, (-2, -1), (0, 1))[..., None])
+        moment_shape = (2,) + (1,) * len(lead) + (k,)
+        s_p = dc.reshape(_swap_last(params["bind.init.pos"]), moment_shape)
+        s_s = dc.reshape(_swap_last(params["bind.init.scale"]), moment_shape)
+        centered = dc.sub(Tensor(grid), s_p)            # N' x 2 x ... x K
+        rel = centered / (s_s * delta)
         pkf = dc.linear(kf, params["bind.p.w"], params["bind.p.b"])
         pvf = dc.linear(vf, params["bind.p.w"], params["bind.p.b"])
         pg_w = dc.matmul(params["bind.g.w"], params["bind.p.w"])  # 2 x D composite
         pg_b = dc.matmul(dc.reshape(params["bind.g.b"], (1, -1)), params["bind.p.w"])
         pg_b = dc.reshape(pg_b, (-1,))
-        for i in range(n_iters):
-            if i:
-                rel = (centered - _last_first(drift)) / (_last_first(s_s) * delta)
-            z, s_s, drift, a = isa_iteration(
+        for _ in range(n_iters):
+            z, rel, _, _, a = isa_iteration(
                 z, rel, centered, pkf, pvf, pg_w, pg_b, params, delta)
     else:
-        kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
-        vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
         for _ in range(n_iters):
             z, a = plain_attention_iteration(z, kf, vf, params)
     return z, AttentionRecord(a=a.data.copy(), kept_grid=kept_grid)
@@ -276,7 +273,9 @@ def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
         return dc.transpose(dc.reshape(v, (*lead, t, heads, dh)), swap)
 
     q = split_heads(dc.linear(x, params[prefix + "wq"], params[prefix + "bq"]))
-    kk = split_heads(dc.linear(x, params[prefix + "wk"], params[prefix + "bk"]))
+    # no key bias: it adds q . b to a whole row of scores, which the
+    # softmax over T cancels
+    kk = split_heads(dc.matmul(x, params[prefix + "wk"]))
     v = split_heads(dc.linear(x, params[prefix + "wv"], params[prefix + "bv"]))
     scores = dc.matmul(q, _swap_last(kk)) * (1.0 / np.sqrt(dh))
     scores = dc.add(scores, Tensor(mask_bias))

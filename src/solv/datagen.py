@@ -78,7 +78,6 @@ class SceneSpec:
 class ClipBatch:
     """Rendered clip: full (pre-drop) per-patch features and ground truth."""
     features: np.ndarray         # frames x N x D, float64
-    gt_patch_labels: np.ndarray  # frames x N, uint16
     gt_pixel_labels: np.ndarray  # frames x H x W, uint16
     center: int
 
@@ -161,7 +160,6 @@ def render_clip(spec: SceneSpec, oracle: FeatureOracle) -> ClipBatch:
         states.append([x, y, s.vx, s.vy, _shape_mask(s.shape, s.size), s.identity, s.size])
 
     pixel = np.empty((spec.frames, h, w), dtype=np.uint16)
-    patch_lab = np.empty((spec.frames, spec.n_tokens), dtype=np.uint16)
     feats = np.empty((spec.frames, spec.n_tokens, oracle.d), dtype=np.float64)
     for t in range(spec.frames):
         frame = np.full((h, w), spec.background_identity, dtype=np.uint16)
@@ -170,12 +168,11 @@ def render_clip(spec: SceneSpec, oracle: FeatureOracle) -> ClipBatch:
             region = frame[y:y + size, x:x + size]
             region[mask] = ident
         pixel[t] = frame
-        patch_lab[t] = patch_labels_from_pixels(frame, p)
-        feats[t] = oracle.frame_features(patch_lab[t], spec.seed, t)
+        feats[t] = oracle.frame_features(patch_labels_from_pixels(frame, p), spec.seed, t)
         for st in states:
             st[0], st[2] = _reflect_step(st[0], st[2], 0, w - st[6])
             st[1], st[3] = _reflect_step(st[1], st[3], 0, h - st[6])
-    return ClipBatch(feats, patch_lab, pixel, center=spec.frames // 2)
+    return ClipBatch(feats, pixel, center=spec.frames // 2)
 
 
 def _scene_from_rng(rng: np.random.Generator, canvas: tuple[int, int], patch: int,

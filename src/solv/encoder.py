@@ -8,42 +8,26 @@ a two-layer MLP followed by layer normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ConfigError, Tensor
 
 
-@dataclass(frozen=True)
-class DropPlan:
-    kept_indices: tuple[np.ndarray, ...]  # per frame, sorted unique indices into 0..N-1
-
-    @property
-    def n_kept(self) -> int:
-        return len(self.kept_indices[0])
-
-
-@dataclass
-class EncodedFrame:
-    tokens: Tensor         # ... x N' x D_slot projected features
-    kept_grid: np.ndarray  # ... x N' x 2 absolute positions in [-1, 1]^2
-
-
-def make_drop_plan(n_frames: int, n_tokens: int, ratio: float, seed: int) -> DropPlan:
-    """Uniform sample without replacement, one independent draw per frame."""
+def make_drop_plan(n_frames: int, n_tokens: int, ratio: float, seed: int) -> np.ndarray:
+    """Uniform sample without replacement, one independent draw per frame:
+    row f of the (n_frames, N') int64 result holds frame f's kept token
+    indices, sorted."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"drop ratio must be in [0, 1), got {ratio}")
     n_drop = int(np.floor(ratio * n_tokens))
     n_keep = n_tokens - n_drop
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD809]))
-    kept = []
-    for _ in range(n_frames):
-        idx = rng.permutation(n_tokens)[:n_keep]
-        idx.sort()
-        kept.append(idx.astype(np.int64))
-    return DropPlan(tuple(kept))
+    kept = np.empty((n_frames, n_keep), np.int64)
+    for f in range(n_frames):
+        kept[f] = rng.permutation(n_tokens)[:n_keep]
+        kept[f].sort()
+    return kept
 
 
 def build_position_grid(rows: int, cols: int) -> np.ndarray:
@@ -65,22 +49,24 @@ def projection_param_shapes(d_in: int, d_slot: int) -> dict:
     }
 
 
-def project_features(raw: Tensor, params, prefix: str = "enc.proj.") -> Tensor:
+def project_features(raw: Tensor, params) -> Tensor:
     """Two linear layers with ReLU between, then layer normalization."""
-    h = dc.mlp(raw, [(params[prefix + "w1"], params[prefix + "b1"]),
-                     (params[prefix + "w2"], params[prefix + "b2"])])
-    return dc.layernorm(h, params[prefix + "ln_g"], params[prefix + "ln_b"])
+    h = dc.mlp(raw, [(params["enc.proj.w1"], params["enc.proj.b1"]),
+                     (params["enc.proj.w2"], params["enc.proj.b2"])])
+    return dc.layernorm(h, params["enc.proj.ln_g"], params["enc.proj.ln_b"])
 
 
 def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray | None,
-                 params, prefix: str = "enc.proj.") -> EncodedFrame:
+                 params) -> tuple[Tensor, np.ndarray]:
     """Gather each frame's kept tokens and project them to slot width.
 
     ``features`` is (..., N, D_in) and ``kept`` (..., N') holds each
     frame's kept token indices; leading axes index frames, which are
     projected independently in one call. With ``kept`` None every token
     is kept: the frames are projected as they are and the kept grid is
-    ``grid`` broadcast to each frame.
+    ``grid`` broadcast to each frame. Returns the (..., N', D_slot)
+    projected tokens and the (..., N', 2) kept grid, absolute positions
+    in [-1, 1]^2.
     """
     features = np.asarray(features)
     if kept is None:
@@ -89,5 +75,4 @@ def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray | None
         kept = np.asarray(kept)
         raw = np.take_along_axis(features, kept[..., None], axis=-2)
         kept_grid = grid[kept]
-    tokens = project_features(Tensor(raw.astype(params.dtype, copy=False)), params, prefix)
-    return EncodedFrame(tokens=tokens, kept_grid=kept_grid)
+    return project_features(Tensor(raw.astype(params.dtype, copy=False)), params), kept_grid

@@ -123,9 +123,9 @@ class Pipeline:
         inference binds each frame once and reuses it in every window.
         """
         m = self.cfg.model
-        enc = encoder.encode_frame(features, self.grid, kept, self.store)
+        tokens, kept_grid = encoder.encode_frame(features, self.grid, kept, self.store)
         return binding.spatial_bind(
-            enc.tokens, enc.kept_grid, self.store, m.delta,
+            tokens, kept_grid, self.store, m.delta,
             n_iters=m.isa_iters, invariant=m.use_invariant_attention,
             init_z=init_z)
 
@@ -157,14 +157,14 @@ class Pipeline:
                                  n_layers=m.decoder_layers)
 
     def forward_window(self, features: np.ndarray, availability: np.ndarray,
-                       kept_indices: list, apply_merge: bool,
+                       kept: np.ndarray, apply_merge: bool,
                        init_jitter: np.ndarray | None = None) -> WindowOutput:
         """features: (window, N, D). Every frame is bound, in one call, and
         unavailable frames are masked out of temporal attention, so their
         content is arbitrary but must be finite.
 
-        ``kept_indices`` holds each frame's kept token indices, all of one
-        length. ``init_jitter`` (K x D_slot) perturbs the shared slot
+        Row f of ``kept`` (window, N') holds frame f's kept token
+        indices. ``init_jitter`` (K x D_slot) perturbs the shared slot
         initialization for this whole window; training draws one per clip
         so slot identities cannot act as a fixed code across clips.
         """
@@ -175,7 +175,7 @@ class Pipeline:
         init_z = None
         if init_jitter is not None:
             init_z = self.store["bind.init.z"] + init_jitter
-        z, record = self.bind_frames(features, np.stack(kept_indices), init_z)
+        z, record = self.bind_frames(features, kept, init_z)
         if m.use_temporal_binding:  # (T, K, D) frames to one (K, T, D) window
             c = self.bind_windows(dc.transpose(z, (1, 0, 2)), availability)
         else:

@@ -110,7 +110,7 @@ def train(cfg: RunConfig, max_steps: int | None = None,
             store.zero_grads()
             for ci, spec in enumerate(batch_specs):
                 clip = datagen.render_clip(spec, oracle)
-                plan = make_drop_plan(
+                kept = make_drop_plan(
                     d.frames, d.n_tokens, tr.drop_ratio,
                     _derive_seed(d.seed, 0xD809, epoch, b, ci))
                 availability = np.ones(d.frames, dtype=bool)
@@ -123,7 +123,7 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                 tape = Tape()
                 with tape:
                     out = pipe.forward_window(
-                        clip.features, availability, list(plan.kept_indices),
+                        clip.features, availability, kept,
                         apply_merge, init_jitter=jitter)
                     loss = pipe.window_loss(out, clip.features[clip.center])
                     scaled = loss * (1.0 / batch)

@@ -26,12 +26,13 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
 def record_isa_moments(monkeypatch, iteration=None):
     """Install a wrapper of ``iteration`` (the installed
     ``binding.isa_iteration`` by default) that records each call's
-    (scale, drift); returns the list that receives them."""
+    (scale, drift) as (..., K, 2) tensors; returns the list that receives
+    them."""
     real, moments = iteration or binding.isa_iteration, []
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        moments.append(out[1:3])
+        moments.append(tuple(binding._first_last(m) for m in out[2:4]))
         return out
 
     monkeypatch.setattr(binding, "isa_iteration", recording)
@@ -192,7 +193,9 @@ def reference_isa_iteration(z: Tensor, rel: Tensor, centered: Tensor,
     current slot moments, both token-major (N' x 2 x K) as
     binding.isa_iteration takes them; drift accumulates the slot position
     offset from its initialization, so the absolute position is
-    S_p_init + drift. Returns (z, scale, drift, attention).
+    S_p_init + drift. Returns (z, rel, scale, drift, attention) as
+    binding.isa_iteration does: the new relative coordinates token-major,
+    the new scale and drift 2 x K.
     """
     k, d_slot = z.shape
     inv_temp = Tensor(1.0 / np.sqrt(d_slot))
@@ -228,4 +231,5 @@ def reference_isa_iteration(z: Tensor, rel: Tensor, centered: Tensor,
 
     z = dc.gru_cell(z, updates, binding._gru_params(params))
     z = binding._slot_mlp(z, params)
-    return z, new_scale, new_drift, a
+    return (z, dc.transpose(rel2, (1, 2, 0)), dc.transpose(new_scale, (1, 0)),
+            dc.transpose(new_drift, (1, 0)), a)

@@ -323,8 +323,8 @@ class TestNormalizationInvariance:
 
 class TestStructuralChecks:
     def test_token_budget_and_defaults(self):
-        plan = make_drop_plan(1, 864, 0.5, seed=0)
-        budget_ok = plan.n_kept == 432
+        n_kept = make_drop_plan(1, 864, 0.5, seed=0).shape[1]
+        budget_ok = n_kept == 432
 
         cfg = RunConfig()
         defaults_ok = all([
@@ -345,5 +345,5 @@ class TestStructuralChecks:
         ok = budget_ok and defaults_ok
         record_criterion(
             "structural checks (N'=432 at N=864 r=0.5; defaults)", ok,
-            f"N'={plan.n_kept}, defaults_ok={defaults_ok}")
+            f"N'={n_kept}, defaults_ok={defaults_ok}")
         assert ok

@@ -311,36 +311,42 @@ class TestFactoredAttention:
 
     @pytest.mark.parametrize("with_tape", [True, False], ids=["train", "infer"])
     def test_geometry_is_token_major(self, with_tape, monkeypatch):
-        """No tensor the iteration builds ends in the length-2 coordinate
-        axis behind an N'-long axis: numpy would run its elementwise ops
-        and sums over that axis two elements at a time."""
+        """spatial_bind builds no tensor that ends in the length-2
+        coordinate axis behind an N'-long axis, and no frame-major (...,
+        N', 2, K) one: numpy would run its elementwise ops and sums over
+        that axis two elements at a time. The relative coordinates are
+        built once at entry and once per iteration, which hands them to
+        the next."""
         frames, k, rows, cols, d = 4, 3, 4, 5, 8
         n_kept = rows * cols
         store = binding_store(d_slot=d, k_slots=k, seed=46)
         tokens = Tensor(np.random.default_rng(47).normal(size=(frames, n_kept, d)))
         kept_grid = np.broadcast_to(build_position_grid(rows, cols), (frames, n_kept, 2))
-        real_make, real_iteration = dc._make, binding.isa_iteration
-        shapes, inside = [], []
+        real_make, real_div = dc._make, dc.div
+        geometry = sorted((n_kept, 2, frames, k))
+        for n_iters in (1, 3):
+            shapes, divided = [], []
 
-        def recording_make(out_data, parents, backward_fn):
-            if inside:
+            def recording_make(out_data, parents, backward_fn):
                 shapes.append(np.shape(out_data))
-            return real_make(out_data, parents, backward_fn)
+                return real_make(out_data, parents, backward_fn)
 
-        def iteration(*args, **kwargs):
-            inside.append(True)
-            try:
-                return real_iteration(*args, **kwargs)
-            finally:
-                inside.pop()
+            def recording_div(a, b):
+                out = real_div(a, b)
+                divided.append(out.shape)
+                return out
 
-        monkeypatch.setattr(dc, "_make", recording_make)
-        monkeypatch.setattr(binding, "isa_iteration", iteration)
-        with Tape() if with_tape else contextlib.nullcontext():
-            spatial_bind(tokens, kept_grid, store, delta=5.0)
-        monkeypatch.setattr(dc, "_make", real_make)
-        assert (n_kept, 2, frames, k) in shapes  # the geometry itself
-        assert not [s for s in shapes if s[-1:] == (2,) and n_kept in s[:-1]]
+            monkeypatch.setattr(dc, "_make", recording_make)
+            monkeypatch.setattr(dc, "div", recording_div)
+            with Tape() if with_tape else contextlib.nullcontext():
+                spatial_bind(tokens, kept_grid, store, delta=5.0, n_iters=n_iters)
+            monkeypatch.setattr(dc, "_make", real_make)
+            monkeypatch.setattr(dc, "div", real_div)
+            assert (n_kept, 2, frames, k) in shapes  # the geometry itself
+            assert not [s for s in shapes if s[-1:] == (2,) and n_kept in s[:-1]]
+            assert not [s for s in shapes if s[-3:] == (n_kept, 2, k)]
+            relative = [s for s in divided if sorted(s) == geometry]
+            assert relative == [(n_kept, 2, frames, k)] * (n_iters + 1)
 
 
 class TestTemporalBind:

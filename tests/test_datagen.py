@@ -23,7 +23,6 @@ class TestRendering:
         spec = SceneSpec(32, 32, 8, 3, sprites=(), seed=1)
         clip = render_clip(spec, _oracle(sigma=0.0))
         assert (clip.gt_pixel_labels == 0).all()
-        assert (clip.gt_patch_labels == 0).all()
         # every patch feature equals the background embedding
         bg = _oracle(sigma=0.0).embeddings[0]
         np.testing.assert_allclose(
@@ -34,7 +33,7 @@ class TestRendering:
         spec = SceneSpec(32, 32, 8, 4, sprites=(sprite,), seed=2)
         clip = render_clip(spec, _oracle())
         for t in range(4):
-            labels = clip.gt_patch_labels[t].reshape(4, 4)
+            labels = patch_labels_from_pixels(clip.gt_pixel_labels[t], 8).reshape(4, 4)
             assert (labels[1:3, 1:3] == 1).all()
             assert labels.sum() == 4  # nothing else owned
 
@@ -47,7 +46,6 @@ class TestRendering:
         b = render_clip(spec, _oracle())
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.gt_pixel_labels, b.gt_pixel_labels)
-        assert np.array_equal(a.gt_patch_labels, b.gt_patch_labels)
 
     def test_occlusion_later_sprite_wins(self):
         spec = SceneSpec(32, 32, 8, 1, sprites=(

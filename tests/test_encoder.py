@@ -28,31 +28,29 @@ def _projection_store(d_in, d_slot, seed=0):
 
 class TestDropPlan:
     def test_token_budget_from_half_drop(self):
-        plan = make_drop_plan(1, 864, 0.5, seed=0)
-        assert plan.n_kept == 432
+        kept = make_drop_plan(1, 864, 0.5, seed=0)
+        assert kept.shape == (1, 432) and kept.dtype == np.int64
 
     def test_zero_ratio_is_identity(self):
-        plan = make_drop_plan(3, 20, 0.0, seed=1)
-        for frame in plan.kept_indices:
+        kept = make_drop_plan(3, 20, 0.0, seed=1)
+        for frame in kept:
             assert np.array_equal(frame, np.arange(20))
 
     def test_same_seed_identical(self):
         a = make_drop_plan(4, 100, 0.5, seed=9)
         b = make_drop_plan(4, 100, 0.5, seed=9)
-        for fa, fb in zip(a.kept_indices, b.kept_indices):
-            assert np.array_equal(fa, fb)
+        assert np.array_equal(a, b)
 
     def test_frames_drawn_independently(self):
-        plan = make_drop_plan(4, 100, 0.5, seed=2)
-        assert any(not np.array_equal(plan.kept_indices[0], f)
-                   for f in plan.kept_indices[1:])
+        kept = make_drop_plan(4, 100, 0.5, seed=2)
+        assert any(not np.array_equal(kept[0], f) for f in kept[1:])
 
     @pytest.mark.parametrize("ratio", [0.0, 0.25, 0.5, 0.75])
     def test_kept_count_formula_across_sweep(self, ratio):
         n = 100
-        plan = make_drop_plan(2, n, ratio, seed=3)
+        kept = make_drop_plan(2, n, ratio, seed=3)
         expected = n - int(np.floor(ratio * n))
-        for frame in plan.kept_indices:
+        for frame in kept:
             assert len(frame) == expected
             assert np.all(np.diff(frame) > 0)  # sorted unique
 
@@ -85,12 +83,11 @@ class TestPositionGrid:
 
     def test_kept_grid_is_row_selection(self):
         grid = build_position_grid(4, 4)
-        plan = make_drop_plan(1, 16, 0.5, seed=5)
-        kept = plan.kept_indices[0]
+        kept = make_drop_plan(1, 16, 0.5, seed=5)[0]
         store = _projection_store(8, 6)
-        frame = encode_frame(np.random.default_rng(0).normal(size=(16, 8)),
-                             grid, kept, store)
-        assert np.array_equal(frame.kept_grid, grid[kept])
+        _, kept_grid = encode_frame(np.random.default_rng(0).normal(size=(16, 8)),
+                                    grid, kept, store)
+        assert np.array_equal(kept_grid, grid[kept])
 
     def test_full_frames_equal_keeping_every_index(self):
         """Without kept indices the frames are projected as they are, with
@@ -98,11 +95,12 @@ class TestPositionGrid:
         grid = build_position_grid(4, 4)
         store = _projection_store(8, 6)
         features = np.random.default_rng(1).normal(size=(3, 16, 8))
-        full = encode_frame(features, grid, None, store)
-        gathered = encode_frame(features, grid, np.tile(np.arange(16), (3, 1)), store)
-        assert np.array_equal(full.tokens.data, gathered.tokens.data)
-        assert np.array_equal(full.kept_grid, gathered.kept_grid)
-        assert full.kept_grid.shape == (3, 16, 2)
+        tokens, kept_grid = encode_frame(features, grid, None, store)
+        tokens_g, kept_grid_g = encode_frame(features, grid, np.tile(np.arange(16), (3, 1)),
+                                             store)
+        assert np.array_equal(tokens.data, tokens_g.data)
+        assert np.array_equal(kept_grid, kept_grid_g)
+        assert kept_grid.shape == (3, 16, 2)
 
 
 class TestProjection:
@@ -163,11 +161,11 @@ class TestAllocationScaling:
 
         counts = []
         for ratio in (0.0, 0.25, 0.5):
-            plan = make_drop_plan(d.frames, d.n_tokens, ratio, seed=1)
+            kept = make_drop_plan(d.frames, d.n_tokens, ratio, seed=1)
             tape = Tape()
             with tape:
                 out = pipe.forward_window(clip.features, np.ones(3, bool),
-                                          list(plan.kept_indices), apply_merge=False)
+                                          kept, apply_merge=False)
                 pipe.window_loss(out, clip.features[clip.center])
             counts.append(tape.live_elements)
         n64 = 64  # tokens at each ratio: 64, 48, 32

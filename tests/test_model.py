@@ -184,7 +184,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     spec = datagen.random_scene(2, (d.canvas_h, d.canvas_w), d.patch, window,
                                 (d.sprite_min, d.sprite_max))
     clip = datagen.render_clip(spec, oracle)
-    plan = make_drop_plan(window, d.n_tokens, 0.5, seed=2)
+    kept = make_drop_plan(window, d.n_tokens, 0.5, seed=2)
     jitter = np.random.default_rng(2).normal(size=(cfg.model.k_slots, cfg.model.d_slot))
 
     built, real_make = [], dc._make
@@ -197,7 +197,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     tape = Tape()
     with tape:
         out = pipe.forward_window(clip.features, np.ones(window, bool),
-                                  list(plan.kept_indices), apply_merge=True,
+                                  kept, apply_merge=True,
                                   init_jitter=jitter)
         loss = pipe.window_loss(out, clip.features[clip.center])
     tape.backward(loss)
@@ -253,7 +253,7 @@ def _clip_case(precision, availability, jitter, **model_overrides):
         3, (d.canvas_h, d.canvas_w), d.patch, m.window,
         (d.sprite_min, d.sprite_max)), datagen.FeatureOracle(
             d.seed, d.n_identities, d.d_features, d.sigma_noise))
-    kept = list(make_drop_plan(m.window, d.n_tokens, 0.5, seed=3).kept_indices)
+    kept = make_drop_plan(m.window, d.n_tokens, 0.5, seed=3)
     init_jitter = None
     if jitter:
         init_jitter = 0.5 * np.random.default_rng(3).standard_normal((m.k_slots, m.d_slot))
@@ -318,3 +318,16 @@ def test_training_clip_binds_in_one_call(monkeypatch):
     assert [f.shape[0] for f in encodes] == [5]
     assert [tokens.shape[:-2] for tokens in binds] == [(5,)]
     assert [w.shape for w in windows] == [(4, 5, 16)]
+
+
+def test_every_parameter_learns():
+    """Every registered parameter gets a gradient on a training clip that
+    is more than rounding noise next to the clip's largest one: a
+    parameter whose effect the model cancels would be stepped by Adam in
+    directions set by that noise."""
+    pipe, args, target = _clip_case("f64", [True] * 5, True)
+    _, _, grads = _loss_and_grads(pipe, pipe.forward_window, args, target)
+    largest = {name: np.abs(g).max() for name, g in grads.items()}
+    top = max(largest.values())
+    assert grads.keys() == set(pipe.store.names())
+    assert not {name: g / top for name, g in largest.items() if g < 1e-10 * top}

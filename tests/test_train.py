@@ -123,6 +123,11 @@ class TestTrainingLoop:
         partial.save(path)
         with pytest.raises(FormatError, match=f"missing parameter '{saved.names()[0]}'"):
             load_pipeline(cfg, path)
+        # so does one that still holds the temporal keys' bias
+        saved.register("tbind.l0.bk", np.zeros(cfg.model.d_slot))
+        saved.save(path)
+        with pytest.raises(FormatError, match="record 'tbind.l0.bk'"):
+            load_pipeline(cfg, path)
 
     def test_max_steps_truncation(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -352,7 +357,7 @@ class TestWindowForward:
                                        d.sigma_noise)
         spec = datagen.random_scene(7, (32, 32), 8, 3, (1, 2))
         clip = datagen.render_clip(spec, oracle)
-        kept = [np.arange(d.n_tokens)] * 3
+        kept = np.tile(np.arange(d.n_tokens), (3, 1))
         avail = np.array([False, True, True])
         feats_a = clip.features.copy()
         feats_b = clip.features.copy()
@@ -365,7 +370,7 @@ class TestWindowForward:
     def test_center_unavailable_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         pipe = Pipeline(cfg)
-        kept = [np.arange(cfg.data.n_tokens)] * 3
+        kept = np.tile(np.arange(cfg.data.n_tokens), (3, 1))
         feats = np.zeros((3, cfg.data.n_tokens, cfg.data.d_features))
         with pytest.raises(ValueError, match="center"):
             pipe.forward_window(feats, np.array([True, False, True]), kept,
@@ -379,7 +384,7 @@ class TestWindowForward:
                                        d.sigma_noise)
         spec = datagen.random_scene(9, (32, 32), 8, 3, (1, 2))
         clip = datagen.render_clip(spec, oracle)
-        kept = [np.arange(d.n_tokens)] * 3
+        kept = np.tile(np.arange(d.n_tokens), (3, 1))
         avail = np.ones(3, bool)
         base = pipe.forward_window(clip.features, avail, kept, False)
         jit = np.random.default_rng(0).normal(size=(3, 16))
