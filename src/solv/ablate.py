@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from . import datagen
+from . import datagen, objecthead
 from .config import RunConfig
 from .diffcore import Tape, atomic_write
 from .encoder import make_drop_plan
@@ -64,7 +64,7 @@ def peak_live_values(cfg: RunConfig) -> int:
     with tape:
         out = pipe.forward_window(clip.features, np.ones(d.frames, bool),
                                   kept, apply_merge=False)
-        pipe.window_loss(out, clip.features[clip.center])
+        objecthead.reconstruction_loss(out.decoded.y, clip.features[clip.center])
     return tape.live_elements
 
 

@@ -61,21 +61,6 @@ class AttentionRecord:
     kept_grid: np.ndarray  # ... x N' x 2
 
 
-def relative_grid(g_abs, s_p, s_s, delta: float):
-    """Slot-relative coordinates: (G_abs - S_p) / (delta * S_s).
-
-    Takes numpy arrays, giving an array (the decoder's constant input),
-    or tensors, giving a tensor; not a mix. A single slot takes
-    2-vectors; K slots take (..., K, 2) positions and scales, against
-    either a shared N' x 2 grid or per-slot (..., K, N', 2) grids, and
-    give (..., K, N', 2).
-    """
-    if s_p.ndim >= 2:  # K slots
-        s_p = s_p.reshape(s_p.shape[:-1] + (1, 2))
-        s_s = s_s.reshape(s_s.shape[:-1] + (1, 2))
-    return (g_abs - s_p) / (s_s * delta)
-
-
 def binding_param_shapes(d_slot: int, k_slots: int, window: int) -> dict:
     """Shapes of every learnable in spatial + temporal binding."""
     shapes = {

@@ -85,7 +85,7 @@ def cmd_gen(args) -> int:
     split = payload.pop("split", "all")
     if split not in ("train", "val", "all"):
         raise ConfigError(f"split must be train, val or all, got {split!r}")
-    d = section_from_dict(DataConfig, payload, "data.")
+    d = section_from_dict(DataConfig, payload, "data.").validate()
     train_specs, val_specs = datagen.dataset_split(
         d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,
         (d.sprite_min, d.sprite_max))

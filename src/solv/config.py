@@ -62,6 +62,19 @@ class DataConfig:
     def n_identities(self) -> int:
         return self.sprite_max + 1
 
+    def validate(self) -> "DataConfig":
+        """Check the data fields, which ``solv gen`` uses alone."""
+        _check_ranges(self, "data.")
+        if self.canvas_h % self.patch or self.canvas_w % self.patch:
+            raise ConfigError("data.canvas_h and data.canvas_w must be divisible by data.patch")
+        if self.sprite_min > self.sprite_max:
+            raise ConfigError(f"data.sprite_min must be <= data.sprite_max, "
+                              f"got {self.sprite_min} > {self.sprite_max}")
+        if self.d_features < self.n_identities + 2:
+            raise ConfigError(f"data.d_features must be >= data.sprite_max + 3, "
+                              f"got {self.d_features}")
+        return self
+
 
 @dataclass
 class TrainConfig:
@@ -80,17 +93,37 @@ class PathsConfig:
     checkpoint_dir: str = "checkpoints"
 
 
-# The least value of each count; a smaller one fails in the first
-# forward, a division or an empty loop.
-_LEAST = (
-    [("model", name, 1) for name in (
-        "k_slots", "d_slot", "isa_iters", "transformer_layers",
-        "transformer_heads", "decoder_layers", "decoder_hidden")]
-    + [("model", "n_window", 0)]
-    + [("data", name, 1) for name in (
-        "canvas_h", "canvas_w", "patch", "frames")]
-    + [("train", name, 1) for name in ("epochs", "batch_size")]
-)
+# The range of every int and float field, in interval notation: a value
+# outside it fails in the first forward, a division or an empty loop, or
+# silently means something else.
+_RANGES = {
+    ModelConfig: {
+        "k_slots": "[1, inf)", "d_slot": "[1, inf)", "n_window": "[0, inf)",
+        "delta": "(0, inf)", "tau_merge": "(0, 2)", "isa_iters": "[1, inf)",
+        "transformer_layers": "[1, inf)", "transformer_heads": "[1, inf)",
+        "decoder_layers": "[1, inf)", "decoder_hidden": "[1, inf)", "init_noise": "[0, inf)"},
+    DataConfig: {
+        "canvas_h": "[1, inf)", "canvas_w": "[1, inf)", "patch": "[1, inf)",
+        "d_features": "[1, inf)", "sprite_min": "[0, inf)", "sprite_max": "[1, inf)",
+        "sigma_noise": "[0, inf)", "seed": "[0, inf)", "clip_count": "[2, inf)",
+        "frames": "[1, inf)"},
+    TrainConfig: {
+        "epochs": "[1, inf)", "batch_size": "[1, inf)", "peak_lr": "(0, inf)",
+        "warmup_fraction": "[0, 1)", "final_lr_fraction": "(0, 1]", "clip_norm": "(0, inf)",
+        "drop_ratio": "[0, 1)"},
+}
+
+
+def _check_ranges(section, path: str) -> None:
+    """Refuse an int or float field of ``section`` outside its range;
+    ``path`` prefixes field names in errors (``"data."``)."""
+    for name, interval in _RANGES[type(section)].items():
+        value, (least, greatest) = getattr(section, name), interval[1:-1].split(", ")
+        above = float(least) <= value if interval[0] == "[" else float(least) < value
+        below = value <= float(greatest) if interval[-1] == "]" else value < float(greatest)
+        if not (above and below):
+            rule = f"be >= {least}" if interval == f"[{least}, inf)" else f"lie in {interval}"
+            raise ConfigError(f"{path}{name} must {rule}, got {value!r}")
 
 
 @dataclass
@@ -101,26 +134,17 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> "RunConfig":
-        for section, name, least in _LEAST:
-            value = getattr(getattr(self, section), name)
-            if value < least:
-                raise ConfigError(f"{section}.{name} must be >= {least}, got {value}")
-        if self.data.canvas_h % self.data.patch or self.data.canvas_w % self.data.patch:
-            raise ConfigError("canvas dimensions must be divisible by the patch size")
-        if not 0.0 <= self.train.drop_ratio < 1.0:
-            raise ConfigError(f"drop_ratio must be in [0, 1), got {self.train.drop_ratio}")
-        if self.train.peak_lr <= 0:
-            raise ConfigError(f"peak_lr must be positive, got {self.train.peak_lr}")
-        if not 0.0 < self.model.tau_merge < 2.0:
-            raise ConfigError(f"tau_merge must lie in (0, 2), got {self.model.tau_merge}")
-        if self.train.precision not in ("f32", "f64"):
-            raise ConfigError(f"precision must be f32 or f64, got {self.train.precision!r}")
-        if self.model.d_slot % self.model.transformer_heads:
-            raise ConfigError("d_slot must be divisible by transformer_heads")
-        if self.data.d_features < self.data.n_identities + 2:
-            raise ConfigError("d_features must be >= identities + 2")
-        if self.data.clip_count < 2:
-            raise ConfigError("clip_count must be >= 2")
+        m, d, t = self.model, self.data, self.train
+        d.validate()
+        _check_ranges(m, "model.")
+        _check_ranges(t, "train.")
+        if t.precision not in ("f32", "f64"):
+            raise ConfigError(f"train.precision must be f32 or f64, got {t.precision!r}")
+        if m.d_slot % m.transformer_heads:
+            raise ConfigError("model.d_slot must be divisible by model.transformer_heads")
+        if m.use_temporal_binding and d.frames != m.window:
+            raise ConfigError(f"data.frames must equal model.window = 2 * n_window + 1 = "
+                              f"{m.window} with temporal binding on, got {d.frames}")
         return self
 
     def to_dict(self) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffcore import BinaryReader, FormatError, write_f32_array
+from .diffcore import BinaryReader, FormatError, atomic_write, write_f32_array
 
 SHAPES = ("square", "circle", "triangle")
 
@@ -226,7 +226,7 @@ def dataset_split(seed: int, count: int, canvas: tuple[int, int] = (128, 128),
 
 def write_tensor(path: str, array: np.ndarray) -> None:
     arr = np.asarray(array)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_TNSR_MAGIC)
         f.write(struct.pack("<I", _FILE_VERSION))
         write_f32_array(f, arr)
@@ -261,7 +261,7 @@ def write_masks(path: str, masks: np.ndarray) -> None:
         raise ValueError(f"mask labels must lie in [0, 65535], got "
                          f"[{arr.min()}, {arr.max()}]")
     frames, h, w = arr.shape
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MASK_MAGIC)
         f.write(struct.pack("<I", _FILE_VERSION))
         f.write(struct.pack("<III", frames, h, w))

@@ -185,9 +185,6 @@ class Pipeline:
         merged = self.merge(c, center_record, apply_merge)
         return WindowOutput(decoded=self.decode(merged), merged=merged)
 
-    def window_loss(self, out: WindowOutput, center_features: np.ndarray) -> Tensor:
-        return objecthead.reconstruction_loss(out.decoded.y, center_features)
-
 
 def infer_video(pipe: Pipeline, features: np.ndarray):
     """Sliding center-frame inference over the whole video.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
-from .binding import AttentionRecord, relative_grid
+from .binding import AttentionRecord
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +172,8 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
     n = full_grid.shape[0]
     d_slot = ms.cprime.shape[1]
 
-    rel = relative_grid(full_grid, ms.position, ms.scale, delta)
+    # slot-relative coordinates (G - S_p) / (delta * S_s), K_t x N x 2
+    rel = (full_grid - ms.position[:, None]) / (ms.scale[:, None] * delta)
     h_rel = dc.linear(Tensor(np.asarray(rel, params.dtype)), params["merge.h.w"],
                       params["merge.h.b"])
     x = dc.add(dc.reshape(ms.cprime, (k_t, 1, d_slot)), params["dec.pos"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datagen, evalkit
+from . import datagen, evalkit, objecthead
 from .config import LrSchedule, RunConfig
 from .diffcore import ConfigError, ParamStore, Tape, atomic_write
 from .encoder import make_drop_plan
@@ -67,6 +67,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 
     ``max_steps`` truncates the run (smoke tests); the schedule still
     spans the truncated horizon so the peak learning rate is reached.
+    ``latest.ckpt`` is saved at the end of each epoch reached and
+    ``final.ckpt`` at the end; each sidecar holds its last step's epoch.
     """
     cfg.validate()
     d, tr = cfg.data, cfg.train
@@ -88,86 +90,76 @@ def train(cfg: RunConfig, max_steps: int | None = None,
     gate_rng = np.random.default_rng(np.random.SeedSequence([d.seed, 0x6A7E]))
     ckpt_dir = cfg.paths.checkpoint_dir
     os.makedirs(ckpt_dir, exist_ok=True)
+    latest, final = (os.path.join(ckpt_dir, n) for n in ("latest.ckpt", "final.ckpt"))
 
     result = TrainLog()
     nonfinite_streak = 0
-    step = 0
-    done = False
-    for epoch in range(tr.epochs):
-        if done:
-            break
-        order = shuffle_rng.permutation(len(train_specs))
-        epoch_losses = []
-        epoch_k_t = {}
-        for b in range(steps_per_epoch):
-            if step >= total_steps:
-                done = True
+    availability = np.ones(d.frames, dtype=bool)
+    for step in range(total_steps):
+        epoch, b = divmod(step, steps_per_epoch)
+        apply_merge = merge_gate(epoch, tr.epochs, gate_rng)
+        if b == 0:
+            order = shuffle_rng.permutation(len(train_specs))
+            epoch_losses, epoch_k_t = [], {}
+        lr = sched.lr(step)
+        losses = []
+        for ci, i in enumerate(order[b * batch:(b + 1) * batch]):
+            clip = datagen.render_clip(train_specs[i], oracle)
+            kept = make_drop_plan(
+                d.frames, d.n_tokens, tr.drop_ratio,
+                _derive_seed(d.seed, 0xD809, epoch, b, ci))
+            jitter = None
+            if cfg.model.init_noise > 0:
+                jit_rng = np.random.default_rng(
+                    _derive_seed(d.seed, 0x1177, epoch, b, ci))
+                jitter = cfg.model.init_noise * jit_rng.standard_normal(
+                    (cfg.model.k_slots, cfg.model.d_slot))
+            tape = Tape()
+            with tape:
+                out = pipe.forward_window(
+                    clip.features, availability, kept,
+                    apply_merge, init_jitter=jitter)
+                loss = objecthead.reconstruction_loss(
+                    out.decoded.y, clip.features[clip.center])
+                scaled = loss * (1.0 / batch)
+            loss_val = float(loss.data)
+            if not math.isfinite(loss_val):
+                losses = None
                 break
-            batch_specs = [train_specs[i] for i in order[b * batch:(b + 1) * batch]]
-            apply_merge = merge_gate(epoch, tr.epochs, gate_rng)
-            lr = sched.lr(step)
-            losses = []
+            tape.backward(scaled)
+            losses.append(loss_val)
+            k_t = out.merged.k_t
+            epoch_k_t[k_t] = epoch_k_t.get(k_t, 0) + 1
+        finite = losses is not None
+        if finite and lr > 0:
+            finite = math.isfinite(store.adam_step(lr, clip_norm=tr.clip_norm))
+        else:
             store.zero_grads()
-            for ci, spec in enumerate(batch_specs):
-                clip = datagen.render_clip(spec, oracle)
-                kept = make_drop_plan(
-                    d.frames, d.n_tokens, tr.drop_ratio,
-                    _derive_seed(d.seed, 0xD809, epoch, b, ci))
-                availability = np.ones(d.frames, dtype=bool)
-                jitter = None
-                if cfg.model.init_noise > 0:
-                    jit_rng = np.random.default_rng(
-                        _derive_seed(d.seed, 0x1177, epoch, b, ci))
-                    jitter = cfg.model.init_noise * jit_rng.standard_normal(
-                        (cfg.model.k_slots, cfg.model.d_slot))
-                tape = Tape()
-                with tape:
-                    out = pipe.forward_window(
-                        clip.features, availability, kept,
-                        apply_merge, init_jitter=jitter)
-                    loss = pipe.window_loss(out, clip.features[clip.center])
-                    scaled = loss * (1.0 / batch)
-                loss_val = float(loss.data)
-                if not math.isfinite(loss_val):
-                    losses = None
-                    break
-                tape.backward(scaled)
-                losses.append(loss_val)
-                k_t = out.merged.k_t
-                epoch_k_t[k_t] = epoch_k_t.get(k_t, 0) + 1
-            finite = losses is not None
-            if finite and lr > 0:
-                finite = math.isfinite(store.adam_step(lr, clip_norm=tr.clip_norm))
-            else:
-                store.zero_grads()
-            if not finite:
-                nonfinite_streak += 1
-                result.skipped_steps += 1
-                log.warning("non-finite loss or gradient at step %d; step skipped", step)
-                if nonfinite_streak >= 3:
-                    raise RuntimeError(
-                        f"3 consecutive non-finite steps (last at step {step}); "
-                        f"lr={lr:.3g}, epoch={epoch}")
-                step += 1
-                continue
+        if finite:
             nonfinite_streak = 0
             mean_loss = float(np.mean(losses))
             result.step_losses.append(mean_loss)
             epoch_losses.append(mean_loss)
             if progress is not None:
                 progress(step, total_steps, mean_loss, lr)
-            step += 1
-        if epoch_losses:
-            result.epoch_losses.append(float(np.mean(epoch_losses)))
-            result.k_t_histograms.append(epoch_k_t)
-            log.info("epoch %d: loss %.5f lr %.2e k_t %s",
-                     epoch, result.epoch_losses[-1], sched.lr(step - 1), epoch_k_t)
-        latest = os.path.join(ckpt_dir, "latest.ckpt")
-        store.save(latest)
-        _write_meta(latest, cfg, store, epoch)
-    final = os.path.join(ckpt_dir, "final.ckpt")
+        else:
+            nonfinite_streak += 1
+            result.skipped_steps += 1
+            log.warning("non-finite loss or gradient at step %d; step skipped", step)
+            if nonfinite_streak >= 3:
+                raise RuntimeError(
+                    f"3 consecutive non-finite steps (last at step {step}); "
+                    f"lr={lr:.3g}, epoch={epoch}")
+        if b == steps_per_epoch - 1 or step == total_steps - 1:
+            if epoch_losses:
+                result.epoch_losses.append(float(np.mean(epoch_losses)))
+                result.k_t_histograms.append(epoch_k_t)
+                log.info("epoch %d: loss %.5f lr %.2e k_t %s",
+                         epoch, result.epoch_losses[-1], lr, epoch_k_t)
+            store.save(latest)
+            _write_meta(latest, cfg, store, epoch)
     store.save(final)
-    _write_meta(final, cfg, store, tr.epochs - 1)
+    _write_meta(final, cfg, store, epoch)
     result.checkpoint = final
     return store, result
 

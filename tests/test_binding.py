@@ -10,7 +10,7 @@ from helpers import (
     reference_isa_iteration,
 )
 from solv import binding, diffcore as dc
-from solv.binding import relative_grid, spatial_bind, temporal_bind
+from solv.binding import spatial_bind, temporal_bind
 from solv.diffcore import Tape, Tensor
 from solv.encoder import build_position_grid
 
@@ -19,46 +19,6 @@ def _layernorm_np(z, eps=1e-6):
     m = z.mean(axis=-1, keepdims=True)
     v = ((z - m) ** 2).mean(axis=-1, keepdims=True)
     return (z - m) / np.sqrt(v + eps)
-
-
-class TestRelativeGrid:
-    def test_centering(self):
-        out = relative_grid(np.array([[0.5, -0.5]]), np.array([0.5, -0.5]),
-                            np.array([0.7, 0.9]), delta=5.0)
-        np.testing.assert_allclose(out, [[0.0, 0.0]])
-
-    def test_delta_scaling_arithmetic(self):
-        out = relative_grid(np.array([[1.0, 1.0]]), np.array([0.0, 0.0]),
-                            np.array([1.0, 1.0]), delta=5.0)
-        np.testing.assert_allclose(out, [[0.2, 0.2]])
-
-    def test_doubling_scale_halves_entries(self):
-        g = np.random.default_rng(0).normal(size=(6, 2))
-        s_p = np.array([0.1, -0.2])
-        one = relative_grid(g, s_p, np.array([0.5, 0.8]), 5.0)
-        two = relative_grid(g, s_p, np.array([1.0, 1.6]), 5.0)
-        np.testing.assert_allclose(one, 2.0 * two)
-
-    def test_batched_slots(self):
-        g = np.random.default_rng(1).normal(size=(4, 2))
-        s_p = np.random.default_rng(2).normal(size=(3, 2))
-        s_s = np.abs(np.random.default_rng(3).normal(size=(3, 2))) + 0.1
-        out = relative_grid(g, s_p, s_s, 5.0)
-        assert out.shape == (3, 4, 2)
-        for j in range(3):
-            np.testing.assert_allclose(
-                out[j], (g - s_p[j]) / (5.0 * s_s[j]))
-
-    def test_per_slot_grids(self):
-        # the centered K x N' x 2 grids that invariant attention passes
-        g = np.random.default_rng(4).normal(size=(3, 5, 2))
-        s_p = np.random.default_rng(5).normal(size=(3, 2))
-        s_s = np.abs(np.random.default_rng(6).normal(size=(3, 2))) + 0.1
-        out = relative_grid(g, s_p, s_s, 5.0)
-        assert out.shape == (3, 5, 2)
-        for j in range(3):
-            np.testing.assert_array_equal(
-                out[j], (g[j] - s_p[j]) / (s_s[j] * 5.0))
 
 
 class TestSpatialBind:

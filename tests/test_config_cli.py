@@ -1,5 +1,6 @@
 """Config defaults and strict parsing, the lr schedule, and CLI round trips."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from solv import cli, datagen
 from solv.cli import main as cli_main
 from solv.config import (
-    LrSchedule, RunConfig, config_from_dict, load_config,
+    _RANGES, _SECTIONS, LrSchedule, RunConfig, config_from_dict, load_config,
 )
 from solv.diffcore import ConfigError
 from solv.model import init_params
@@ -128,6 +129,34 @@ class TestValueTypes:
         with pytest.raises(ConfigError, match=rf"^{field} must be >= "):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"model": {"delta": 0}}, "model.delta"),
+        ({"train": {"final_lr_fraction": -0.5}}, "train.final_lr_fraction"),
+        ({"train": {"clip_norm": -1}}, "train.clip_norm"),
+        ({"data": {"sigma_noise": -0.01}}, "data.sigma_noise"),
+        ({"model": {"init_noise": -0.5}}, "model.init_noise"),
+        ({"train": {"warmup_fraction": 1.0}}, "train.warmup_fraction"),
+        ({"train": {"warmup_fraction": -0.1}}, "train.warmup_fraction"),
+        ({"data": {"seed": -1}}, "data.seed"),
+        ({"data": {"sprite_min": 3, "sprite_max": 2}}, "data.sprite_min"),
+        ({"data": {"frames": 4}}, "data.frames"),
+        ({"data": {"frames": 3}}, "data.frames"),
+    ])
+    def test_value_outside_its_range_names_the_field(self, payload, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must "):
+            config_from_dict(payload)
+
+    def test_every_number_field_has_a_range(self):
+        missing = [f"{name}.{f.name}" for name, cls in _SECTIONS.items()
+                   for f in dataclasses.fields(cls)
+                   if f.type in ("int", "float") and f.name not in _RANGES.get(cls, {})]
+        assert not missing
+
+    def test_frames_need_not_match_the_window_without_temporal_binding(self):
+        cfg = config_from_dict({"model": {"use_temporal_binding": False},
+                                "data": {"frames": 4}})
+        assert (cfg.data.frames, cfg.model.window) == (4, 5)
+
     def test_float_field_takes_an_int(self):
         cfg = config_from_dict({"model": {"delta": 4}, "train": {"peak_lr": 1}})
         assert (cfg.model.delta, cfg.train.peak_lr) == (4, 1)
@@ -149,7 +178,10 @@ class TestValueTypes:
         ({"split": "test"}, "split must be train, val or all"),
         ({"clip_count": "x"}, "data.clip_count must be an integer"),
         ({"frames": 2.0}, "data.frames must be an integer"),
-    ], ids=["list_root", "bad_split", "string_count", "float_frames"])
+        ({"patch": 0}, "data.patch must be >= 1"),
+        ({"frames": 0}, "data.frames must be >= 1"),
+    ], ids=["list_root", "bad_split", "string_count", "float_frames", "zero_patch",
+            "zero_frames"])
     def test_gen_rejects_bad_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -1,6 +1,8 @@
 """Scene rendering, the feature oracle, file formats, and dataset splits."""
 
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,6 +204,28 @@ class TestFileFormats:
             f.write(b"xx")
         with pytest.raises(FormatError, match="trailing"):
             read_masks(path)
+
+    @pytest.mark.parametrize("write, read, data", [
+        (write_tensor, read_tensor, np.ones((2, 3), np.float32)),
+        (write_masks, read_masks, np.ones((2, 4, 4), np.uint16)),
+    ], ids=["tensor", "masks"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              write, read, data):
+        path = str(tmp_path / "out.bin")
+        write(path, data)
+        blob = Path(path).read_bytes()
+
+        def pack(*args):
+            raise OSError("disk full")
+
+        # the magic is written before the version is packed, so this
+        # fails part way through the file
+        monkeypatch.setattr(datagen, "struct", SimpleNamespace(pack=pack))
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 2 * data)
+        assert Path(path).read_bytes() == blob
+        assert np.array_equal(read(path), data)
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestDatasetSplit:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from solv import diffcore as dc
+from solv import diffcore as dc, objecthead
 from solv.diffcore import ConfigError, ParamStore, Tape, Tensor
 from helpers import finite_diff
 from solv.encoder import (
@@ -166,7 +166,8 @@ class TestAllocationScaling:
             with tape:
                 out = pipe.forward_window(clip.features, np.ones(3, bool),
                                           kept, apply_merge=False)
-                pipe.window_loss(out, clip.features[clip.center])
+                objecthead.reconstruction_loss(out.decoded.y,
+                                               clip.features[clip.center])
             counts.append(tape.live_elements)
         n64 = 64  # tokens at each ratio: 64, 48, 32
         d1 = counts[0] - counts[1]

@@ -199,7 +199,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
         out = pipe.forward_window(clip.features, np.ones(window, bool),
                                   kept, apply_merge=True,
                                   init_jitter=jitter)
-        loss = pipe.window_loss(out, clip.features[clip.center])
+        loss = objecthead.reconstruction_loss(out.decoded.y, clip.features[clip.center])
     tape.backward(loss)
     grads = {t.grad.dtype for t in pipe.store.params.values() if t.grad is not None}
     n_train = len(built)
@@ -266,7 +266,7 @@ def _loss_and_grads(pipe, forward, args, target):
     tape = Tape()
     with tape:
         out = forward(*args)
-        loss = pipe.window_loss(out, target)
+        loss = objecthead.reconstruction_loss(out.decoded.y, target)
     tape.backward(loss)
     grads = {name: t.grad.copy() for name, t in pipe.store.params.items()
              if t.grad is not None}

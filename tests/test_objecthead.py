@@ -273,6 +273,22 @@ class TestDecode:
         manual = (out.m.data[:, :, None] * out.y_slots.data).sum(axis=0)
         np.testing.assert_array_equal(out.y.data, manual)
 
+    def test_relative_grid_per_slot(self, monkeypatch):
+        # the position term's input: each slot's coordinates of the shared
+        # N x 2 grid, relative to its moments
+        n, d_slot, d_out = 16, 6, 5
+        store = _decoder_store(d_slot, n, d_out, seed=10)
+        grid = build_position_grid(4, 4)
+        ms = _merged(3, d_slot, n, seed=11)
+        inputs, real_linear = [], dc.linear
+        monkeypatch.setattr(dc, "linear", lambda x, *wb: inputs.append(x.data)
+                            or real_linear(x, *wb))
+        decode(ms, store, grid, 5.0, d_out)
+        assert inputs[0].shape == (3, n, 2)
+        for j in range(3):
+            np.testing.assert_array_equal(
+                inputs[0][j], (grid - ms.position[j]) / (ms.scale[j] * 5.0))
+
     def test_decoder_gradients(self):
         n, d_slot, d_out = 9, 5, 4
         store = _decoder_store(d_slot, n, d_out, hidden=8, seed=7)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solv import datagen, evalkit
+from solv import datagen, evalkit, objecthead
 from solv import model as model_mod
 from solv import train as train_mod
 from solv.config import (
@@ -134,6 +134,26 @@ class TestTrainingLoop:
         _, result = train(cfg, max_steps=3)
         assert len(result.step_losses) == 3
 
+    # 5 training clips in batches of 2: 2 steps per epoch, 6 in 3 epochs
+    @pytest.mark.parametrize("max_steps, epoch", [(2, 0), (3, 1), (None, 2)])
+    def test_sidecars_record_the_epoch_of_the_last_step(self, tmp_path, max_steps, epoch):
+        cfg = tiny_cfg(tmp_path, **{"train.epochs": 3})
+        store, result = train(cfg, max_steps=max_steps)
+        for name in ("latest.ckpt", "final.ckpt"):
+            path = os.path.join(cfg.paths.checkpoint_dir, name)
+            meta = json.loads(Path(path + ".meta.json").read_text())
+            assert (meta["step"], meta["epoch"]) == (store.step, epoch), name
+
+    @pytest.mark.parametrize("max_steps, epochs_reached", [(2, 1), (3, 2), (None, 3)])
+    def test_latest_saved_once_per_epoch_reached(self, tmp_path, monkeypatch,
+                                                 max_steps, epochs_reached):
+        cfg = tiny_cfg(tmp_path, **{"train.epochs": 3})
+        saved, real_save = [], ParamStore.save
+        monkeypatch.setattr(ParamStore, "save", lambda self, path: saved.append(
+            os.path.basename(path)) or real_save(self, path))
+        train(cfg, max_steps=max_steps)
+        assert saved == ["latest.ckpt"] * epochs_reached + ["final.ckpt"]
+
     def test_merge_gate_statistics_logged(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         _, result = train(cfg)
@@ -207,8 +227,8 @@ class TestTrainingFaults:
 
     def test_non_finite_losses_leave_no_threads_behind(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path, **{"train.batch_size": 8, "data.clip_count": 20})
-        monkeypatch.setattr(Pipeline, "window_loss",
-                            lambda self, out, center: Tensor(np.nan))
+        monkeypatch.setattr(objecthead, "reconstruction_loss",
+                            lambda y, target: Tensor(np.nan))
         before = threading.active_count()
         _, result = train(cfg, max_steps=2)
         assert result.skipped_steps == 2
