@@ -6,6 +6,8 @@ and then refined to the lexicographically smallest optimal assignment so
 results are reproducible under ties. The refinement re-solves only for
 columns whose reduced cost under the first solve's optimal dual is
 within the tie tolerance; no other column can be part of an optimum.
+When those tight edges already form one full assignment, the optimum is
+unique and is returned from the first solve with no re-solve at all.
 
 ``score_video`` is the one scoring path. It counts a video into one
 (frame, gt label, pred label) table of pixels with a single
@@ -100,21 +102,33 @@ def hungarian(cost) -> list[tuple[int, int]]:
     is lexicographically smallest: row by row, the first column that
     still completes to an optimum. Only columns whose reduced cost under
     the first solve's dual is within the tie tolerance are tried.
+
+    Every edge of an assignment within ``tol`` of the optimum has a
+    reduced cost of at most ``tol`` (complementary slackness), so it is
+    made of tight edges only. When the tight edges themselves form an
+    assignment of size min(R, C), at most one per row and per column,
+    that assignment is the only optimum and the refinement would return
+    it; it is returned in row order without a re-solve.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        return []
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
+    if cost.size == 0:
+        return []
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
     best, reduced = _min_assignment(cost)
     tol = 1e-9 * max(1.0, abs(best))
+    target = min(cost.shape)
+    # nonzero lists rows ascending: strictly ascending is one edge per row
+    tight_rows, tight_cols = (reduced <= tol).nonzero()
+    if tight_rows.size == target and np.unique(tight_cols).size == target \
+            and (tight_rows[1:] > tight_rows[:-1]).all():
+        return list(zip(tight_rows.tolist(), tight_cols.tolist()))
     rows = list(range(cost.shape[0]))
     cols = list(range(cost.shape[1]))
     pairs: list[tuple[int, int]] = []
     fixed = 0.0
-    target = min(cost.shape)
     while rows and cols and len(pairs) < target:
         r = rows[0]
         rest = rows[1:]
@@ -256,7 +270,8 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     # both lows folded into the frame offset: int64 sums wrap, but every
     # final cell lies in [0, f * n_g * n_p), so the wrapped result is exact
     low = (-(g_lo * n_p + p_lo) + 2**63) % 2**64 - 2**63
-    cell = np.multiply(gt, n_p, dtype=np.int64)
+    cell = gt.astype(np.int64)
+    cell *= n_p
     cell += pred
     cell += (np.arange(f, dtype=np.int64) * (n_g * n_p) + low)[:, None]
     table = np.bincount(cell.ravel(), minlength=f * n_g * n_p).reshape(f, n_g, n_p)

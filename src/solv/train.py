@@ -2,9 +2,10 @@
 
 A training step samples a batch of clips, accumulates per-clip gradients
 of the center-frame reconstruction loss, clips the global gradient norm,
-and applies one Adam update on the warmup/decay schedule. Slot merging
-during training is gated by an epoch-dependent probability; at inference
-it is always on.
+and applies one Adam update on the warmup/decay schedule. A warmup step
+at learning rate 0 computes and logs its losses but runs no backward, as
+no update would use its gradients. Slot merging during training is
+gated by an epoch-dependent probability; at inference it is always on.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
             if not math.isfinite(loss_val):
                 losses = None
                 break
-            tape.backward(scaled)
+            if lr > 0:  # at lr 0 the gradients would be thrown away
+                tape.backward(scaled)
             losses.append(loss_val)
             k_t = out.merged.k_t
             epoch_k_t[k_t] = epoch_k_t.get(k_t, 0) + 1
@@ -230,7 +232,10 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
         })
     report = {"videos": videos, **summarize(videos), "config_digest": config_digest}
     if report_path:
-        os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-        with atomic_write(report_path, "w") as f:
-            json.dump(report, f, indent=2)
+        report_dir = os.path.dirname(report_path)
+        if report_dir and not os.path.isdir(report_dir):
+            os.makedirs(report_dir, exist_ok=True)
+        blob = json.dumps(report, indent=2).encode()
+        with atomic_write(report_path) as f:
+            f.write(blob)
     return report

@@ -1,6 +1,7 @@
 """Config defaults and strict parsing, the lr schedule, and CLI round trips."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -91,6 +92,20 @@ class TestStrictParsing:
         for change in ({"model": {"tau_merge": 0.2}}, {"data": {"seed": 18}},
                        {"train": {"epochs": 7}}):
             assert config_from_dict(change).digest() != base
+
+    def test_digest_hashes_the_asdict_json_of_the_shaping_sections(self):
+        """Existing checkpoint sidecars hold this hex; it is the SHA-256 of
+        the sorted, compact JSON of ``asdict`` without ``paths``."""
+        assert RunConfig().digest() == "461c2eac82263112"
+        for change in ({}, {"model": {"tau_merge": 0.2, "use_merging": False}},
+                       {"data": {"seed": 18, "sigma_noise": 0.1}},
+                       {"train": {"precision": "f64", "peak_lr": 1e-3}},
+                       {"paths": {"checkpoint_dir": "elsewhere"}}):
+            cfg = config_from_dict(change)
+            shaping = dataclasses.asdict(cfg)
+            del shaping["paths"]
+            blob = json.dumps(shaping, sort_keys=True, separators=(",", ":"))
+            assert cfg.digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class TestValueTypes:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_hungarian
-from solv import datagen
+from solv import datagen, evalkit
 from solv.config import DataConfig
 from solv.evalkit import (
     bilinear_resize, hungarian, link_tracks, rasterize, score_video,
@@ -193,6 +193,16 @@ class TestHungarian:
     def test_empty_matrix(self):
         assert hungarian(np.zeros((0, 0))) == []
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_one_empty_side_assigns_nothing(self, shape):
+        assert hungarian(np.zeros(shape)) == []
+
+    @pytest.mark.parametrize("cost", [[], np.zeros((2, 0, 3)), np.zeros(3), 1.0],
+                             ids=["empty_list", "empty_3d", "vector", "scalar"])
+    def test_rejects_non_matrix(self, cost):
+        with pytest.raises(ValueError, match="cost must be a matrix"):
+            hungarian(cost)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             hungarian([[np.inf, 1.0], [1.0, 2.0]])
@@ -259,6 +269,62 @@ class TestHungarian:
                              for t in tracks] for g in objects])
             assert iou.shape[1] > 30
             assert hungarian(1.0 - iou) == reference_hungarian(1.0 - iou)
+
+    @staticmethod
+    def _counting_solves(monkeypatch):
+        real, calls = evalkit._solve_potentials, []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(evalkit, "_solve_potentials", counted)
+        return calls
+
+    # share of 40 continuous cost draws solved once, at least; measured
+    # 1.0, 0.19, 0.92 and 0.93 over 400 draws
+    @pytest.mark.parametrize("shape, least_share", [
+        ((1, 1), 1.0), ((3, 3), 0.1), ((4, 60), 0.8), ((60, 4), 0.8)])
+    def test_unique_optimum_is_kept_from_the_first_solve(self, shape, least_share,
+                                                         monkeypatch):
+        """Continuous costs have one optimum. When the first solve's tight
+        edges are that one assignment, nothing is re-solved: always on
+        1 x 1 and mostly on wide or tall matrices. On square ones the
+        first solve's dual mostly leaves extra tight edges, and the
+        refinement runs."""
+        rng = np.random.default_rng(sum(shape))
+        calls = self._counting_solves(monkeypatch)
+        one_solve = 0
+        for _ in range(40):
+            cost = rng.random(shape)
+            calls.clear()
+            assert hungarian(cost) == reference_hungarian(cost)
+            one_solve += len(calls) == 1
+        assert one_solve >= least_share * 40
+
+    def test_dense_track_iou_takes_one_solve(self, monkeypatch):
+        calls = self._counting_solves(monkeypatch)
+        for pred, gt in dense_track_videos(4):
+            objects = [g for g in np.unique(gt) if g > 0]
+            tracks = np.unique(pred)
+            iou = np.array([[np.sum((gt == g) & (pred == t)) / np.sum((gt == g) | (pred == t))
+                             for t in tracks] for g in objects])
+            calls.clear()
+            assert hungarian(1.0 - iou) == reference_hungarian(1.0 - iou)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 71), (71, 4), (24, 24)])
+    def test_ties_are_refined(self, shape, monkeypatch):
+        """Integer costs tie: the tight edges are more than one assignment,
+        so the refinement re-solves and picks the lexicographic optimum."""
+        rng = np.random.default_rng(sum(shape) + 1)
+        cost = rng.integers(0, 4, size=shape).astype(float)
+        calls = self._counting_solves(monkeypatch)
+        assert hungarian(cost) == reference_hungarian(cost)
+        assert len(calls) > 1
+        calls.clear()
+        assert hungarian(np.ones(shape)) == [(i, i) for i in range(min(shape))]
+        assert len(calls) > 1
 
 
 class TestLinkTracks:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import record_isa_moments
 from solv import binding, datagen, diffcore as dc, encoder, evalkit, model, objecthead
 from solv.config import DataConfig, ModelConfig, RunConfig, TrainConfig
 from solv.diffcore import Tape, Tensor
@@ -15,14 +16,14 @@ from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video
 
 
-def small_cfg(precision="f64", **model_overrides) -> RunConfig:
+def small_cfg(precision="f64", canvas=32, **model_overrides) -> RunConfig:
     model = dict(k_slots=4, d_slot=16, n_window=2, transformer_layers=1,
                  transformer_heads=2, decoder_layers=3, decoder_hidden=24,
                  tau_merge=0.05)
     model.update(model_overrides)
     return RunConfig(
         model=ModelConfig(**model),
-        data=DataConfig(canvas_h=32, canvas_w=32, patch=8, d_features=12,
+        data=DataConfig(canvas_h=canvas, canvas_w=canvas, patch=8, d_features=12,
                         sprite_max=3, seed=5),
         train=TrainConfig(precision=precision),
     ).validate()
@@ -246,7 +247,11 @@ def per_frame_forward(pipe: Pipeline, features, availability, kept,
 
 
 def _clip_case(precision, availability, jitter, **model_overrides):
-    cfg = small_cfg(precision, **model_overrides)
+    """A training clip on an 8 x 8 grid (32 kept tokens): on the 4 x 4 grid
+    of ``small_cfg`` a slot collapses onto one kept token, its scale hits
+    the 1e-4 floor and the loss reaches 2e7, a regime training never
+    enters (see ``test_clip_cases_run_in_the_training_regime``)."""
+    cfg = small_cfg(precision, canvas=64, **model_overrides)
     d, m = cfg.data, cfg.model
     pipe = Pipeline(cfg, seed=3)
     clip = datagen.render_clip(datagen.random_scene(
@@ -306,6 +311,28 @@ def test_forward_window_matches_per_frame_oracle(precision, case):
             assert np.abs(got_grads[name] - want_g).max() <= GRAD_TOLERANCE[precision] * scale, name
         else:
             assert np.array_equal(got_grads[name], want_g), name
+
+
+# The default config with untrained weights ends binding with a smallest
+# slot scale of 0.20-0.30 and a loss of 0.11. The oracle clips must stay
+# within ten times of both: a smallest final-iteration scale of at least
+# 0.02 and a loss of at most 1.1.
+LEAST_FINAL_SCALE, MOST_LOSS = 0.02, 1.1
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("case", CLIP_CASES.values(), ids=CLIP_CASES.keys())
+def test_clip_cases_run_in_the_training_regime(precision, case, monkeypatch):
+    """The oracle clips above bind and decode as the default config does:
+    no slot's scale collapses to the variance floor and the decoded
+    features stay near their targets."""
+    availability, jitter, overrides = case
+    pipe, args, target = _clip_case(precision, availability, jitter, **overrides)
+    moments = record_isa_moments(monkeypatch)
+    _, loss, _ = _loss_and_grads(pipe, pipe.forward_window, args, target)
+    scale, _ = moments[-1]
+    assert scale.data.min() >= LEAST_FINAL_SCALE
+    assert float(loss.data) <= MOST_LOSS
 
 
 def test_training_clip_binds_in_one_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Training loop, inference, and orchestration at miniature scale."""
 
+import contextlib
 import errno
 import json
 import os
@@ -153,6 +154,46 @@ class TestTrainingLoop:
             os.path.basename(path)) or real_save(self, path))
         train(cfg, max_steps=max_steps)
         assert saved == ["latest.ckpt"] * epochs_reached + ["final.ckpt"]
+
+    def test_warmup_step_at_lr_zero_runs_no_backward(self, tmp_path, monkeypatch):
+        """Step 0 of a warmup has lr 0: its loss is computed and logged but
+        no backward runs. Checkpoints and losses are those of a run whose
+        step-0 clips do run the backward and throw the gradients away."""
+        # 2 steps per epoch, 4 in 2 epochs: one warmup step
+        cfg = tiny_cfg(tmp_path / "skip", **{"train.warmup_fraction": 0.25})
+        lrs, backward_steps, real_backward = [], [], Tape.backward
+
+        def progress(step, total, loss, lr):
+            lrs.append(lr)
+
+        def counting_backward(self, root):
+            backward_steps.append(len(lrs))
+            real_backward(self, root)
+
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        _, got = train(cfg, progress=progress)
+        monkeypatch.setattr(Tape, "backward", real_backward)
+        assert lrs[0] == 0.0 and min(lrs[1:]) > 0
+        assert backward_steps == [1, 1, 2, 2, 3, 3]
+        assert len(got.step_losses) == 4
+
+        class DiscardedBackwardTape(Tape):
+            """On every clip of step 0, runs the backward of the value the
+            forward records last (the batch-scaled loss)."""
+            def __exit__(self, *exc):
+                super().__exit__(*exc)
+                if not lrs:
+                    self.backward(self._nodes[-1][0])
+                return False
+
+        lrs.clear()
+        monkeypatch.setattr(train_mod, "Tape", DiscardedBackwardTape)
+        ref_cfg = tiny_cfg(tmp_path / "ref", **{"train.warmup_fraction": 0.25})
+        _, want = train(ref_cfg, progress=progress)
+        assert got.step_losses == want.step_losses
+        for name in ("latest.ckpt", "final.ckpt"):
+            assert Path(cfg.paths.checkpoint_dir, name).read_bytes() == \
+                Path(ref_cfg.paths.checkpoint_dir, name).read_bytes(), name
 
     def test_merge_gate_statistics_logged(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -468,16 +509,44 @@ class TestEvaluateDirs:
                       str(report_path), "first")
         before = report_path.read_bytes()
 
-        def dump_then_fail(obj, f, **kwargs):
-            f.write('{"videos": [')
-            raise OSError(errno.ENOSPC, "No space left on device")
+        real_atomic_write, partial = train_mod.atomic_write, []
 
-        monkeypatch.setattr(train_mod.json, "dump", dump_then_fail)
+        class HalfWrite:
+            """Writes half of the bytes it is given, then runs out of space."""
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                partial.append(os.path.getsize(str(report_path) + ".tmp"))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        @contextlib.contextmanager
+        def half_write_then_fail(path, mode="wb"):
+            with real_atomic_write(path, mode) as f:
+                yield HalfWrite(f)
+
+        monkeypatch.setattr(train_mod, "atomic_write", half_write_then_fail)
         with pytest.raises(OSError, match="No space"):
             evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
                           str(report_path), "second")
+        assert len(partial) == 1 and partial[0] > 0
         assert report_path.read_bytes() == before
         assert os.listdir(report_path.parent) == ["r.json"]
+
+    def test_report_file_is_the_indented_json_of_the_report(self, tmp_path):
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+        rng = np.random.default_rng(3)
+        for vid in ("a", "b"):
+            gt = rng.integers(0, 4, size=(3, 8, 8)).astype(np.uint16)
+            datagen.write_masks(str(tmp_path / "gt" / f"{vid}.mask"), gt)
+            datagen.write_masks(str(tmp_path / "pred" / f"{vid}.mask"), gt // 2)
+        report_path = tmp_path / "new" / "dir" / "r.json"
+        report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
+                               str(report_path), "d")
+        assert report_path.read_bytes() == json.dumps(report, indent=2).encode()
 
     def test_missing_ids_listed(self, tmp_path):
         gt_dir = tmp_path / "gt"
