@@ -31,6 +31,11 @@ contiguous last axis it would sum pairwise, so N' is never the last axis
 of a tensor summed over it. The attention itself stays (..., K, N').
 Each iteration hands its relative coordinates to the next.
 
+Next to the slots, ``spatial_bind`` returns the final iteration's slot
+geometry, detached from the tape: attention mass, position and variance,
+from which merging pools each cluster's and the decoder places it.
+Plain attention takes the same moments of its final attention.
+
 Temporal binding runs a small pre-norm transformer encoder over the
 (2n+1)-frame sequence of each slot index independently, with unavailable
 frames masked out of attention, and returns the center frame's slots.
@@ -54,11 +59,19 @@ from . import diffcore as dc
 from .diffcore import Tensor
 
 
+EPS = 1e-8  # added to every slot's attention mass and variance
+
+
 @dataclass
-class AttentionRecord:
-    """Slot-token attention of the final iteration (detached copy)."""
-    a: np.ndarray          # ... x K x N', columns sum to 1
-    kept_grid: np.ndarray  # ... x N' x 2
+class SlotGeometry:
+    """Each slot's final attention moments over the kept grid, detached
+    from the tape; ``geometry[i]`` selects leading index ``i``."""
+    mass: np.ndarray      # ... x K, summed attention plus EPS
+    position: np.ndarray  # ... x K x 2, bind.init.pos + drift
+    var: np.ndarray       # ... x K x 2; the scale is sqrt(var + EPS)
+
+    def __getitem__(self, index) -> "SlotGeometry":
+        return SlotGeometry(self.mass[index], self.position[index], self.var[index])
 
 
 def binding_param_shapes(d_slot: int, k_slots: int, window: int) -> dict:
@@ -128,19 +141,34 @@ def _first_last(t: Tensor) -> Tensor:
     return dc.transpose(t, tuple(range(1, t.ndim)) + (0,), contiguous=True)
 
 
+def _moments(a: Tensor, centered: Tensor):
+    """Moments of attention ``a`` (... x K x N') over the token-major
+    ``centered`` grid (N' x 2 x ... x K): the mass (... x K x 1, plus
+    EPS), the drift and variance (2 x ... x K), and the spread
+    ``centered - drift`` (N' x 2 x ... x K)."""
+    *lead, k, n_kept = a.shape
+    a_t = dc.reshape(_last_first(a), (n_kept, 1, *lead, k))
+    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + EPS
+    mass_t = dc.reshape(mass, (*lead, k))
+    drift = dc.div(dc.reduce_sum(dc.mul(a_t, centered), axis=0), mass_t)
+    spread = dc.sub(centered, drift)
+    var = dc.div(dc.reduce_sum(dc.mul(a_t, dc.mul(spread, spread)), axis=0), mass_t)
+    return mass, drift, var, spread
+
+
 def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
                   pvf: Tensor, pg_w: Tensor, pg_b: Tensor, params,
-                  delta: float, eps: float = 1e-8):
+                  delta: float):
     """One invariant attention iteration in centered coordinates.
 
     ``centered`` is G_abs - S_p_init and ``rel`` the tokens' coordinates
     relative to the current slot moments, (centered - drift) / (scale *
     delta), both token-major (N' x 2 x ... x K); drift is the slot
     position's offset from its initialization, so the absolute position
-    is S_p_init + drift. Returns (z, rel, scale, drift, attention): the
+    is S_p_init + drift. Returns (z, rel, (mass, drift, var)): the
     coordinates relative to the new moments, which the next iteration
-    takes, token-major like ``rel``, and the new scale and drift as (2 x
-    ... x K).
+    takes, token-major like ``rel``, and the new moments as ``_moments``
+    gives them; the new scale is sqrt(var + EPS).
     """
     *lead, k, d_slot = z.shape
     n_kept = centered.shape[0]
@@ -156,13 +184,8 @@ def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
     logits = dc.add(content, pos_term) * (1.0 / np.sqrt(d_slot))  # ... x K x N'
     a = dc.softmax(logits, axis=-2)                     # normalize over slots
 
-    a_t = dc.reshape(_last_first(a), (n_kept, 1, *lead, k))
-    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps  # ... x K x 1
-    mass_t = dc.reshape(mass, (*lead, k))
-    drift = dc.div(dc.reduce_sum(dc.mul(a_t, centered), axis=0), mass_t)  # 2 x ... x K
-    spread = dc.sub(centered, drift)
-    var = dc.div(dc.reduce_sum(dc.mul(a_t, dc.mul(spread, spread)), axis=0), mass_t)
-    scale = dc.sqrt(var + eps)
+    mass, drift, var, spread = _moments(a, centered)
+    scale = dc.sqrt(var + EPS)
 
     # the weighted mean of values pvf[n] + rel2[k, n] @ pg_w + pg_b,
     # taken term by term
@@ -177,18 +200,17 @@ def isa_iteration(z: Tensor, rel: Tensor, centered: Tensor, pkf: Tensor,
 
     z = dc.gru_cell(z, updates, _gru_params(params))
     z = _slot_mlp(z, params)
-    return z, rel2, scale, drift, a
+    return z, rel2, (mass, drift, var)
 
 
-def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params,
-                              eps: float = 1e-8):
+def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params):
     """Original slot attention iteration (no position/scale machinery)."""
     d_slot = z.shape[-1]
     zn = dc.layernorm(z, params["bind.ln_q.g"], params["bind.ln_q.b"])
     qz = dc.linear(zn, params["bind.q.w"], params["bind.q.b"])
     logits = dc.matmul(qz, _swap_last(kf)) * (1.0 / np.sqrt(d_slot))  # ... x K x N'
     a = dc.softmax(logits, axis=-2)
-    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + eps
+    mass = dc.reduce_sum(a, axis=-1, keepdims=True) + EPS
     w = dc.div(a, mass)
     updates = dc.matmul(w, vf)
     z = dc.gru_cell(z, updates, _gru_params(params))
@@ -203,14 +225,14 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
 
     ``tokens`` is (..., N', D) and ``kept_grid`` (..., N', 2); leading
     axes index frames, bound independently in one call, and every output
-    carries them in front: slots (..., K, D), attention (..., K, N'). The
-    same initialization tensors feed every frame of a clip; outputs
-    differ only through the frame's features and kept grid. ``init_z``
-    overrides the stored slot contents (training jitters them per clip).
-    Invariant attention centers the grid and takes the first relative
-    coordinates once; each iteration passes its relative coordinates to
-    the next. Returns the slots and the final iteration's
-    ``AttentionRecord``.
+    carries them in front. The same initialization tensors feed every
+    frame of a clip; outputs differ only through the frame's features and
+    kept grid. ``init_z`` overrides the stored slot contents (training
+    jitters them per clip). Invariant attention centers the grid and
+    takes the first relative coordinates once; each iteration passes its
+    relative coordinates to the next. Returns the (..., K, D) slots and
+    the final iteration's ``SlotGeometry``; plain attention takes the
+    same moments of its final attention.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
@@ -222,13 +244,13 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
     kf = dc.linear(tokens, params["bind.k.w"], params["bind.k.b"])
     vf = dc.linear(tokens, params["bind.v.w"], params["bind.v.b"])
 
+    # a row-major N' x 2 x ... x 1 copy: numpy lays out each result like
+    # its operands, and that layout fixes the order of the sums over N'.
+    # Zero initial drift.
+    grid = np.broadcast_to(np.asarray(kept_grid, params.dtype), tokens.shape[:-1] + (2,))
+    grid = np.ascontiguousarray(np.moveaxis(grid, (-2, -1), (0, 1))[..., None])
+    moment_shape = (2,) + (1,) * len(lead) + (k,)
     if invariant:
-        # a row-major N' x 2 x ... x 1 copy: numpy lays out each result
-        # like its operands, and that layout fixes the order of the sums
-        # over N'. Zero initial drift.
-        grid = np.broadcast_to(np.asarray(kept_grid, params.dtype), tokens.shape[:-1] + (2,))
-        grid = np.ascontiguousarray(np.moveaxis(grid, (-2, -1), (0, 1))[..., None])
-        moment_shape = (2,) + (1,) * len(lead) + (k,)
         s_p = dc.reshape(_swap_last(params["bind.init.pos"]), moment_shape)
         s_s = dc.reshape(_swap_last(params["bind.init.scale"]), moment_shape)
         centered = dc.sub(Tensor(grid), s_p)            # N' x 2 x ... x K
@@ -239,12 +261,19 @@ def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
         pg_b = dc.matmul(dc.reshape(params["bind.g.b"], (1, -1)), params["bind.p.w"])
         pg_b = dc.reshape(pg_b, (-1,))
         for _ in range(n_iters):
-            z, rel, _, _, a = isa_iteration(
+            z, rel, moments = isa_iteration(
                 z, rel, centered, pkf, pvf, pg_w, pg_b, params, delta)
     else:
         for _ in range(n_iters):
             z, a = plain_attention_iteration(z, kf, vf, params)
-    return z, AttentionRecord(a=a.data.copy(), kept_grid=kept_grid)
+        # the same moments of the final attention, off the tape
+        s_p = np.reshape(params["bind.init.pos"].data.T, moment_shape)
+        moments = _moments(Tensor(a.data), Tensor(grid - s_p))[:3]
+    mass, drift, var = (m.data for m in moments)
+    return z, SlotGeometry(
+        mass=mass[..., 0],
+        position=params["bind.init.pos"].data + np.moveaxis(drift, 0, -1),
+        var=np.moveaxis(var, 0, -1))
 
 
 def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
@@ -271,7 +300,7 @@ def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
 
 
 def temporal_bind(windows: Tensor, availability: np.ndarray, params,
-                  n_layers: int = 3, heads: int = 8, center: int | None = None):
+                  n_layers: int = 3, heads: int = 8):
     """Relate same-index slots across the clip window.
 
     ``windows`` stacks each window's frame slots as (..., K, T, D) and
@@ -282,8 +311,7 @@ def temporal_bind(windows: Tensor, availability: np.ndarray, params,
     and returns the center position's output, (..., K, D).
     """
     *lead, k, t, d = windows.shape
-    if center is None:
-        center = t // 2
+    center = t // 2
     availability = np.asarray(availability, bool)
     if not availability[..., center].all():
         raise ValueError("center frame must be available")

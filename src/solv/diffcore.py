@@ -23,24 +23,6 @@ import struct
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "ParamStore",
-    "ShapeError",
-    "FormatError",
-    "ConfigError",
-    "BinaryReader",
-    "write_f32_array",
-    "atomic_write",
-    "add", "sub", "mul", "div", "neg", "matmul",
-    "exp", "sqrt", "sigmoid", "tanh",
-    "reduce_sum", "reduce_mean", "softmax", "layernorm",
-    "reshape", "transpose", "broadcast_to", "stack", "gather_rows",
-    "slice_axis",
-    "linear", "mlp", "gru_cell", "gru_param_shapes",
-]
-
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
@@ -215,9 +197,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
 
@@ -227,36 +206,11 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other, self))
 
     def __rtruediv__(self, other):
         return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self))
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 def _wrap(x, like: Tensor) -> Tensor:
@@ -396,10 +350,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if need[1] else None))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(a.data.__neg__(), (a,), lambda g, need: (-g,))
-
-
 def _check_matmul(a_shape, b_shape) -> None:
     if len(a_shape) < 2 or len(b_shape) < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a_shape} @ {b_shape}")
@@ -419,11 +369,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g, need: (g * out,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -524,18 +469,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return _make(out, tuple(tensors), backward)
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    out = a.data[idx]
-
-    def backward(g, need):
-        ga = np.zeros(a.shape, dtype=g.dtype)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _make(out, (a,), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -3,7 +3,9 @@
 One forward covers a (2n+1)-frame window in two stages: per frame,
 encode the frame with token drop and bind it spatially from the shared
 slot initialization; per window, relate slots temporally and merge them,
-then decode the center frame over the full grid.
+then decode the center frame over the full grid. The decoder places each
+merged slot by the center frame's binding geometry: the position and
+scale binding's final iteration computed, pooled over the cluster.
 
 Both stages take leading batch axes: ``Pipeline.bind_frames`` binds
 (..., N, D) features of many frames to (..., K, D_slot) slots, and
@@ -116,8 +118,8 @@ class Pipeline:
                     init_z: Tensor | None = None):
         """Per-frame stage: encode each frame's kept tokens and bind them to
         slots. ``features`` is (..., N, D) and ``kept`` (..., N'), or None
-        to keep every token; returns (..., K, D_slot) slots and the
-        attention record, whose ``a`` is (..., K, N').
+        to keep every token; returns (..., K, D_slot) slots and their
+        ``binding.SlotGeometry``.
 
         Without ``init_z`` a frame's slots depend on that frame alone, so
         inference binds each frame once and reuses it in every window.
@@ -138,15 +140,16 @@ class Pipeline:
                                      n_layers=m.transformer_layers,
                                      heads=m.transformer_heads)
 
-    def merge(self, c: Tensor, center_record: binding.AttentionRecord,
+    def merge(self, c: Tensor, geometry: binding.SlotGeometry,
               apply_merge: bool) -> objecthead.MergedSlots:
-        """Merge one center frame's K x D_slot slots, or keep them all
-        apart unless both ``apply_merge`` and the config allow merging."""
+        """Merge one center frame's K x D_slot slots, placed by that
+        frame's geometry, or keep them all apart unless both
+        ``apply_merge`` and the config allow merging."""
         m = self.cfg.model
         partition = None
         if not (apply_merge and m.use_merging):
             partition = objecthead.identity_partition(m.k_slots)
-        return objecthead.merge_slots(c, center_record, m.tau_merge,
+        return objecthead.merge_slots(c, geometry, m.tau_merge,
                                       partition=partition)
 
     def decode(self, merged: objecthead.MergedSlots) -> objecthead.DecodedFrame:
@@ -175,14 +178,12 @@ class Pipeline:
         init_z = None
         if init_jitter is not None:
             init_z = self.store["bind.init.z"] + init_jitter
-        z, record = self.bind_frames(features, kept, init_z)
+        z, geometry = self.bind_frames(features, kept, init_z)
         if m.use_temporal_binding:  # (T, K, D) frames to one (K, T, D) window
             c = self.bind_windows(dc.transpose(z, (1, 0, 2)), availability)
         else:
             c = dc.reshape(dc.slice_axis(z, 0, center, center + 1), z.shape[1:])
-        center_record = binding.AttentionRecord(record.a[center],
-                                                record.kept_grid[center])
-        merged = self.merge(c, center_record, apply_merge)
+        merged = self.merge(c, geometry[center], apply_merge)
         return WindowOutput(decoded=self.decode(merged), merged=merged)
 
 
@@ -224,12 +225,12 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
         raise ValueError(f"non-finite features in frame {int(np.argmin(finite))}")
 
     slots = np.empty((f_total, m.k_slots, m.d_slot), pipe.store.dtype)
-    records = []
+    geometry = []
     for s in range(0, f_total, CHUNK):
         chunk = features[s:s + CHUNK]
-        z, record = pipe.bind_frames(chunk, None)
+        z, chunk_geometry = pipe.bind_frames(chunk, None)
         slots[s:s + len(chunk)] = z.data
-        records += map(binding.AttentionRecord, record.a, record.kept_grid)
+        geometry += (chunk_geometry[i] for i in range(len(chunk)))
 
     centers = slots
     if m.use_temporal_binding:
@@ -251,7 +252,7 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     label_frames = []
     slot_vectors = []
     for t in range(f_total):
-        merged = pipe.merge(Tensor(centers[t]), records[t], apply_merge=True)
+        merged = pipe.merge(Tensor(centers[t]), geometry[t], apply_merge=True)
         if merged.k_t > 1:
             labels = evalkit.rasterize(pipe.decode(merged).m.data, d.grid_rows,
                                        d.grid_cols, d.canvas_h, d.canvas_w)

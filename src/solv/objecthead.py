@@ -2,13 +2,14 @@
 
 Merging clusters slots whose contents are similar (complete-linkage
 agglomeration on cosine distance) and replaces each cluster by its mean
-slot. The decoder broadcasts every merged slot across the full token
+slot, placed at the pooled position and scale of its members' binding
+geometry. The decoder broadcasts every merged slot across the full token
 grid, adds positional signals, and maps each position to a feature
 reconstruction plus an alpha logit; softmax over slots yields the masks.
 
 The merge partition is a hard, non-differentiable decision per step:
-gradients flow through the mean slots, while the moments re-derived from
-summed attention are treated as constants.
+gradients flow through the mean slots, and the geometry, which binding
+hands over detached, is a constant.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ShapeError, Tensor
-from .binding import AttentionRecord
+from .binding import EPS, SlotGeometry
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +30,8 @@ log = logging.getLogger(__name__)
 class MergedSlots:
     cprime: Tensor            # K_t x D_slot mean slot per cluster
     members: list             # partition of 0..K-1, sorted
-    a_sum: np.ndarray         # K_t x N' summed attention
-    position: np.ndarray      # K_t x 2 moments of a_sum over the kept grid
+    mass: np.ndarray          # K_t pooled attention mass
+    position: np.ndarray      # K_t x 2 pooled slot geometry
     scale: np.ndarray         # K_t x 2
 
     @property
@@ -96,19 +97,16 @@ def cosine_distances(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _moments_from_attention(a: np.ndarray, grid: np.ndarray,
-                            eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    mass = a.sum(axis=1)[:, None] + eps
-    pos = (a @ grid) / mass
-    spread = grid[None, :, :] - pos[:, None, :]
-    var = np.einsum("kn,knc->kc", a, spread * spread) / mass
-    return pos, np.sqrt(var + eps)
-
-
-def merge_slots(c: Tensor, att: AttentionRecord, tau_merge: float,
+def merge_slots(c: Tensor, geometry: SlotGeometry, tau_merge: float,
                 partition: list[list[int]] | None = None) -> MergedSlots:
-    """Cluster slots by content similarity and pool their attention.
+    """Cluster slots by content similarity and pool each cluster.
 
+    A cluster's slot is its members' mean. Its position is the
+    mass-weighted mean of its members' positions and its variance their
+    pooled variance, the mass-weighted mean of each member's variance
+    plus its squared offset from that position: in real arithmetic the
+    moments of the members' summed attention, up to the ``EPS`` in each
+    member's mass. A singleton keeps its slot's geometry bit for bit.
     With ``partition`` given (e.g. singletons to skip merging) clustering
     is bypassed but the pooled statistics are still produced.
     """
@@ -117,16 +115,17 @@ def merge_slots(c: Tensor, att: AttentionRecord, tau_merge: float,
     if partition is None:
         dist = cosine_distances(c.data)
         partition = complete_linkage(dist, tau_merge)
-    rows = []
-    a_sum = np.empty((len(partition), att.a.shape[1]), dtype=att.a.dtype)
-    for idx, members in enumerate(partition):
-        picked = dc.gather_rows(c, np.asarray(members, dtype=np.int64))
-        rows.append(dc.reduce_mean(picked, axis=0))
-        a_sum[idx] = att.a[members].sum(axis=0)
-    cprime = dc.stack(rows, axis=0)
-    pos, scale = _moments_from_attention(a_sum, att.kept_grid)
-    return MergedSlots(cprime=cprime, members=partition, a_sum=a_sum,
-                       position=pos, scale=scale)
+    member = np.zeros((len(partition), c.shape[0]), c.data.dtype)  # K_t x K
+    for row, members in zip(member, partition):
+        row[members] = 1.0
+    cprime = dc.matmul(Tensor(member / member.sum(axis=1, keepdims=True)), c)
+    mass = member @ geometry.mass
+    w = member * geometry.mass / mass[:, None]
+    position = w @ geometry.position
+    offset = geometry.position - position[:, None]      # K_t x K x 2
+    var = np.einsum("ck,ckd->cd", w, geometry.var + offset * offset)
+    return MergedSlots(cprime=cprime, members=partition, mass=mass,
+                       position=position, scale=np.sqrt(var + EPS))
 
 
 def identity_partition(k: int) -> list[list[int]]:

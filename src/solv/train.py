@@ -54,7 +54,12 @@ def check_compatible(ckpt_path: str, cfg: RunConfig) -> None:
         log.warning("no sidecar metadata for %s; skipping digest check", ckpt_path)
         return
     with open(meta_path) as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{meta_path}: not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: sidecar root must be a JSON object")
     if meta.get("config_digest") != cfg.digest():
         raise ConfigError(
             f"checkpoint digest {meta.get('config_digest')} does not match "

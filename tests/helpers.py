@@ -26,17 +26,33 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
 def record_isa_moments(monkeypatch, iteration=None):
     """Install a wrapper of ``iteration`` (the installed
     ``binding.isa_iteration`` by default) that records each call's
-    (scale, drift) as (..., K, 2) tensors; returns the list that receives
-    them."""
+    (scale, drift) as (..., K, 2) tensors, the scale as the iteration
+    takes it, sqrt(var + EPS); returns the list that receives them."""
     real, moments = iteration or binding.isa_iteration, []
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        moments.append(tuple(binding._first_last(m) for m in out[2:4]))
+        _, drift, var = out[2]
+        scale = dc.sqrt(var + binding.EPS)
+        moments.append((binding._first_last(scale), binding._first_last(drift)))
         return out
 
     monkeypatch.setattr(binding, "isa_iteration", recording)
     return moments
+
+
+def record_attention(monkeypatch):
+    """Record the attention (..., K, N') whose moments binding takes: one
+    entry per invariant iteration, one per plain-attention call. Returns
+    the list that receives them; its last entry is the final attention."""
+    real, seen = binding._moments, []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.data.copy())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(binding, "_moments", recording)
+    return seen
 
 
 def final_moments(moments, params):
@@ -193,9 +209,9 @@ def reference_isa_iteration(z: Tensor, rel: Tensor, centered: Tensor,
     current slot moments, both token-major (N' x 2 x K) as
     binding.isa_iteration takes them; drift accumulates the slot position
     offset from its initialization, so the absolute position is
-    S_p_init + drift. Returns (z, rel, scale, drift, attention) as
+    S_p_init + drift. Returns (z, rel, (mass, drift, var)) as
     binding.isa_iteration does: the new relative coordinates token-major,
-    the new scale and drift 2 x K.
+    the mass K x 1, the drift and variance 2 x K.
     """
     k, d_slot = z.shape
     inv_temp = Tensor(1.0 / np.sqrt(d_slot))
@@ -231,5 +247,5 @@ def reference_isa_iteration(z: Tensor, rel: Tensor, centered: Tensor,
 
     z = dc.gru_cell(z, updates, binding._gru_params(params))
     z = binding._slot_mlp(z, params)
-    return (z, dc.transpose(rel2, (1, 2, 0)), dc.transpose(new_scale, (1, 0)),
-            dc.transpose(new_drift, (1, 0)), a)
+    return (z, dc.transpose(rel2, (1, 2, 0)),
+            (mass, dc.transpose(new_drift, (1, 0)), dc.transpose(var, (1, 0))))

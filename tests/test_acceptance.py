@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from helpers import binding_store, finite_diff
+from helpers import binding_store, finite_diff, record_attention
 from solv import datagen, diffcore as dc, objecthead
 from solv.binding import spatial_bind, temporal_bind
 from solv.config import RunConfig, config_from_dict
@@ -254,14 +254,16 @@ class TestMetricOracles:
 
 
 class TestNormalizationInvariance:
-    def test_normalization_and_invariance_suite(self):
+    def test_normalization_and_invariance_suite(self, monkeypatch):
         t0 = time.monotonic()
-        # attention columns sum to 1
+        # attention columns sum to 1 in every iteration
+        attention = record_attention(monkeypatch)
         store = binding_store(d_slot=8, k_slots=4, seed=3)
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(4).normal(size=(20, 8)))
-        _, rec = spatial_bind(tokens, grid, store, delta=5.0)
-        attn_ok = np.allclose(rec.a.sum(axis=0), 1.0, atol=1e-6)
+        spatial_bind(tokens, grid, store, delta=5.0)
+        attn_ok = len(attention) == 3 and all(
+            np.allclose(a.sum(axis=0), 1.0, atol=1e-6) for a in attention)
 
         # decoder masks sum to 1 per token
         dstore = _decoder_store(6, 16, 5, hidden=16, seed=5)
@@ -275,13 +277,17 @@ class TestNormalizationInvariance:
             [[0.25, -0.5], [-0.125, 0.375], [0.75, 0.0]])
         grid2 = build_position_grid(5, 5)
         feats = np.random.default_rng(8).normal(size=(25, 8))
-        z_a, rec_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0)
+        z_a, geometry_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0)
+        a_a = attention[-1]
         offset = np.array([0.75, -0.25])
         store2["bind.init.pos"].data = store2["bind.init.pos"].data + offset
-        z_b, rec_b = spatial_bind(Tensor(feats), grid2 + offset, store2,
-                                  delta=5.0)
-        translation_ok = np.array_equal(rec_a.a, rec_b.a) and \
-            np.array_equal(z_a.data, z_b.data)
+        z_b, geometry_b = spatial_bind(Tensor(feats), grid2 + offset, store2,
+                                       delta=5.0)
+        translation_ok = np.array_equal(a_a, attention[-1]) and \
+            np.array_equal(z_a.data, z_b.data) and \
+            np.array_equal(geometry_a.var, geometry_b.var) and \
+            np.allclose(geometry_b.position, geometry_a.position + offset,
+                        rtol=0, atol=1e-12)
 
         # loss invariance to slot order
         ms = _merged(3, 6, 16, seed=9)
@@ -292,7 +298,7 @@ class TestNormalizationInvariance:
         perm = [1, 2, 0]
         permuted = objecthead.MergedSlots(
             cprime=Tensor(ms.cprime.data[perm]),
-            members=[ms.members[i] for i in perm], a_sum=ms.a_sum[perm],
+            members=[ms.members[i] for i in perm], mass=ms.mass[perm],
             position=ms.position[perm], scale=ms.scale[perm])
         permuted_loss = float(reconstruction_loss(
             decode(permuted, dstore, build_position_grid(4, 4), 5.0, 5).y,

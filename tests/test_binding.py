@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    binding_store, final_moments, finite_diff, record_isa_moments,
-    reference_isa_iteration,
+    binding_store, final_moments, finite_diff, record_attention,
+    record_isa_moments, reference_isa_iteration,
 )
 from solv import binding, diffcore as dc
 from solv.binding import spatial_bind, temporal_bind
@@ -26,12 +26,13 @@ class TestSpatialBind:
         store = binding_store(d_slot=6, k_slots=1)
         grid = build_position_grid(3, 3)
         tokens = Tensor(np.random.default_rng(4).normal(size=(9, 6)))
-        moments = record_isa_moments(monkeypatch)
-        _, record = spatial_bind(tokens, grid, store, delta=5.0)
-        _, position = final_moments(moments, store)
-        np.testing.assert_array_equal(record.a, np.ones((1, 9)))
-        np.testing.assert_allclose(position.data[0], grid.mean(axis=0),
+        attention = record_attention(monkeypatch)
+        _, geometry = spatial_bind(tokens, grid, store, delta=5.0)
+        np.testing.assert_array_equal(attention[-1], np.ones((1, 9)))
+        np.testing.assert_allclose(geometry.position[0], grid.mean(axis=0),
                                    atol=1e-9)
+        np.testing.assert_allclose(geometry.var[0], grid.var(axis=0), atol=1e-9)
+        assert geometry.mass[0] == 9.0 + binding.EPS
 
     def test_uniform_attention_moves_every_slot_to_centroid(self, monkeypatch):
         # identical queries and position-free keys give uniform attention
@@ -43,15 +44,14 @@ class TestSpatialBind:
         store["bind.g.b"].data[:] = 0.0
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(6).normal(size=(16, 6)))
-        moments = record_isa_moments(monkeypatch)
-        _, record = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
-        _, position = final_moments(moments, store)
-        np.testing.assert_allclose(record.a, 1.0 / 3.0, atol=1e-12)
+        attention = record_attention(monkeypatch)
+        _, geometry = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
+        np.testing.assert_allclose(attention[-1], 1.0 / 3.0, atol=1e-12)
         for j in range(3):
-            np.testing.assert_allclose(position.data[j],
+            np.testing.assert_allclose(geometry.position[j],
                                        grid.mean(axis=0), atol=1e-9)
 
-    def test_hand_computed_two_by_two_attention(self):
+    def test_hand_computed_two_by_two_attention(self, monkeypatch):
         d = 2
         store = binding_store(d_slot=d, k_slots=2, seed=7)
         eye = np.eye(d)
@@ -64,29 +64,32 @@ class TestSpatialBind:
         store["bind.init.z"].data = z.copy()
         f = np.array([[0.3, 1.2], [-0.7, 0.4]])
         grid = np.zeros((2, 2))
-        _, record = spatial_bind(Tensor(f), grid, store, delta=5.0, n_iters=1)
+        attention = record_attention(monkeypatch)
+        spatial_bind(Tensor(f), grid, store, delta=5.0, n_iters=1)
         logits = f @ _layernorm_np(z).T / np.sqrt(d)  # token x slot
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = (e / e.sum(axis=1, keepdims=True)).T  # slot x token
-        np.testing.assert_allclose(record.a, expected, atol=1e-9)
+        np.testing.assert_allclose(attention[-1], expected, atol=1e-9)
 
-    def test_attention_columns_sum_to_one_every_iteration(self):
+    def test_attention_columns_sum_to_one_every_iteration(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=8)
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(9).normal(size=(20, 8)))
-        for iters in (1, 2, 3):
-            _, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                     n_iters=iters)
-            np.testing.assert_allclose(record.a.sum(axis=0), 1.0, atol=1e-6)
+        attention = record_attention(monkeypatch)
+        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3)
+        assert len(attention) == 3
+        for a in attention:
+            np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-6)
 
     def test_identical_frames_shared_init_identical_slots(self):
         store = binding_store(d_slot=8, k_slots=3, seed=10)
         grid = build_position_grid(3, 4)
         feats = np.random.default_rng(11).normal(size=(12, 8))
-        za, ra = spatial_bind(Tensor(feats), grid, store, delta=5.0)
-        zb, rb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0)
+        za, ga = spatial_bind(Tensor(feats), grid, store, delta=5.0)
+        zb, gb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0)
         assert np.array_equal(za.data, zb.data)
-        assert np.array_equal(ra.a, rb.a)
+        assert np.array_equal(ga.position, gb.position)
+        assert np.array_equal(ga.var, gb.var)
 
     def test_positions_stay_inside_grid_hull(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=12)
@@ -115,31 +118,32 @@ class TestSpatialBind:
             [[0.25, -0.5], [-0.125, 0.375], [0.75, 0.0]])
         grid = build_position_grid(5, 5)  # multiples of 0.5
         tokens = np.random.default_rng(17).normal(size=(25, 8))
-        moments = record_isa_moments(monkeypatch)
-        _, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
-        _, position_a = final_moments(moments, store)
-        z_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)[0]
+        attention = record_attention(monkeypatch)
+        z_a, geometry_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        a_a = attention[-1]
 
         offset = np.array([0.75, -0.25])
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
-        z_b, rec_b = spatial_bind(Tensor(tokens), grid + offset,
-                                  store, delta=5.0)
-        _, position_b = final_moments(moments, store)
-        assert np.array_equal(rec_a.a, rec_b.a)
+        z_b, geometry_b = spatial_bind(Tensor(tokens), grid + offset,
+                                       store, delta=5.0)
+        assert np.array_equal(a_a, attention[-1])
         assert np.array_equal(z_a.data, z_b.data)
-        np.testing.assert_allclose(position_b.data,
-                                   position_a.data + offset, atol=1e-12)
+        assert np.array_equal(geometry_a.var, geometry_b.var)
+        np.testing.assert_allclose(geometry_b.position,
+                                   geometry_a.position + offset, atol=1e-12)
 
-    def test_translation_invariance_tolerance_on_random_offsets(self):
+    def test_translation_invariance_tolerance_on_random_offsets(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=3, seed=18)
         grid = build_position_grid(4, 4)
         tokens = np.random.default_rng(19).normal(size=(16, 8))
-        z_a, rec_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        attention = record_attention(monkeypatch)
+        z_a, _ = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        a_a = attention[-1]
         offset = np.random.default_rng(20).normal(size=2)
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
-        z_b, rec_b = spatial_bind(Tensor(tokens), grid + offset, store,
-                                  delta=5.0)
-        np.testing.assert_allclose(rec_a.a, rec_b.a, atol=1e-10)
+        z_b, _ = spatial_bind(Tensor(tokens), grid + offset, store,
+                              delta=5.0)
+        np.testing.assert_allclose(a_a, attention[-1], atol=1e-10)
         np.testing.assert_allclose(z_a.data, z_b.data, atol=1e-9)
 
     @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "plain"])
@@ -150,14 +154,24 @@ class TestSpatialBind:
             spatial_bind(tokens, build_position_grid(3, 3), store, delta=5.0,
                          n_iters=0, invariant=invariant)
 
-    def test_plain_attention_variant_shapes_and_normalization(self):
+    def test_plain_attention_variant_shapes_and_normalization(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=21)
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(22).normal(size=(16, 8)))
-        z, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                 invariant=False)
+        attention = record_attention(monkeypatch)
+        z, geometry = spatial_bind(tokens, grid, store, delta=5.0,
+                                   invariant=False)
         assert z.shape == (4, 8)
-        np.testing.assert_allclose(record.a.sum(axis=0), 1.0, atol=1e-6)
+        assert len(attention) == 1  # the final attention's moments only
+        np.testing.assert_allclose(attention[0].sum(axis=0), 1.0, atol=1e-6)
+        # the invariant path's moments of that attention
+        a = attention[0]
+        mass = a.sum(axis=1) + binding.EPS
+        position = a @ grid / mass[:, None]
+        position += store["bind.init.pos"].data * (binding.EPS / mass[:, None])
+        np.testing.assert_allclose(geometry.mass, mass, rtol=1e-12)
+        np.testing.assert_allclose(geometry.position, position, atol=1e-12)
+        assert geometry.var.shape == (4, 2) and np.isfinite(geometry.var).all()
 
     def test_isa_iteration_gradients(self):
         store = binding_store(d_slot=6, k_slots=3, seed=23)
@@ -199,16 +213,18 @@ class TestFactoredAttention:
         rng = np.random.default_rng(40)
         tape = Tape()
         with tape:
-            z, record = spatial_bind(tokens, grid, store, delta=5.0,
-                                     n_iters=n_iters)
+            z, geometry = spatial_bind(tokens, grid, store, delta=5.0,
+                                       n_iters=n_iters)
             scale, position = final_moments(moments, store)
             loss = Tensor(0.0)
             for out in (z, scale, position):
                 loss = dc.add(loss, dc.reduce_sum(
                     dc.mul(out, Tensor(rng.normal(size=out.shape)))))
         tape.backward(loss)
-        outputs = {"z": z.data, "scale": scale.data,
-                   "position": position.data, "a": record.a}
+        outputs = {"z": z.data, "scale": scale.data, "position": position.data,
+                   "geometry.mass": geometry.mass,
+                   "geometry.position": geometry.position,
+                   "geometry.var": geometry.var}
         grads = {name: store[name].grad.copy() for name in store.names()
                  if store[name].grad is not None}
         grads["tokens"] = tokens.grad.copy()
@@ -324,21 +340,21 @@ class TestTemporalBind:
         assert out.shape == (3, 8)
         assert np.isfinite(out.data).all()
 
-    def test_masked_prefix_equals_physical_truncation(self):
+    def test_masked_edges_equal_physical_truncation(self):
         window, k, d = 5, 3, 8
         rng = np.random.default_rng(27)
         store = binding_store(d_slot=d, k_slots=k, window=window, seed=28)
         slots = self._slots(rng, window, k, d)
-        avail = np.array([False, False, True, True, True])
-        masked_out = self._bind(slots, avail, store, n_layers=2, heads=2, center=2)
+        avail = np.array([False, True, True, True, False])
+        masked_out = self._bind(slots, avail, store, n_layers=2, heads=2)
 
         truncated = binding_store(d_slot=d, k_slots=k, window=3, seed=28)
         for name in truncated.names():
             if name != "tbind.temb":
                 truncated[name].data = store[name].data.copy()
-        truncated["tbind.temb"].data = store["tbind.temb"].data[2:].copy()
-        trunc_out = self._bind(slots[2:], np.array([True] * 3), truncated,
-                               n_layers=2, heads=2, center=0)
+        truncated["tbind.temb"].data = store["tbind.temb"].data[1:4].copy()
+        trunc_out = self._bind(slots[1:4], np.array([True] * 3), truncated,
+                               n_layers=2, heads=2)
         np.testing.assert_allclose(masked_out.data, trunc_out.data, atol=1e-12)
 
     def test_unavailable_frames_do_not_reach_the_center(self):
@@ -420,19 +436,25 @@ class TestBatchedCalls:
         assert len({tuple(k) for k in kept}) == frames  # distinct kept grids
         tokens = rng.normal(size=(frames, 12, d)).astype(store.dtype)
         moments = record_isa_moments(monkeypatch)
-        z, record = spatial_bind(Tensor(tokens), grid[kept], store,
-                                 delta=5.0, invariant=invariant)
+        attention = record_attention(monkeypatch)
+        z, geometry = spatial_bind(Tensor(tokens), grid[kept], store,
+                                   delta=5.0, invariant=invariant)
+        a = attention[-1]
         if invariant:
             scale, position = final_moments(moments, store)
-        assert z.shape == (frames, 4, d) and record.a.shape == (frames, 4, 12)
-        assert z.data.dtype == store.dtype
+        assert z.shape == (frames, 4, d) and a.shape == (frames, 4, 12)
+        assert geometry.mass.shape == (frames, 4)
+        assert geometry.position.shape == geometry.var.shape == (frames, 4, 2)
+        assert z.data.dtype == geometry.position.dtype == store.dtype
         for f in range(frames):
-            z_f, record_f = spatial_bind(
+            z_f, geometry_f = spatial_bind(
                 Tensor(tokens[f]), grid[kept[f]], store, delta=5.0,
                 invariant=invariant)
             assert np.array_equal(z.data[f], z_f.data)
-            assert np.array_equal(record.a[f], record_f.a)
-            assert np.array_equal(record.kept_grid[f], record_f.kept_grid)
+            assert np.array_equal(a[f], attention[-1])
+            for field in ("mass", "position", "var"):
+                assert np.array_equal(getattr(geometry[f], field),
+                                      getattr(geometry_f, field)), field
             if invariant:
                 scale_f, position_f = final_moments(moments, store)
                 assert np.array_equal(position.data[f], position_f.data)

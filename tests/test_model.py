@@ -81,6 +81,20 @@ def _assert_same_segmentation(got, want):
     assert k_t == expected_k_t
 
 
+# The default config with untrained weights ends binding with a smallest
+# slot scale of 0.20-0.30 and a loss of 0.11. The oracle videos and clips must stay
+# within ten times of both: a smallest final-iteration scale of at least
+# 0.02 and a loss of at most 1.1.
+LEAST_FINAL_SCALE, MOST_LOSS = 0.02, 1.1
+
+
+def _least_final_scale(moments, cfg: RunConfig) -> float:
+    """Smallest slot scale after the last iteration of every binding call
+    that ``record_isa_moments`` saw."""
+    return min(float(scale.data.min()) for scale, _ in
+               moments[cfg.model.isa_iters - 1::cfg.model.isa_iters])
+
+
 @pytest.mark.parametrize("frames, seed, model_overrides", [
     (1, 1, {}),
     (3, 3, {}),
@@ -95,13 +109,14 @@ def _assert_same_segmentation(got, want):
         "mixed_slot_counts"])
 def test_infer_video_matches_per_window_oracle(frames, seed, model_overrides,
                                                monkeypatch):
-    cfg = small_cfg(**model_overrides)
+    cfg = small_cfg(canvas=64, **model_overrides)
     pipe = Pipeline(cfg, seed=seed)
     features = _video(cfg, frames, seed)
     expected = per_window_oracle(pipe, features)
 
     binds = _counting(monkeypatch, binding, "spatial_bind")
     decodes = _counting(monkeypatch, objecthead, "decode")
+    moments = record_isa_moments(monkeypatch)
     tracked, k_t = infer_video(pipe, features)
 
     # every frame is bound once, at most CHUNK frames per call
@@ -114,8 +129,11 @@ def test_infer_video_matches_per_window_oracle(frames, seed, model_overrides,
         assert k_t == [cfg.model.k_slots] * frames
     if cfg.model.tau_merge == 1.99 or cfg.model.k_slots == 1:
         assert k_t == [1] * frames
+    else:  # the decoder places two or more pooled slots
+        assert max(k_t) >= 2
     if cfg.model.tau_merge == 0.3:
         assert min(k_t) == 1 < max(k_t)
+    assert _least_final_scale(moments, cfg) >= LEAST_FINAL_SCALE
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -125,7 +143,7 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
     chunk, a full chunk and one frame, and two full chunks and one. The
     center slots that reach merging are bitwise those of one forward per
     window; without merging every frame is decoded."""
-    cfg = small_cfg(precision, use_merging=False)
+    cfg = small_cfg(precision, canvas=64, use_merging=False)
     pipe = Pipeline(cfg, seed=frames)
     features = _video(cfg, frames, seed=frames)
     merges = _counting(monkeypatch, objecthead, "merge_slots")
@@ -133,7 +151,9 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
     want = [c.data.copy() for c in merges]
     merges.clear()
     windows = _counting(monkeypatch, binding, "temporal_bind")
+    moments = record_isa_moments(monkeypatch)
     got = infer_video(pipe, features)
+    assert _least_final_scale(moments, cfg) >= LEAST_FINAL_SCALE
 
     assert len(merges) == len(want) == frames
     for c, c_want in zip(merges, want):
@@ -233,16 +253,16 @@ def per_frame_forward(pipe: Pipeline, features, availability, kept,
     if init_jitter is not None:
         init_z = pipe.store["bind.init.z"] + init_jitter
     empty = Tensor(np.zeros((m.k_slots, m.d_slot), pipe.store.dtype))
-    slots, records = [], {}
+    slots, geometry = [], {}
     for t, available in enumerate(availability):
         z = empty
         if available:
-            z, records[t] = pipe.bind_frames(features[t], kept[t], init_z)
+            z, geometry[t] = pipe.bind_frames(features[t], kept[t], init_z)
         slots.append(z)
     c = slots[center]
     if m.use_temporal_binding:
         c = pipe.bind_windows(dc.stack(slots, axis=1), availability)
-    merged = pipe.merge(c, records[center], apply_merge)
+    merged = pipe.merge(c, geometry[center], apply_merge)
     return model.WindowOutput(decoded=pipe.decode(merged), merged=merged)
 
 
@@ -311,13 +331,6 @@ def test_forward_window_matches_per_frame_oracle(precision, case):
             assert np.abs(got_grads[name] - want_g).max() <= GRAD_TOLERANCE[precision] * scale, name
         else:
             assert np.array_equal(got_grads[name], want_g), name
-
-
-# The default config with untrained weights ends binding with a smallest
-# slot scale of 0.20-0.30 and a loss of 0.11. The oracle clips must stay
-# within ten times of both: a smallest final-iteration scale of at least
-# 0.02 and a loss of at most 1.1.
-LEAST_FINAL_SCALE, MOST_LOSS = 0.02, 1.1
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import binding_store, finite_diff
+from helpers import (
+    binding_store, final_moments, finite_diff, record_attention, record_isa_moments,
+)
 from solv import diffcore as dc, objecthead
-from solv.binding import AttentionRecord
+from solv.binding import EPS, SlotGeometry, spatial_bind
 from solv.diffcore import ConfigError, ParamStore, Tape, Tensor
 from solv.encoder import build_position_grid
 from solv.objecthead import (
@@ -45,37 +47,36 @@ def greedy_linkage_oracle(dist: np.ndarray, threshold: float) -> list[list[int]]
     return parts
 
 
-def _record(k, n, seed=0):
+def _geometry(k, seed=0):
     rng = np.random.default_rng(seed)
-    a = rng.random((k, n))
-    a /= a.sum(axis=0, keepdims=True)
-    grid = build_position_grid(int(np.sqrt(n)), int(np.sqrt(n)))
-    return AttentionRecord(a=a, kept_grid=grid)
+    return SlotGeometry(mass=rng.uniform(0.5, 4.0, size=k),
+                        position=rng.normal(scale=0.5, size=(k, 2)),
+                        var=rng.uniform(0.01, 0.3, size=(k, 2)))
 
 
 class TestCompleteLinkage:
     def test_identical_vectors_merge(self):
         c = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        ms = merge_slots(c, _record(2, 16), tau_merge=0.12)
+        ms = merge_slots(c, _geometry(2), tau_merge=0.12)
         assert ms.k_t == 1
         assert ms.members == [[0, 1]]
 
     def test_orthogonal_vectors_stay_apart(self):
         c = Tensor(np.eye(4))
-        ms = merge_slots(c, _record(4, 16), tau_merge=0.12)
+        ms = merge_slots(c, _geometry(4), tau_merge=0.12)
         assert ms.k_t == 4
 
     def test_zero_norm_slot_never_merges(self):
         c = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-        ms = merge_slots(c, _record(3, 16), tau_merge=0.5)
+        ms = merge_slots(c, _geometry(3), tau_merge=0.5)
         assert [0, 2] in ms.members and [1] in ms.members
 
     def test_threshold_bounds(self):
         c = Tensor(np.eye(2))
         with pytest.raises(ConfigError):
-            merge_slots(c, _record(2, 16), tau_merge=0.0)
+            merge_slots(c, _geometry(2), tau_merge=0.0)
         with pytest.raises(ConfigError):
-            merge_slots(c, _record(2, 16), tau_merge=2.0)
+            merge_slots(c, _geometry(2), tau_merge=2.0)
 
     @pytest.mark.parametrize("tau", [0.05, 0.12, 0.5])
     @pytest.mark.parametrize("seed", range(12))
@@ -151,46 +152,94 @@ class TestLinkageTies:
         assert ties > 150
 
 
+def _bound_frames(precision, invariant=True, frames=3, k=5, seed=0):
+    """Slots and geometry of ``frames`` frames bound on a 6 x 6 grid with
+    a third of the tokens dropped, and the kept grid of each frame."""
+    store = binding_store(d_slot=8, k_slots=k, seed=seed, precision=precision)
+    rng = np.random.default_rng(seed + 1)
+    grid = build_position_grid(6, 6)
+    kept = np.stack([np.sort(rng.permutation(36)[:24]) for _ in range(frames)])
+    tokens = Tensor(rng.normal(size=(frames, 24, 8)).astype(store.dtype))
+    z, geometry = spatial_bind(tokens, grid[kept], store, delta=5.0,
+                               invariant=invariant)
+    return store, z, geometry, grid[kept]
+
+
+def _random_partition(rng, k):
+    labels = rng.integers(0, rng.integers(1, k + 1), size=k)
+    return [list(np.flatnonzero(labels == l)) for l in np.unique(labels)]
+
+
 class TestMergedStatistics:
-    def test_mean_slots_and_attention_sums(self):
-        rng = np.random.default_rng(4)
-        c = Tensor(rng.normal(size=(4, 6)))
-        rec = _record(4, 16, seed=5)
-        ms = merge_slots(c, rec, tau_merge=0.12,
-                         partition=[[0, 2], [1], [3]])
-        np.testing.assert_allclose(ms.cprime.data[0],
-                                   c.data[[0, 2]].mean(axis=0))
-        np.testing.assert_allclose(ms.a_sum[0], rec.a[[0, 2]].sum(axis=0))
-        np.testing.assert_allclose(ms.a_sum.sum(axis=0), rec.a.sum(axis=0))
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_identity_partition_keeps_binding_geometry(self, precision, monkeypatch):
+        moments = record_isa_moments(monkeypatch)
+        store, z, geometry, _ = _bound_frames(precision)
+        scale, position = final_moments(moments, store)
+        for f in range(z.shape[0]):
+            ms = merge_slots(Tensor(z.data[f]), geometry[f],
+                             tau_merge=0.12, partition=identity_partition(5))
+            assert ms.position.dtype == ms.scale.dtype == store.dtype
+            assert np.array_equal(ms.cprime.data, z.data[f])
+            assert np.array_equal(ms.mass, geometry.mass[f])
+            assert np.array_equal(ms.position, position.data[f])
+            assert np.array_equal(ms.scale, scale.data[f])
 
-    def test_column_mass_preserved(self):
-        rng = np.random.default_rng(6)
-        c = Tensor(rng.normal(size=(5, 4)))
-        rec = _record(5, 25, seed=7)
-        ms = merge_slots(c, rec, tau_merge=0.5)
-        np.testing.assert_allclose(ms.a_sum.sum(axis=0), 1.0, atol=1e-9)
+    @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "plain"])
+    def test_pooled_geometry_is_the_summed_attention_moments(self, invariant, monkeypatch):
+        """Each cluster's geometry against the moments of its members'
+        summed final attention over the kept grid. The two count EPS
+        differently, once per member and once per cluster, so in real
+        arithmetic they differ by at most |C| * EPS * 2R / m in position
+        and |C| * EPS * 16 R^2 / m in variance, where R bounds every grid
+        coordinate and position and m is the smallest member mass; 1e-13
+        more covers f64 rounding."""
+        attention = record_attention(monkeypatch)
+        store, z, geometry, kept_grid = _bound_frames("f64", invariant)
+        rng = np.random.default_rng(7)
+        checked = 0
+        for f in range(z.shape[0]):
+            a, grid = attention[-1][f], kept_grid[f]
+            r = max(np.abs(grid).max(), np.abs(geometry.position[f]).max(),
+                    np.abs(store["bind.init.pos"].data).max())
+            assert np.isfinite(geometry.var[f]).all()
+            for _ in range(10):
+                partition = _random_partition(rng, 5)
+                ms = merge_slots(Tensor(z.data[f]), geometry[f], tau_merge=0.12,
+                                 partition=partition)
+                for cluster, members in enumerate(partition):
+                    summed = a[members].sum(axis=0)
+                    mass = summed.sum() + EPS
+                    position = summed @ grid / mass
+                    var = summed @ (grid - position) ** 2 / mass
+                    scale = np.sqrt(var + EPS)
+                    m = geometry.mass[f][members].min()
+                    pos_bound = len(members) * EPS * 2 * r / m + 1e-13
+                    var_bound = len(members) * EPS * 16 * r * r / m + 1e-13
+                    np.testing.assert_allclose(ms.position[cluster], position,
+                                               rtol=0, atol=pos_bound)
+                    np.testing.assert_allclose(ms.scale[cluster] ** 2, scale ** 2,
+                                               rtol=0, atol=var_bound)
+                    np.testing.assert_allclose(ms.cprime.data[cluster],
+                                               z.data[f][members].mean(axis=0),
+                                               rtol=1e-14, atol=1e-15)
+                    checked += len(members) > 1
+        assert checked > 20
 
-    def test_moments_match_attention_formulas(self):
-        rng = np.random.default_rng(8)
-        c = Tensor(rng.normal(size=(3, 4)))
-        rec = _record(3, 16, seed=9)
-        ms = merge_slots(c, rec, tau_merge=0.12,
-                         partition=identity_partition(3))
-        for j in range(3):
-            mass = rec.a[j].sum() + 1e-8
-            pos = rec.a[j] @ rec.kept_grid / mass
-            np.testing.assert_allclose(ms.position[j], pos, atol=1e-12)
-            var = rec.a[j] @ (rec.kept_grid - pos) ** 2 / mass
-            np.testing.assert_allclose(ms.scale[j], np.sqrt(var + 1e-8),
-                                       atol=1e-12)
+    def test_pooled_masses_sum_to_the_kept_tokens(self):
+        _, z, geometry, kept_grid = _bound_frames("f64")
+        for f in range(z.shape[0]):
+            ms = merge_slots(Tensor(z.data[f]), geometry[f], tau_merge=0.5)
+            n_kept, k = kept_grid.shape[1], z.shape[1]
+            assert ms.k_t < k
+            np.testing.assert_allclose(ms.mass.sum(), n_kept + k * EPS, rtol=1e-14)
 
     def test_gradients_flow_through_mean_slots(self):
         rng = np.random.default_rng(10)
         c = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        rec = _record(3, 16, seed=11)
         tape = Tape()
         with tape:
-            ms = merge_slots(c, rec, tau_merge=0.12,
+            ms = merge_slots(c, _geometry(3, seed=11), tau_merge=0.12,
                              partition=[[0, 1], [2]])
             loss = dc.reduce_mean(dc.mul(ms.cprime, ms.cprime))
         tape.backward(loss)
@@ -233,7 +282,7 @@ def _merged(k_t, d_slot, n, seed=0):
     return objecthead.MergedSlots(
         cprime=Tensor(rng.normal(size=(k_t, d_slot)), requires_grad=False),
         members=identity_partition(k_t),
-        a_sum=rng.random((k_t, n)),
+        mass=rng.uniform(0.5, 4.0, size=k_t),
         position=rng.normal(scale=0.3, size=(k_t, 2)),
         scale=np.abs(rng.normal(0.4, 0.1, size=(k_t, 2))) + 0.05,
     )
@@ -350,7 +399,7 @@ class TestReconstructionLoss:
         permuted = objecthead.MergedSlots(
             cprime=Tensor(ms.cprime.data[perm]),
             members=[ms.members[i] for i in perm],
-            a_sum=ms.a_sum[perm],
+            mass=ms.mass[perm],
             position=ms.position[perm],
             scale=ms.scale[perm],
         )

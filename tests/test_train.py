@@ -4,6 +4,7 @@ import contextlib
 import errno
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -74,6 +75,14 @@ class TestTrainingLoop:
             check_compatible(result.checkpoint, other)
         with pytest.raises(ConfigError):
             load_pipeline(other, result.checkpoint)
+
+    @pytest.mark.parametrize("sidecar", ['["not", "an", "object"]', '{"config_digest": '],
+                             ids=["list_root", "invalid_json"])
+    def test_bad_sidecar_is_a_config_error_naming_it(self, tmp_path, sidecar):
+        ckpt = str(tmp_path / "w.ckpt")
+        Path(ckpt + ".meta.json").write_text(sidecar)
+        with pytest.raises(ConfigError, match=re.escape(ckpt + ".meta.json")):
+            check_compatible(ckpt, tiny_cfg(tmp_path))
 
     def test_checkpoint_loads_under_another_checkpoint_dir(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "trained")
