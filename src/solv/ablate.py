@@ -7,13 +7,12 @@ directly comparable and reruns are identical.
 from __future__ import annotations
 
 import copy
-import json
 
 import numpy as np
 
 from . import datagen, objecthead
 from .config import RunConfig
-from .diffcore import Tape, atomic_write
+from .diffcore import Tape
 from .encoder import make_drop_plan
 from .model import Pipeline
 from .train import evaluate_clips, summarize, train
@@ -113,8 +112,3 @@ def format_table(rows: dict) -> str:
                 cells.append(f"{v:>16}")
         lines.append("  ".join(cells))
     return "\n".join(lines)
-
-
-def write_report(rows: dict, path: str) -> None:
-    with atomic_write(path, "w") as f:
-        json.dump(rows, f, indent=2)

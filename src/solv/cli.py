@@ -11,7 +11,7 @@ import sys
 from . import ablate as ablate_mod
 from . import datagen
 from .config import DataConfig, RunConfig, load_config, section_from_dict
-from .diffcore import ConfigError
+from .diffcore import ConfigError, read_json_object, write_json
 from .model import infer_video
 from .train import evaluate_dirs, load_pipeline, train
 
@@ -72,19 +72,16 @@ def cmd_ablate(args) -> int:
     rows = ablate_mod.ablate(args.axis, values, cfg, eval_clips=args.eval_clips)
     print(ablate_mod.format_table(rows))
     if args.out:
-        ablate_mod.write_report(rows, args.out)
+        write_json(args.out, rows)
         print(f"table written to {args.out}")
     return 0
 
 
 def cmd_gen(args) -> int:
-    with open(args.spec) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{args.spec}: generation spec root must be a JSON object")
+    payload = read_json_object(args.spec)
     split = payload.pop("split", "all")
     if split not in ("train", "val", "all"):
-        raise ConfigError(f"split must be train, val or all, got {split!r}")
+        raise ConfigError(f"{args.spec}: split must be train, val or all, got {split!r}")
     d = section_from_dict(DataConfig, payload, "data.").validate()
     train_specs, val_specs = datagen.dataset_split(
         d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,

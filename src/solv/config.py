@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .diffcore import ConfigError
+from .diffcore import ConfigError, read_json_object
 
 
 @dataclass
@@ -204,11 +204,7 @@ def config_from_dict(payload: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
-    return config_from_dict(payload)
+    return config_from_dict(read_json_object(path))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import math
 import os
 import struct
@@ -39,7 +40,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Binary file codec shared by SOLVCKPT, SOLVTNSR and SOLVMASK
+# Files: the binary codec of SOLVCKPT, SOLVTNSR and SOLVMASK, and JSON
 # ---------------------------------------------------------------------------
 
 class BinaryReader:
@@ -140,12 +141,12 @@ def write_f32_array(f, arr: np.ndarray) -> None:
 
 
 @contextlib.contextmanager
-def atomic_write(path: str, mode: str = "wb"):
-    """Open ``<path>.tmp`` for writing and rename it onto ``path`` once the
-    block completes, so a write that fails part way leaves the previous
-    file intact."""
+def atomic_write(path: str):
+    """Open ``<path>.tmp`` for writing bytes and rename it onto ``path``
+    once the block completes, so a write that fails part way leaves the
+    previous file intact."""
     tmp = path + ".tmp"
-    f = open(tmp, mode)
+    f = open(tmp, "wb")
     try:
         with f:
             yield f
@@ -153,6 +154,27 @@ def atomic_write(path: str, mode: str = "wb"):
         os.remove(tmp)
         raise
     os.replace(tmp, path)
+
+
+def read_json_object(path: str) -> dict:
+    """Parse the JSON file at ``path``, whose root must be an object; a
+    bad file is a ``ConfigError`` naming it."""
+    with open(path, "rb") as f:
+        try:
+            payload = json.load(f)
+        except ValueError as e:
+            raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: root must be a JSON object")
+    return payload
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` as indented JSON, encoded first and then
+    written atomically in one write."""
+    blob = json.dumps(obj, indent=2).encode()
+    with atomic_write(path) as f:
+        f.write(blob)
 
 
 def get_precision() -> str:

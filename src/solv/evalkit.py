@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objecthead import unit_rows
+
 
 # ---------------------------------------------------------------------------
 # Assignment
@@ -162,14 +164,6 @@ class TrackedSegmentation:
     n_tracks: int
 
 
-def _cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    na = np.where(na == 0, 1.0, na)
-    nb = np.where(nb == 0, 1.0, nb)
-    return 1.0 - (a / na[:, None]) @ (b / nb[:, None]).T
-
-
 def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
     """Chain per-frame slots into tracks via assignment on slot similarity.
 
@@ -182,13 +176,13 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
     first = np.arange(slot_vectors[0].shape[0], dtype=np.int64)
     track_maps.append(first)
     next_id = int(first.size)
+    units = [unit_rows(v)[0] for v in slot_vectors]
     for t in range(1, len(slot_vectors)):
-        prev_v, cur_v = slot_vectors[t - 1], slot_vectors[t]
-        pairs = hungarian(_cosine_cost(prev_v, cur_v))
-        cur_map = np.full(cur_v.shape[0], -1, dtype=np.int64)
+        pairs = hungarian(1.0 - units[t - 1] @ units[t].T)
+        cur_map = np.full(len(units[t]), -1, dtype=np.int64)
         for i, j in pairs:
             cur_map[j] = track_maps[t - 1][i]
-        for j in range(cur_v.shape[0]):
+        for j in range(len(units[t])):
             if cur_map[j] < 0:
                 cur_map[j] = next_id
                 next_id += 1

@@ -80,17 +80,21 @@ def complete_linkage(dist: np.ndarray, threshold: float) -> list[list[int]]:
     return parts
 
 
-def cosine_distances(vectors: np.ndarray) -> np.ndarray:
-    """Pairwise 1 - cosine similarity; zero-norm rows get distance 2."""
+def unit_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its norm, and the mask of zero-norm rows, which
+    are divided by 1 instead."""
     norms = np.linalg.norm(vectors, axis=1)
     zero = norms == 0
+    return vectors / np.where(zero, 1.0, norms)[:, None], zero
+
+
+def cosine_distances(vectors: np.ndarray) -> np.ndarray:
+    """Pairwise 1 - cosine similarity; zero-norm rows get distance 2."""
+    unit, zero = unit_rows(vectors)
     if zero.any():
         log.warning("zero-norm slot vector(s) at %s; treated as unmergeable",
                     np.flatnonzero(zero).tolist())
-    safe = np.where(zero, 1.0, norms)
-    unit = vectors / safe[:, None]
-    cos = unit @ unit.T
-    dist = 1.0 - cos
+    dist = 1.0 - unit @ unit.T
     dist[zero, :] = 2.0
     dist[:, zero] = 2.0
     np.fill_diagonal(dist, 0.0)

@@ -10,7 +10,6 @@ gated by an epoch-dependent probability; at inference it is always on.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import datagen, evalkit, objecthead
 from .config import LrSchedule, RunConfig
-from .diffcore import ConfigError, ParamStore, Tape, atomic_write
+from .diffcore import ConfigError, ParamStore, Tape, read_json_object, write_json
 from .encoder import make_drop_plan
 from .model import Pipeline, infer_video, init_params, param_shapes
 from .objecthead import merge_gate
@@ -43,8 +42,7 @@ def _derive_seed(*parts: int) -> int:
 
 def _write_meta(ckpt_path: str, cfg: RunConfig, store: ParamStore, epoch: int) -> None:
     meta = {"config_digest": cfg.digest(), "step": store.step, "epoch": epoch}
-    with atomic_write(ckpt_path + ".meta.json", "w") as f:
-        json.dump(meta, f)
+    write_json(ckpt_path + ".meta.json", meta)
 
 
 def check_compatible(ckpt_path: str, cfg: RunConfig) -> None:
@@ -53,16 +51,10 @@ def check_compatible(ckpt_path: str, cfg: RunConfig) -> None:
     if not os.path.exists(meta_path):
         log.warning("no sidecar metadata for %s; skipping digest check", ckpt_path)
         return
-    with open(meta_path) as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{meta_path}: not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{meta_path}: sidecar root must be a JSON object")
+    meta = read_json_object(meta_path)
     if meta.get("config_digest") != cfg.digest():
         raise ConfigError(
-            f"checkpoint digest {meta.get('config_digest')} does not match "
+            f"{meta_path}: checkpoint digest {meta.get('config_digest')} does not match "
             f"config digest {cfg.digest()}"
         )
 
@@ -240,7 +232,5 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
         report_dir = os.path.dirname(report_path)
         if report_dir and not os.path.isdir(report_dir):
             os.makedirs(report_dir, exist_ok=True)
-        blob = json.dumps(report, indent=2).encode()
-        with atomic_write(report_path) as f:
-            f.write(blob)
+        write_json(report_path, report)
     return report

@@ -1,5 +1,9 @@
 """Shared test utilities."""
 
+import contextlib
+import errno
+import os
+
 import numpy as np
 
 from solv import binding, diffcore as dc
@@ -21,6 +25,32 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
         else:
             store.register(name, rng.normal(scale=scale, size=shape))
     return store
+
+
+def fail_writes_half_way(monkeypatch):
+    """Replace ``diffcore.atomic_write`` by a wrapper around the real one
+    whose ``write`` puts half of the bytes it is given into ``<path>.tmp``
+    and then runs out of space; returns the list that receives the size
+    of the ``.tmp`` file at each failure."""
+    real, partial = dc.atomic_write, []
+
+    class HalfWrite:
+        def __init__(self, f, path):
+            self.f, self.path = f, path
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            self.f.flush()
+            partial.append(os.path.getsize(self.path + ".tmp"))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    @contextlib.contextmanager
+    def half_write_then_fail(path):
+        with real(path) as f:
+            yield HalfWrite(f, path)
+
+    monkeypatch.setattr(dc, "atomic_write", half_write_then_fail)
+    return partial
 
 
 def record_isa_moments(monkeypatch, iteration=None):

@@ -1,14 +1,9 @@
 """Ablation sweep plumbing at miniature scale."""
 
-import errno
-import os
-
-import numpy as np
 import pytest
 
-from solv import ablate as ablate_mod
 from solv.ablate import (
-    COMPONENT_VARIANTS, ablate, format_table, peak_live_values, write_report,
+    COMPONENT_VARIANTS, ablate, format_table, peak_live_values,
 )
 from test_train import tiny_cfg
 
@@ -52,19 +47,3 @@ class TestAxes:
         text = format_table(rows)
         assert "x" in text and "0.5000" in text
 
-
-class TestWriteReport:
-    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
-        path = tmp_path / "ablate.json"
-        write_report({"x": {"mean_miou": 0.5}}, str(path))
-        before = path.read_bytes()
-
-        def dump_then_fail(obj, f, **kwargs):
-            f.write('{"x": ')
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(ablate_mod.json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="No space"):
-            write_report({"y": {"mean_miou": 0.25}}, str(path))
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["ablate.json"]

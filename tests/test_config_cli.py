@@ -187,22 +187,26 @@ class TestValueTypes:
         path.write_text(json.dumps({"data": {"clip_count": "x"}}))
         assert cli_main(command + ["--config", str(path)]) == 2
         assert "data.clip_count must be an integer" in capsys.readouterr().err
+        path.write_text('{"model": ')
+        assert cli_main(command + ["--config", str(path)]) == 2
+        assert f"error: {path}: not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, message", [
-        ([1, 2], "root must be a JSON object"),
+        ([1, 2], "{path}: root must be a JSON object"),
+        ('{"model": ', "{path}: not valid JSON"),
         ({"split": "test"}, "split must be train, val or all"),
         ({"clip_count": "x"}, "data.clip_count must be an integer"),
         ({"frames": 2.0}, "data.frames must be an integer"),
         ({"patch": 0}, "data.patch must be >= 1"),
         ({"frames": 0}, "data.frames must be >= 1"),
-    ], ids=["list_root", "bad_split", "string_count", "float_frames", "zero_patch",
-            "zero_frames"])
+    ], ids=["list_root", "truncated", "bad_split", "string_count", "float_frames",
+            "zero_patch", "zero_frames"])
     def test_gen_rejects_bad_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         out = tmp_path / "out"
         assert cli_main(["gen", "--spec", str(path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(path=path) in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -462,3 +466,12 @@ def test_infer_passes_features_as_read(tmp_path, monkeypatch, precision):
     datagen.write_masks(str(tmp_path / "widened.mask"), tracked.frames)
     assert (tmp_path / "pred" / "v.mask").read_bytes() == \
         (tmp_path / "widened.mask").read_bytes()
+
+
+def test_ablate_writes_its_table_as_indented_json(tmp_path, monkeypatch, capsys):
+    rows = {"full": {"mean_miou": 0.5, "mean_k_t": 2.0}, "no_merge": {"mean_miou": 0.25}}
+    monkeypatch.setattr(cli.ablate_mod, "ablate", lambda *args, **kwargs: rows)
+    out = tmp_path / "ablate.json"
+    assert cli_main(["ablate", "--axis", "components", "--out", str(out)]) == 0
+    assert out.read_bytes() == json.dumps(rows, indent=2).encode()
+    assert f"table written to {out}" in capsys.readouterr().out

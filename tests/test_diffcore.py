@@ -1,7 +1,10 @@
 """Engine-level oracles: primitive forward values, gradients vs central
 finite differences, optimizer behavior, and the checkpoint format."""
 
+import json
 import math
+import os
+import re
 import struct
 import tracemalloc
 import weakref
@@ -13,9 +16,10 @@ import pytest
 from solv import datagen, diffcore as dc
 from solv.diffcore import (
     ConfigError, FormatError, ParamStore, ShapeError, Tape, Tensor,
+    read_json_object, write_json,
 )
 
-from helpers import finite_diff
+from helpers import fail_writes_half_way, finite_diff
 
 
 class TestForwardValues:
@@ -719,3 +723,42 @@ class TestBinaryFormats:
         np.testing.assert_array_equal(records["w"], 1.0)
         store.load(path)
         assert store["empty"].data.shape == (3, 0)
+
+
+class TestJsonFiles:
+    def test_written_bytes_are_the_indented_json(self, tmp_path):
+        path = str(tmp_path / "r.json")
+        obj = {"b": [1, 2.5, None], "a": {"x": "\u00e9"}}
+        write_json(path, obj)
+        assert Path(path).read_bytes() == json.dumps(obj, indent=2).encode()
+        assert read_json_object(path) == obj
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ablate.json"
+        write_json(str(path), {"x": {"mean_miou": 0.5}})
+        before = path.read_bytes()
+        partial = fail_writes_half_way(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            write_json(str(path), {"y": {"mean_miou": 0.25}})
+        assert len(partial) == 1 and partial[0] > 0
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ablate.json"]
+
+    def test_unencodable_object_creates_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(str(tmp_path / "r.json"), {"x": object()})
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"model": ', "not valid JSON: Expecting value: line 1 column 11"),
+        (b"", "not valid JSON"),
+        (b'{"a": 1} x', "not valid JSON: Extra data"),
+        (b'{"a": "\xff"}', "not valid JSON"),
+        (b"[1, 2]", "root must be a JSON object"),
+        (b"null", "root must be a JSON object"),
+    ], ids=["truncated", "empty", "trailing", "not_utf8", "list_root", "null_root"])
+    def test_bad_file_is_a_config_error_naming_it(self, tmp_path, blob, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            read_json_object(str(path))

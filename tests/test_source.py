@@ -34,3 +34,23 @@ def test_no_module_starts_threads_or_processes():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in banned]
     assert not found, f"thread, process or queue imports: {found}"
+
+
+def test_json_files_go_through_diffcore():
+    """Every JSON file is parsed by ``diffcore.read_json_object`` and
+    written by ``diffcore.write_json``: no other module calls
+    ``json.load``, ``json.loads`` or ``json.dump`` (``json.dumps`` stays
+    free for the config digest and command output)."""
+    banned = {"load", "loads", "dump"}
+    found = []
+    for path in SOURCES:
+        if path.name == "diffcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in banned \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json":
+                found.append(f"{path.name}:{node.lineno} json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno} from json import {alias.name}"
+                          for alias in node.names if alias.name in banned]
+    assert not found, f"JSON read or written outside diffcore: {found}"

@@ -1,7 +1,5 @@
 """Training loop, inference, and orchestration at miniature scale."""
 
-import contextlib
-import errno
 import json
 import os
 import re
@@ -25,6 +23,8 @@ from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
     check_compatible, evaluate_clips, evaluate_dirs, load_pipeline, train,
 )
+
+from helpers import fail_writes_half_way
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -290,11 +290,6 @@ class TestTrainingFaults:
         latest = os.path.join(cfg.paths.checkpoint_dir, "latest.ckpt")
         blob = Path(latest).read_bytes()
         meta = Path(latest + ".meta.json").read_text()
-
-        def dump(obj, f):
-            f.write("{")
-            raise OSError("disk full")
-
         # the moments are written after every parameter, so this fails
         # part way through the file
         last = store.names()[-1]
@@ -302,9 +297,10 @@ class TestTrainingFaults:
         store.step += 1
         with pytest.raises(ValueError):
             store.save(latest)
-        monkeypatch.setattr(train_mod.json, "dump", dump)
-        with pytest.raises(OSError, match="disk full"):
+        partial = fail_writes_half_way(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
             train_mod._write_meta(latest, cfg, store, epoch=0)
+        assert len(partial) == 1 and partial[0] > 0
         assert Path(latest).read_bytes() == blob
         assert Path(latest + ".meta.json").read_text() == meta
         assert read_checkpoint(latest)[1] == store.step - 1
@@ -517,26 +513,7 @@ class TestEvaluateDirs:
         evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
                       str(report_path), "first")
         before = report_path.read_bytes()
-
-        real_atomic_write, partial = train_mod.atomic_write, []
-
-        class HalfWrite:
-            """Writes half of the bytes it is given, then runs out of space."""
-            def __init__(self, f):
-                self.f = f
-
-            def write(self, data):
-                self.f.write(data[:len(data) // 2])
-                self.f.flush()
-                partial.append(os.path.getsize(str(report_path) + ".tmp"))
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        @contextlib.contextmanager
-        def half_write_then_fail(path, mode="wb"):
-            with real_atomic_write(path, mode) as f:
-                yield HalfWrite(f)
-
-        monkeypatch.setattr(train_mod, "atomic_write", half_write_then_fail)
+        partial = fail_writes_half_way(monkeypatch)
         with pytest.raises(OSError, match="No space"):
             evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
                           str(report_path), "second")
