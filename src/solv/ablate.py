@@ -12,7 +12,7 @@ import numpy as np
 
 from . import datagen, objecthead
 from .config import RunConfig
-from .diffcore import Tape
+from .diffcore import ConfigError, Tape
 from .encoder import make_drop_plan
 from .model import Pipeline
 from .train import evaluate_clips, summarize, train
@@ -67,9 +67,35 @@ def peak_live_values(cfg: RunConfig) -> int:
     return tape.live_elements
 
 
+def _row_tags(axis: str, values) -> list[str]:
+    """The row-name stem of each swept value. Refuses what the sweep would
+    misread: any value for components; for slots and drop_ratio no value,
+    two values naming the same row, or a slot count that is not whole."""
+    if axis == "components":
+        if values:
+            raise ConfigError(f"ablation axis components takes no values, got {values}")
+        return []
+    if axis == "slots":
+        if any(not float(k).is_integer() for k in values):
+            raise ConfigError(f"slot counts must be whole numbers, got {values}")
+        tags = [f"k{int(k)}" for k in values]
+    elif axis == "drop_ratio":
+        tags = [f"r{float(r):g}" for r in values]
+    else:
+        raise ValueError(f"unknown ablation axis {axis!r}; "
+                         f"expected components, slots, or drop_ratio")
+    if not tags:
+        raise ConfigError(f"ablation axis {axis} needs at least one value")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"ablation axis {axis} values {values} name a row twice")
+    return tags
+
+
 def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int = 16) -> dict:
     """Train/evaluate each variant of one ablation axis; returns rows
     keyed by variant name, comparable across reruns."""
+    values = list(values)
+    tags = _row_tags(axis, values)
     rows = {}
     if axis == "components":
         for name, (merge, isa, temporal) in COMPONENT_VARIANTS.items():
@@ -78,21 +104,18 @@ def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int = 16) -> dict
                                use_temporal_binding=temporal)
             rows[f"model_{name}"] = _train_and_score(cfg, eval_clips)
     elif axis == "slots":
-        for k in values:
+        for k, tag in zip(values, tags):
             for merging in (False, True):
                 cfg = _variant_cfg(base_cfg, k_slots=int(k), use_merging=merging)
-                tag = f"k{int(k)}_{'merge' if merging else 'nomerge'}"
-                rows[tag] = _train_and_score(cfg, eval_clips)
-    elif axis == "drop_ratio":
-        for r in values:
+                rows[f"{tag}_{'merge' if merging else 'nomerge'}"] = \
+                    _train_and_score(cfg, eval_clips)
+    else:
+        for r, tag in zip(values, tags):
             cfg = copy.deepcopy(base_cfg)
             cfg.train.drop_ratio = float(r)
             row = _train_and_score(cfg, eval_clips)
             row["peak_live_values"] = peak_live_values(cfg)
-            rows[f"r{float(r):g}"] = row
-    else:
-        raise ValueError(f"unknown ablation axis {axis!r}; "
-                         f"expected components, slots, or drop_ratio")
+            rows[tag] = row
     return rows
 
 

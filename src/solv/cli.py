@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--axis", required=True,
                    choices=["components", "slots", "drop_ratio"])
     a.add_argument("--values", default="",
-                   help="comma-separated values (ignored for components)")
+                   help="comma-separated values (none for components)")
     a.add_argument("--config")
     a.add_argument("--out", help="JSON output path")
     a.add_argument("--eval-clips", type=int, default=16)
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

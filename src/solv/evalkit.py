@@ -1,13 +1,11 @@
 """Inference-time tracking and segmentation metrics.
 
-Hungarian assignment is solved exactly by the potentials (shortest
-augmenting path) method, each path step a numpy scan over all columns,
-and then refined to the lexicographically smallest optimal assignment so
-results are reproducible under ties. The refinement re-solves only for
-columns whose reduced cost under the first solve's optimal dual is
-within the tie tolerance; no other column can be part of an optimum.
-When those tight edges already form one full assignment, the optimum is
-unique and is returned from the first solve with no re-solve at all.
+Hungarian assignment is one exact solve by the potentials (shortest
+augmenting path) method, each path step a numpy scan over all columns.
+Among tied optima it returns the one the scans' first-minimum choices
+reach, so the same matrix always gives the same pairs. Callers need no
+more: mIoU depends only on the optimal total, and track linking only on
+an optimum that is the same for the same matrix.
 
 ``score_video`` is the one scoring path. It counts a video into one
 (frame, gt label, pred label) table of pixels with a single
@@ -33,15 +31,14 @@ from .objecthead import unit_rows
 # Assignment
 # ---------------------------------------------------------------------------
 
-def _solve_potentials(cost: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact minimum assignment of an R x C matrix with R <= C.
+def _solve_potentials(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum assignment of an R x C matrix with R <= C, as the
+    row matched to each column (-1 for the columns left free).
 
-    Returns the total and an optimal dual: row potentials ``u`` and
-    column potentials ``v <= 0`` with ``cost - u[:, None] - v >= 0``,
-    equality on the assignment found and ``v == 0`` on the columns it
-    leaves free. Rows are added one at a time by a shortest augmenting
-    path whose every step scans all columns as arrays; ``argmin`` takes
-    the first minimum, as a scan in column order does.
+    Rows are added one at a time by a shortest augmenting path whose
+    every step scans all columns as arrays, keeping row potentials ``u``
+    and column potentials ``v`` with ``cost - u[:, None] - v >= 0``;
+    ``argmin`` takes the first minimum, as a scan in column order does.
     """
     r, c = cost.shape
     u = np.zeros(r)
@@ -76,42 +73,14 @@ def _solve_potentials(cost: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             prev = way[j0]
             match[j0] = match[prev] if prev >= 0 else i
             j0 = prev
-    cols = (match >= 0).nonzero()[0]
-    # summed in column order, one addition at a time
-    total = sum(cost[match[cols], cols].tolist(), 0.0)
-    return float(total), u, v
-
-
-def _min_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum assignment total of any R x C matrix and its reduced costs.
-
-    Every edge of an assignment within ``tol`` of the minimum has a
-    reduced cost of at most ``tol`` (complementary slackness).
-    """
-    if 0 in cost.shape:
-        return 0.0, cost
-    if cost.shape[0] <= cost.shape[1]:
-        total, u, v = _solve_potentials(cost)
-        return total, cost - u[:, None] - v
-    total, u, v = _solve_potentials(cost.T)
-    return total, cost - v[:, None] - u
+    return match
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
-    """Minimum-cost assignment of size min(R, C) as (row, col) pairs.
-
-    Among optimal assignments, returns the one whose (row, col) sequence
-    is lexicographically smallest: row by row, the first column that
-    still completes to an optimum. Only columns whose reduced cost under
-    the first solve's dual is within the tie tolerance are tried.
-
-    Every edge of an assignment within ``tol`` of the optimum has a
-    reduced cost of at most ``tol`` (complementary slackness), so it is
-    made of tight edges only. When the tight edges themselves form an
-    assignment of size min(R, C), at most one per row and per column,
-    that assignment is the only optimum and the refinement would return
-    it; it is returned in row order without a re-solve.
-    """
+    """Minimum-cost assignment of size min(R, C) as (row, col) pairs,
+    sorted by row: one exact solve, of the transpose when there are more
+    rows than columns. Among tied optima the pairs are those the solve's
+    first-minimum scans reach, the same result for the same matrix."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
@@ -119,38 +88,11 @@ def hungarian(cost) -> list[tuple[int, int]]:
         return []
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    best, reduced = _min_assignment(cost)
-    tol = 1e-9 * max(1.0, abs(best))
-    target = min(cost.shape)
-    # nonzero lists rows ascending: strictly ascending is one edge per row
-    tight_rows, tight_cols = (reduced <= tol).nonzero()
-    if tight_rows.size == target and np.unique(tight_cols).size == target \
-            and (tight_rows[1:] > tight_rows[:-1]).all():
-        return list(zip(tight_rows.tolist(), tight_cols.tolist()))
-    rows = list(range(cost.shape[0]))
-    cols = list(range(cost.shape[1]))
-    pairs: list[tuple[int, int]] = []
-    fixed = 0.0
-    while rows and cols and len(pairs) < target:
-        r = rows[0]
-        rest = rows[1:]
-        chosen = -1
-        for c in cols:
-            if reduced[r, c] > tol:
-                continue
-            sub = cost[rest][:, [cc for cc in cols if cc != c]]
-            if abs(fixed + cost[r, c] + _min_assignment(sub)[0] - best) <= tol:
-                chosen = c
-                break
-        if chosen < 0:
-            # only possible with more rows than columns: this row sits out
-            rows.pop(0)
-            continue
-        pairs.append((r, chosen))
-        fixed += cost[r, chosen]
-        rows.pop(0)
-        cols.remove(chosen)
-    return pairs
+    tall = cost.shape[0] > cost.shape[1]
+    match = _solve_potentials(cost.T if tall else cost)
+    matched = (match >= 0).nonzero()[0]
+    rows, cols = (matched, match[matched]) if tall else (match[matched], matched)
+    return sorted(zip(map(int, rows), map(int, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,4 +282,4 @@ def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
     ari, skipped = mean_fg_ari(table, gt_ids)
     return {"fg_ari": ari, "miou": video_miou(table.sum(axis=0), gt_ids),
             "skipped_frames": skipped,
-            "k_t_histogram": dict(Counter(np.count_nonzero(table.sum(axis=1), axis=1).tolist()))}
+            "k_t_histogram": dict(Counter(map(int, np.count_nonzero(table.sum(axis=1), axis=1))))}

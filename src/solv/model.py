@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binding, encoder, objecthead
+from . import binding, encoder, evalkit, objecthead
 from . import diffcore as dc
 from .config import RunConfig
 from .diffcore import ParamStore, Tensor
@@ -200,8 +200,6 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     slot labels every pixel 0. Returns (tracked segmentation, per-frame
     slot counts).
     """
-    from . import evalkit
-
     cfg = pipe.cfg
     d, m = cfg.data, cfg.model
     features = np.asarray(features)

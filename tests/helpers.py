@@ -121,16 +121,15 @@ def finite_diff(f, tensors, h=1e-5, rng=None, max_coords=40):
 
 
 # ---------------------------------------------------------------------------
-# Reference assignment solver: a pure-Python potentials solve per call and a
-# full re-solve for every candidate column of the lexicographic refinement.
-# evalkit.hungarian must return exactly the pairs this returns.
+# Reference assignment solver: the potentials solve as a pure-Python loop
+# over columns, one column at a time. evalkit.hungarian scans the columns
+# as arrays and must return exactly the pairs this returns, ties included.
 # ---------------------------------------------------------------------------
 
-def _solve_potentials(cost: np.ndarray) -> float:
-    """Exact minimum assignment total for an R x C matrix with R <= C."""
+def _solve_potentials(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum assignment for an R x C matrix with R <= C, as the
+    1-based row matched to each 1-based column (0 free; entry 0 unused)."""
     r, c = cost.shape
-    if r == 0 or c == 0:
-        return 0.0
     u = np.zeros(r + 1)
     v = np.zeros(c + 1)
     match = np.zeros(c + 1, dtype=np.int64)  # column -> row (1-based), 0 free
@@ -168,27 +167,12 @@ def _solve_potentials(cost: np.ndarray) -> float:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    total = 0.0
-    for j in range(1, c + 1):
-        if match[j] != 0:
-            total += cost[match[j] - 1, j - 1]
-    return float(total)
-
-
-def _optimal_total(cost: np.ndarray) -> float:
-    if cost.size == 0 or 0 in cost.shape:
-        return 0.0
-    if cost.shape[0] <= cost.shape[1]:
-        return _solve_potentials(cost)
-    return _solve_potentials(cost.T)
+    return match
 
 
 def reference_hungarian(cost) -> list[tuple[int, int]]:
-    """Minimum-cost assignment of size min(R, C) as (row, col) pairs.
-
-    Among optimal assignments, returns the one whose (row, col) sequence
-    is lexicographically smallest.
-    """
+    """Minimum-cost assignment of size min(R, C) as (row, col) pairs,
+    sorted by row; tall matrices are solved transposed."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
@@ -196,31 +180,10 @@ def reference_hungarian(cost) -> list[tuple[int, int]]:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
-    best = _optimal_total(cost)
-    tol = 1e-9 * max(1.0, abs(best))
-    rows = list(range(cost.shape[0]))
-    cols = list(range(cost.shape[1]))
-    pairs: list[tuple[int, int]] = []
-    fixed = 0.0
-    target = min(cost.shape)
-    while rows and cols and len(pairs) < target:
-        r = rows[0]
-        rest = rows[1:]
-        chosen = -1
-        for c in cols:
-            sub = cost[np.ix_(rest, [cc for cc in cols if cc != c])]
-            if abs(fixed + cost[r, c] + _optimal_total(sub) - best) <= tol:
-                chosen = c
-                break
-        if chosen < 0:
-            # only possible with more rows than columns: this row sits out
-            rows.pop(0)
-            continue
-        pairs.append((r, chosen))
-        fixed += cost[r, chosen]
-        rows.pop(0)
-        cols.remove(chosen)
-    return pairs
+    tall = cost.shape[0] > cost.shape[1]
+    match = _solve_potentials(cost.T if tall else cost)
+    pairs = [(int(match[j]) - 1, j - 1) for j in range(1, len(match)) if match[j]]
+    return sorted((c, r) if tall else (r, c) for r, c in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import pytest
 
+from solv import ablate as ablate_mod
 from solv.ablate import (
     COMPONENT_VARIANTS, ablate, format_table, peak_live_values,
 )
+from solv.cli import main as cli_main
+from solv.diffcore import ConfigError
 from test_train import tiny_cfg
 
 
@@ -34,6 +37,27 @@ class TestAxes:
     def test_unknown_axis(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):
             ablate("widgets", [], tiny_cfg(tmp_path))
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("components", [7], "takes no values"),
+        ("slots", [], "needs at least one value"),
+        ("drop_ratio", [], "needs at least one value"),
+        ("slots", [2, 3, 2], "name a row twice"),
+        ("drop_ratio", [0.5, 0.5], "name a row twice"),
+        ("slots", [2.5, 3.9], "whole numbers"),
+    ])
+    def test_values_the_sweep_would_misread_are_refused(self, tmp_path, monkeypatch,
+                                                        capsys, axis, values, message):
+        trained = []
+        monkeypatch.setattr(ablate_mod, "_train_and_score",
+                            lambda cfg, eval_clips: trained.append(cfg) or {})
+        with pytest.raises(ConfigError, match=message):
+            ablate(axis, values, tiny_cfg(tmp_path))
+        argv = ["ablate", "--axis", axis]
+        argv += ["--values", ",".join(map(str, values))] if values else []
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not trained
 
     def test_rerun_determinism(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", **{"train.epochs": 1, "data.clip_count": 4})

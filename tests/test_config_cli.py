@@ -209,6 +209,14 @@ class TestValueTypes:
         assert message.format(path=path) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_a_directory_for_a_json_file_exits_2(self, tmp_path, capsys, command):
+        argv = {"gen": ["gen", "--out", str(tmp_path / "out"), "--spec"],
+                "train": ["train", "--config"]}[command]
+        assert cli_main(argv + [str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
 
 class TestLrSchedule:
     def _sched(self, total=200):

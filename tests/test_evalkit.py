@@ -40,24 +40,6 @@ def brute_force_min_assignment(cost: np.ndarray) -> float:
     return best
 
 
-def brute_force_lex_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
-    """The lexicographically smallest (row, col) sequence among all
-    minimum-total maximal assignments, by exhaustive search."""
-    r, c = cost.shape
-    if r <= c:
-        candidates = ([(i, perm[i]) for i in range(r)]
-                      for perm in itertools.permutations(range(c), r))
-    else:
-        candidates = (sorted((perm[j], j) for j in range(c))
-                      for perm in itertools.permutations(range(r), c))
-    best_total, best_pairs = np.inf, None
-    for pairs in candidates:
-        total = sum(cost[i, j] for i, j in pairs)
-        if total < best_total or (total == best_total and pairs < best_pairs):
-            best_total, best_pairs = total, pairs
-    return best_pairs
-
-
 def mask_loop_ari(a, b) -> float:
     """ARI with its contingency table counted one boolean mask per cell."""
     a = np.asarray(a).ravel()
@@ -231,23 +213,23 @@ class TestHungarian:
         assert assignment_total(cost, pairs) == pytest.approx(
             brute_force_min_assignment(cost), abs=1e-12)
 
-    def test_lexicographic_tie_break(self):
-        # all-equal costs: every assignment optimal; identity is smallest
+    def test_all_equal_costs_give_identity(self):
+        # every assignment is optimal; the first-minimum scans pick the diagonal
         assert hungarian(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
-        # two optima tie: (0,1),(1,0) vs (0,0),(1,1) both cost 2
-        pairs = hungarian(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert pairs == [(0, 0), (1, 1)]
+        assert hungarian(np.ones((2, 2))) == [(0, 0), (1, 1)]
 
     @pytest.mark.parametrize("tall", [False, True])
     def test_lexicographic_optimum_on_tie_heavy_matrices(self, tall):
+        """Integer costs in 0-3 tie often: the pairs are exactly the
+        reference solve's and their total the brute-force minimum."""
         rng = np.random.default_rng(7 + tall)
         for _ in range(40):
             short = int(rng.integers(1, 6))
             shape = (short, int(rng.integers(short + 1, 7)))
             cost = rng.integers(0, 4, size=shape[::-1] if tall else shape).astype(float)
-            want = brute_force_lex_assignment(cost)
-            assert hungarian(cost) == want
-            assert reference_hungarian(cost) == want
+            pairs = hungarian(cost)
+            assert pairs == reference_hungarian(cost)
+            assert assignment_total(cost, pairs) == brute_force_min_assignment(cost)
 
     @pytest.mark.parametrize("rows, cols, ties", [
         (4, 71, False), (4, 71, True), (71, 4, True),
@@ -261,17 +243,22 @@ class TestHungarian:
             cost = rng.random((rows, cols))
         assert hungarian(cost) == reference_hungarian(cost)
 
-    def test_matches_reference_solver_on_dense_track_iou(self):
-        for pred, gt in dense_track_videos(4):
+    @staticmethod
+    def _dense_track_iou(n):
+        """Whole-video (object, track) IoU of ``n`` dense-track videos."""
+        for pred, gt in dense_track_videos(n):
             objects = [g for g in np.unique(gt) if g > 0]
-            tracks = np.unique(pred)
-            iou = np.array([[np.sum((gt == g) & (pred == t)) / np.sum((gt == g) | (pred == t))
-                             for t in tracks] for g in objects])
+            yield np.array([[np.sum((gt == g) & (pred == t)) / np.sum((gt == g) | (pred == t))
+                             for t in np.unique(pred)] for g in objects])
+
+    def test_matches_reference_solver_on_dense_track_iou(self):
+        for iou in self._dense_track_iou(4):
             assert iou.shape[1] > 30
             assert hungarian(1.0 - iou) == reference_hungarian(1.0 - iou)
 
-    @staticmethod
-    def _counting_solves(monkeypatch):
+    def test_one_solve_per_call(self, monkeypatch):
+        """Ties are not refined: tie-heavy integer costs, all-equal costs
+        and dense-track IoU each take exactly one solve."""
         real, calls = evalkit._solve_potentials, []
 
         def counted(cost):
@@ -279,52 +266,14 @@ class TestHungarian:
             return real(cost)
 
         monkeypatch.setattr(evalkit, "_solve_potentials", counted)
-        return calls
-
-    # share of 40 continuous cost draws solved once, at least; measured
-    # 1.0, 0.19, 0.92 and 0.93 over 400 draws
-    @pytest.mark.parametrize("shape, least_share", [
-        ((1, 1), 1.0), ((3, 3), 0.1), ((4, 60), 0.8), ((60, 4), 0.8)])
-    def test_unique_optimum_is_kept_from_the_first_solve(self, shape, least_share,
-                                                         monkeypatch):
-        """Continuous costs have one optimum. When the first solve's tight
-        edges are that one assignment, nothing is re-solved: always on
-        1 x 1 and mostly on wide or tall matrices. On square ones the
-        first solve's dual mostly leaves extra tight edges, and the
-        refinement runs."""
-        rng = np.random.default_rng(sum(shape))
-        calls = self._counting_solves(monkeypatch)
-        one_solve = 0
-        for _ in range(40):
-            cost = rng.random(shape)
+        rng = np.random.default_rng(0)
+        costs = [rng.integers(0, 4, size=shape).astype(float)
+                 for shape in [(3, 3), (4, 71), (71, 4), (24, 24)]]
+        costs += [np.ones((5, 5))] + [1.0 - iou for iou in self._dense_track_iou(4)]
+        for cost in costs:
             calls.clear()
             assert hungarian(cost) == reference_hungarian(cost)
-            one_solve += len(calls) == 1
-        assert one_solve >= least_share * 40
-
-    def test_dense_track_iou_takes_one_solve(self, monkeypatch):
-        calls = self._counting_solves(monkeypatch)
-        for pred, gt in dense_track_videos(4):
-            objects = [g for g in np.unique(gt) if g > 0]
-            tracks = np.unique(pred)
-            iou = np.array([[np.sum((gt == g) & (pred == t)) / np.sum((gt == g) | (pred == t))
-                             for t in tracks] for g in objects])
-            calls.clear()
-            assert hungarian(1.0 - iou) == reference_hungarian(1.0 - iou)
-            assert len(calls) == 1
-
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 71), (71, 4), (24, 24)])
-    def test_ties_are_refined(self, shape, monkeypatch):
-        """Integer costs tie: the tight edges are more than one assignment,
-        so the refinement re-solves and picks the lexicographic optimum."""
-        rng = np.random.default_rng(sum(shape) + 1)
-        cost = rng.integers(0, 4, size=shape).astype(float)
-        calls = self._counting_solves(monkeypatch)
-        assert hungarian(cost) == reference_hungarian(cost)
-        assert len(calls) > 1
-        calls.clear()
-        assert hungarian(np.ones(shape)) == [(i, i) for i in range(min(shape))]
-        assert len(calls) > 1
+            assert calls == [tuple(sorted(cost.shape))]  # one solve, short side first
 
 
 class TestLinkTracks:

@@ -54,3 +54,15 @@ def test_json_files_go_through_diffcore():
                 found += [f"{path.name}:{node.lineno} from json import {alias.name}"
                           for alias in node.names if alias.name in banned]
     assert not found, f"JSON read or written outside diffcore: {found}"
+
+
+def test_imports_are_at_module_level():
+    """No function imports: every import is at the top of its module, where
+    the dependencies between modules can be read."""
+    found = [f"{path.name}:{inner.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside functions: {found}"
