@@ -6,7 +6,8 @@ directly comparable and reruns are identical.
 
 from __future__ import annotations
 
-import copy
+import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,11 +28,40 @@ COMPONENT_VARIANTS = {
 }
 
 
-def _variant_cfg(base: RunConfig, **model_overrides) -> RunConfig:
-    cfg = copy.deepcopy(base)
-    for key, value in model_overrides.items():
-        setattr(cfg.model, key, value)
-    return cfg
+def variants(axis: str, values, base: RunConfig) -> dict[str, RunConfig]:
+    """The validated config of each row of one ablation axis, keyed by
+    row name; each row trains into ``<checkpoint_dir>/<row name>``.
+    Refuses what the sweep would misread: any value for components; for
+    slots and drop_ratio no value, two values naming the same row, or a
+    slot count that is not whole."""
+    values = list(values)
+    if axis == "components":
+        if values:
+            raise ConfigError(f"ablation axis components takes no values, got {values}")
+        rows = [(f"model_{name}", "model", dict(use_merging=merge, use_invariant_attention=isa,
+                                               use_temporal_binding=temporal))
+                for name, (merge, isa, temporal) in COMPONENT_VARIANTS.items()]
+    elif axis == "slots":
+        if any(not float(k).is_integer() for k in values):
+            raise ConfigError(f"slot counts must be whole numbers, got {values}")
+        rows = [(f"k{int(k)}_{'merge' if merging else 'nomerge'}", "model",
+                 dict(k_slots=int(k), use_merging=merging))
+                for k in values for merging in (False, True)]
+    elif axis == "drop_ratio":
+        rows = [(f"r{float(r):g}", "train", dict(drop_ratio=float(r))) for r in values]
+    else:
+        raise ValueError(f"unknown ablation axis {axis!r}; "
+                         f"expected components, slots, or drop_ratio")
+    if not rows:
+        raise ConfigError(f"ablation axis {axis} needs at least one value")
+    if len({name for name, _, _ in rows}) < len(rows):
+        raise ConfigError(f"ablation axis {axis} values {values} name a row twice")
+    table = {}
+    for name, section, fields in rows:
+        paths = replace(base.paths, checkpoint_dir=os.path.join(base.paths.checkpoint_dir, name))
+        changed = {section: replace(getattr(base, section), **fields)}
+        table[name] = replace(base, paths=paths, **changed).validate()
+    return table
 
 
 def _train_and_score(cfg: RunConfig, eval_clips: int) -> dict:
@@ -50,72 +80,30 @@ def _train_and_score(cfg: RunConfig, eval_clips: int) -> dict:
 
 def peak_live_values(cfg: RunConfig) -> int:
     """Recorded forward-pass value count for one clip at the config's
-    drop ratio (memory proxy for the drop-ratio sweep)."""
+    drop ratio (memory proxy for the drop-ratio sweep). It depends only
+    on shapes, so the clip's features are zeros."""
     d = cfg.data
-    spec = datagen.random_scene(
-        d.seed, (d.canvas_h, d.canvas_w), d.patch, d.frames,
-        (d.sprite_min, d.sprite_max))
-    oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
-    clip = datagen.render_clip(spec, oracle)
-    pipe = Pipeline(cfg)
+    features = np.zeros((d.frames, d.n_tokens, d.d_features))
     kept = make_drop_plan(d.frames, d.n_tokens, cfg.train.drop_ratio, d.seed)
     tape = Tape()
     with tape:
-        out = pipe.forward_window(clip.features, np.ones(d.frames, bool),
-                                  kept, apply_merge=False)
-        objecthead.reconstruction_loss(out.decoded.y, clip.features[clip.center])
+        out = Pipeline(cfg).forward_window(features, np.ones(d.frames, bool),
+                                           kept, apply_merge=False)
+        objecthead.reconstruction_loss(out.decoded.y, features[d.frames // 2])
     return tape.live_elements
-
-
-def _row_tags(axis: str, values) -> list[str]:
-    """The row-name stem of each swept value. Refuses what the sweep would
-    misread: any value for components; for slots and drop_ratio no value,
-    two values naming the same row, or a slot count that is not whole."""
-    if axis == "components":
-        if values:
-            raise ConfigError(f"ablation axis components takes no values, got {values}")
-        return []
-    if axis == "slots":
-        if any(not float(k).is_integer() for k in values):
-            raise ConfigError(f"slot counts must be whole numbers, got {values}")
-        tags = [f"k{int(k)}" for k in values]
-    elif axis == "drop_ratio":
-        tags = [f"r{float(r):g}" for r in values]
-    else:
-        raise ValueError(f"unknown ablation axis {axis!r}; "
-                         f"expected components, slots, or drop_ratio")
-    if not tags:
-        raise ConfigError(f"ablation axis {axis} needs at least one value")
-    if len(set(tags)) < len(tags):
-        raise ConfigError(f"ablation axis {axis} values {values} name a row twice")
-    return tags
 
 
 def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int = 16) -> dict:
     """Train/evaluate each variant of one ablation axis; returns rows
-    keyed by variant name, comparable across reruns."""
-    values = list(values)
-    tags = _row_tags(axis, values)
+    keyed by variant name, comparable across reruns. Every row's config
+    is built and checked before the first row trains."""
+    if eval_clips < 1:
+        raise ConfigError(f"eval_clips must be >= 1, got {eval_clips}")
     rows = {}
-    if axis == "components":
-        for name, (merge, isa, temporal) in COMPONENT_VARIANTS.items():
-            cfg = _variant_cfg(base_cfg, use_merging=merge,
-                               use_invariant_attention=isa,
-                               use_temporal_binding=temporal)
-            rows[f"model_{name}"] = _train_and_score(cfg, eval_clips)
-    elif axis == "slots":
-        for k, tag in zip(values, tags):
-            for merging in (False, True):
-                cfg = _variant_cfg(base_cfg, k_slots=int(k), use_merging=merging)
-                rows[f"{tag}_{'merge' if merging else 'nomerge'}"] = \
-                    _train_and_score(cfg, eval_clips)
-    else:
-        for r, tag in zip(values, tags):
-            cfg = copy.deepcopy(base_cfg)
-            cfg.train.drop_ratio = float(r)
-            row = _train_and_score(cfg, eval_clips)
-            row["peak_live_values"] = peak_live_values(cfg)
-            rows[tag] = row
+    for name, cfg in variants(axis, values, base_cfg).items():
+        rows[name] = _train_and_score(cfg, eval_clips)
+        if axis == "drop_ratio":
+            rows[name]["peak_live_values"] = peak_live_values(cfg)
     return rows
 
 

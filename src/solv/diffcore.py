@@ -171,8 +171,9 @@ def read_json_object(path: str) -> dict:
 
 def write_json(path: str, obj) -> None:
     """Write ``obj`` to ``path`` as indented JSON, encoded first and then
-    written atomically in one write."""
+    written atomically in one write; creates ``path``'s directory."""
     blob = json.dumps(obj, indent=2).encode()
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with atomic_write(path) as f:
         f.write(blob)
 

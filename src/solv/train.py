@@ -229,8 +229,5 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
         })
     report = {"videos": videos, **summarize(videos), "config_digest": config_digest}
     if report_path:
-        report_dir = os.path.dirname(report_path)
-        if report_dir and not os.path.isdir(report_dir):
-            os.makedirs(report_dir, exist_ok=True)
         write_json(report_path, report)
     return report

@@ -1,5 +1,7 @@
 """Ablation sweep plumbing at miniature scale."""
 
+from pathlib import Path
+
 import pytest
 
 from solv import ablate as ablate_mod
@@ -8,6 +10,7 @@ from solv.ablate import (
 )
 from solv.cli import main as cli_main
 from solv.diffcore import ConfigError
+from solv.train import load_pipeline, train
 from test_train import tiny_cfg
 
 
@@ -45,6 +48,8 @@ class TestAxes:
         ("slots", [2, 3, 2], "name a row twice"),
         ("drop_ratio", [0.5, 0.5], "name a row twice"),
         ("slots", [2.5, 3.9], "whole numbers"),
+        ("slots", [4, 0], "model.k_slots must be >= 1"),
+        ("drop_ratio", [0.25, float("nan")], "train.drop_ratio must lie in"),
     ])
     def test_values_the_sweep_would_misread_are_refused(self, tmp_path, monkeypatch,
                                                         capsys, axis, values, message):
@@ -58,6 +63,39 @@ class TestAxes:
         assert cli_main(argv) == 2
         assert message in capsys.readouterr().err
         assert not trained
+
+    @pytest.mark.parametrize("eval_clips", [0, -5])
+    def test_eval_clips_below_one_are_refused(self, tmp_path, monkeypatch, capsys,
+                                              eval_clips):
+        trained = []
+        monkeypatch.setattr(ablate_mod, "_train_and_score",
+                            lambda cfg, eval_clips: trained.append(cfg) or {})
+        with pytest.raises(ConfigError, match="eval_clips must be >= 1"):
+            ablate("components", [], tiny_cfg(tmp_path), eval_clips=eval_clips)
+        argv = ["ablate", "--axis", "components", "--eval-clips", str(eval_clips)]
+        assert cli_main(argv) == 2
+        assert "eval_clips must be >= 1" in capsys.readouterr().err
+        assert not trained
+
+    def test_rows_train_into_their_own_directories(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, **{"train.epochs": 1, "data.clip_count": 4})
+        train(cfg)
+        ckpt = Path(cfg.paths.checkpoint_dir)
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        assert {"final.ckpt", "final.ckpt.meta.json"} <= set(before)
+        rows = ablate("drop_ratio", [0.0, 0.5], cfg, eval_clips=1)
+        after = {p.name: p.read_bytes() for p in ckpt.iterdir() if p.is_file()}
+        assert after == before
+        for name in rows:
+            assert (ckpt / name / "final.ckpt").is_file()
+        load_pipeline(cfg, str(ckpt / "final.ckpt"))
+
+    def test_peak_live_values_depend_on_shapes_only(self, tmp_path):
+        # the counts a rendered clip of this config gives at these drop ratios
+        counts = {0.0: 49477, 0.5: 39661}
+        for ratio, count in counts.items():
+            cfg = tiny_cfg(tmp_path, **{"train.drop_ratio": ratio})
+            assert peak_live_values(cfg) == count
 
     def test_rerun_determinism(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", **{"train.epochs": 1, "data.clip_count": 4})

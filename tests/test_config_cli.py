@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from solv import cli, datagen
+from solv.ablate import variants
 from solv.cli import main as cli_main
 from solv.config import (
     _RANGES, _SECTIONS, LrSchedule, RunConfig, config_from_dict, load_config,
@@ -325,7 +327,7 @@ class TestCliRoundTrip:
         masks[0, 0, 0] = 1  # ensure some foreground
         datagen.write_masks(str(gt_dir / "v0.mask"), masks)
         datagen.write_masks(str(pred_dir / "v0.mask"), masks)
-        report_path = str(tmp_path / "r.json")
+        report_path = str(tmp_path / "new" / "dir" / "r.json")
         assert cli_main(["evaluate", "--pred", str(pred_dir), "--gt",
                          str(gt_dir), "--report", report_path]) == 0
         report = json.loads(Path(report_path).read_text())
@@ -479,7 +481,23 @@ def test_infer_passes_features_as_read(tmp_path, monkeypatch, precision):
 def test_ablate_writes_its_table_as_indented_json(tmp_path, monkeypatch, capsys):
     rows = {"full": {"mean_miou": 0.5, "mean_k_t": 2.0}, "no_merge": {"mean_miou": 0.25}}
     monkeypatch.setattr(cli.ablate_mod, "ablate", lambda *args, **kwargs: rows)
-    out = tmp_path / "ablate.json"
+    out = tmp_path / "new" / "dir" / "ablate.json"
     assert cli_main(["ablate", "--axis", "components", "--out", str(out)]) == 0
     assert out.read_bytes() == json.dumps(rows, indent=2).encode()
     assert f"table written to {out}" in capsys.readouterr().out
+
+
+def test_readme_cli_block_parses():
+    """Every ``solv`` line of the README's CLI block parses, and each
+    ablate line's variant table builds from the default config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("solv ")]
+    assert len(commands) == len([line for line in lines if line])
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command == "ablate":
+            values = [float(v) for v in args.values.split(",")] if args.values else []
+            assert variants(args.axis, values, RunConfig())
