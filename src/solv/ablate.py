@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import datagen, objecthead
-from .config import RunConfig
+from .config import DataConfig, RunConfig
 from .diffcore import ConfigError, Tape
 from .encoder import make_drop_plan
 from .model import Pipeline
@@ -64,15 +64,17 @@ def variants(axis: str, values, base: RunConfig) -> dict[str, RunConfig]:
     return table
 
 
+def _val_specs(d: DataConfig) -> list:
+    return datagen.dataset_split(d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch,
+                                 d.frames, (d.sprite_min, d.sprite_max))[1]
+
+
 def _train_and_score(cfg: RunConfig, eval_clips: int) -> dict:
     store, _ = train(cfg)
     pipe = Pipeline(cfg, store)
     d = cfg.data
-    _, val_specs = datagen.dataset_split(
-        d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,
-        (d.sprite_min, d.sprite_max))
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
-    per_video = evaluate_clips(pipe, val_specs[:eval_clips], oracle)
+    per_video = evaluate_clips(pipe, _val_specs(d)[:eval_clips], oracle)
     row = summarize(per_video)
     row["mean_k_t"] = float(np.mean([v["mean_k_t"] for v in per_video]))
     return row
@@ -96,11 +98,15 @@ def peak_live_values(cfg: RunConfig) -> int:
 def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int = 16) -> dict:
     """Train/evaluate each variant of one ablation axis; returns rows
     keyed by variant name, comparable across reruns. Every row's config
-    is built and checked before the first row trains."""
+    and ``eval_clips`` are checked before the first row trains."""
     if eval_clips < 1:
         raise ConfigError(f"eval_clips must be >= 1, got {eval_clips}")
+    table = variants(axis, values, base_cfg)
+    n_val = len(_val_specs(base_cfg.data))
+    if eval_clips > n_val:
+        raise ConfigError(f"eval_clips {eval_clips} exceeds the {n_val} validation clips")
     rows = {}
-    for name, cfg in variants(axis, values, base_cfg).items():
+    for name, cfg in table.items():
         rows[name] = _train_and_score(cfg, eval_clips)
         if axis == "drop_ratio":
             rows[name]["peak_live_values"] = peak_live_values(cfg)

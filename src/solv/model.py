@@ -1,6 +1,6 @@
 """Pipeline assembly: parameter initialization and window-level forward.
 
-One forward covers a (2n+1)-frame window in two stages: per frame,
+One forward covers a ``data.frames``-frame window in two stages: per frame,
 encode the frame with token drop and bind it spatially from the shared
 slot initialization; per window, relate slots temporally and merge them,
 then decode the center frame over the full grid. The decoder places each
@@ -50,7 +50,7 @@ def param_shapes(cfg: RunConfig) -> dict:
     m, d = cfg.model, cfg.data
     shapes = {"enc.proj." + name: shape for name, shape in
               encoder.projection_param_shapes(d.d_features, m.d_slot).items()}
-    shapes.update(binding.binding_param_shapes(m.d_slot, m.k_slots, m.window))
+    shapes.update(binding.binding_param_shapes(m.d_slot, m.k_slots, d.frames))
     shapes.update(binding.transformer_param_shapes(m.d_slot, m.transformer_layers))
     shapes.update(objecthead.decoder_param_shapes(
         m.d_slot, d.n_tokens, d.d_features, m.decoder_hidden, m.decoder_layers))
@@ -234,12 +234,12 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     if m.use_temporal_binding:
         # window t holds video frames t - n .. t + n, which are rows
         # t .. t + 2n of the video padded with n zero frames at each end
-        n = m.n_window
+        n = d.frames // 2
         padded = np.zeros((f_total + 2 * n,) + slots.shape[1:], slots.dtype)
         padded[n:n + f_total] = slots
         centers = np.empty_like(slots)
         for s in range(0, f_total, CHUNK):
-            rows = np.arange(s, min(s + CHUNK, f_total))[:, None] + np.arange(m.window)
+            rows = np.arange(s, min(s + CHUNK, f_total))[:, None] + np.arange(d.frames)
             windows = np.ascontiguousarray(padded[rows].transpose(0, 2, 1, 3))
             available = (rows >= n) & (rows < n + f_total)
             centers[s:s + len(rows)] = pipe.bind_windows(Tensor(windows), available).data

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, evalkit, objecthead
-from .config import LrSchedule, RunConfig
+from .config import RunConfig, learning_rate
 from .diffcore import ConfigError, ParamStore, Tape, read_json_object, write_json
 from .encoder import make_drop_plan
 from .model import Pipeline, infer_video, init_params, param_shapes
@@ -49,8 +49,7 @@ def check_compatible(ckpt_path: str, cfg: RunConfig) -> None:
     """Refuse checkpoints trained under a different configuration."""
     meta_path = ckpt_path + ".meta.json"
     if not os.path.exists(meta_path):
-        log.warning("no sidecar metadata for %s; skipping digest check", ckpt_path)
-        return
+        raise ConfigError(f"{meta_path}: missing; a checkpoint loads only with its sidecar")
     meta = read_json_object(meta_path)
     if meta.get("config_digest") != cfg.digest():
         raise ConfigError(
@@ -69,6 +68,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
     ``final.ckpt`` at the end; each sidecar holds its last step's epoch.
     """
     cfg.validate()
+    if max_steps is not None and max_steps < 1:
+        raise ConfigError(f"max_steps must be >= 1, got {max_steps}")
     d, tr = cfg.data, cfg.train
     train_specs, _ = datagen.dataset_split(
         d.seed, d.clip_count, (d.canvas_h, d.canvas_w), d.patch, d.frames,
@@ -82,7 +83,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
     total_steps = tr.epochs * steps_per_epoch
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
-    sched = LrSchedule.from_config(tr, total_steps)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([d.seed, 0x5FF1]))
     gate_rng = np.random.default_rng(np.random.SeedSequence([d.seed, 0x6A7E]))
@@ -99,7 +99,7 @@ def train(cfg: RunConfig, max_steps: int | None = None,
         if b == 0:
             order = shuffle_rng.permutation(len(train_specs))
             epoch_losses, epoch_k_t = [], {}
-        lr = sched.lr(step)
+        lr = learning_rate(tr, total_steps, step)
         losses = []
         for ci, i in enumerate(order[b * batch:(b + 1) * batch]):
             clip = datagen.render_clip(train_specs[i], oracle)

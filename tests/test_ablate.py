@@ -77,6 +77,20 @@ class TestAxes:
         assert "eval_clips must be >= 1" in capsys.readouterr().err
         assert not trained
 
+    def test_eval_clips_beyond_the_validation_clips_are_refused(self, tmp_path,
+                                                               monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(ablate_mod, "_train_and_score",
+                            lambda cfg, eval_clips: trained.append(cfg) or {})
+        cfg = tiny_cfg(tmp_path, **{"data.clip_count": 20})
+        with pytest.raises(ConfigError, match="eval_clips 3 exceeds the 2 validation clips"):
+            ablate("components", [], cfg, eval_clips=3)
+        assert cli_main(["ablate", "--axis", "components", "--eval-clips", "100"]) == 2
+        assert "eval_clips 100 exceeds the 57 validation clips" in capsys.readouterr().err
+        assert not trained
+        assert list(ablate("components", [], cfg, eval_clips=2)) == [
+            f"model_{v}" for v in "ABCDE"]
+
     def test_rows_train_into_their_own_directories(self, tmp_path):
         cfg = tiny_cfg(tmp_path, **{"train.epochs": 1, "data.clip_count": 4})
         train(cfg)

@@ -345,7 +345,7 @@ class TestStructuralChecks:
             cfg.train.warmup_fraction == 0.05,
             cfg.train.peak_lr == 4e-4,
             cfg.model.tau_merge == 0.12,
-            cfg.model.n_window == 2,
+            cfg.data.frames == 5,
             cfg.model.k_slots == 8,
         ])
         ok = budget_ok and defaults_ok

@@ -14,10 +14,11 @@ from solv import cli, datagen
 from solv.ablate import variants
 from solv.cli import main as cli_main
 from solv.config import (
-    _RANGES, _SECTIONS, LrSchedule, RunConfig, config_from_dict, load_config,
+    _RANGES, _SECTIONS, RunConfig, TrainConfig, config_from_dict, learning_rate,
+    load_config,
 )
 from solv.diffcore import ConfigError
-from solv.model import init_params
+from solv.model import init_params, param_shapes
 from solv.train import load_pipeline
 
 
@@ -32,7 +33,6 @@ class TestDefaults:
         assert cfg.model.decoder_layers == 5
         assert cfg.model.decoder_hidden == 1024
         assert cfg.model.tau_merge == 0.12
-        assert cfg.model.n_window == 2
         assert cfg.model.k_slots == 8
 
     def test_train_defaults_match_contract(self):
@@ -49,9 +49,7 @@ class TestDefaults:
         assert cfg.data.d_features == 64
         assert cfg.data.seed == 17
         assert cfg.data.n_tokens == 256
-
-    def test_window_arithmetic(self):
-        assert RunConfig().model.window == 5
+        assert cfg.data.frames == 5
 
 
 class TestStrictParsing:
@@ -62,6 +60,9 @@ class TestStrictParsing:
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="model"):
             config_from_dict({"model": {"k_slots": 4, "nope": 1}})
+        # the window is data.frames: the old half-width key is not a field
+        with pytest.raises(ConfigError, match=r"unknown config keys at model\.: \['n_window'\]"):
+            config_from_dict({"model": {"n_window": 2}})
 
     def test_partial_override(self):
         cfg = config_from_dict({"model": {"k_slots": 4}})
@@ -98,7 +99,7 @@ class TestStrictParsing:
     def test_digest_hashes_the_asdict_json_of_the_shaping_sections(self):
         """Existing checkpoint sidecars hold this hex; it is the SHA-256 of
         the sorted, compact JSON of ``asdict`` without ``paths``."""
-        assert RunConfig().digest() == "461c2eac82263112"
+        assert RunConfig().digest() == "2551648e976f5d83"
         for change in ({}, {"model": {"tau_merge": 0.2, "use_merging": False}},
                        {"data": {"seed": 18, "sigma_noise": 0.1}},
                        {"train": {"precision": "f64", "peak_lr": 1e-3}},
@@ -137,7 +138,7 @@ class TestValueTypes:
         ({"model": {"k_slots": 0}}, "model.k_slots"),
         ({"model": {"transformer_layers": 0}}, "model.transformer_layers"),
         ({"model": {"decoder_layers": 0}}, "model.decoder_layers"),
-        ({"model": {"n_window": -1}}, "model.n_window"),
+        ({"data": {"clip_count": 1}}, "data.clip_count"),
         ({"train": {"epochs": -1}}, "train.epochs"),
         ({"train": {"batch_size": 0}}, "train.batch_size"),
         ({"data": {"frames": 0}}, "data.frames"),
@@ -157,7 +158,7 @@ class TestValueTypes:
         ({"data": {"seed": -1}}, "data.seed"),
         ({"data": {"sprite_min": 3, "sprite_max": 2}}, "data.sprite_min"),
         ({"data": {"frames": 4}}, "data.frames"),
-        ({"data": {"frames": 3}}, "data.frames"),
+        ({"data": {"frames": 2}}, "data.frames"),
     ])
     def test_value_outside_its_range_names_the_field(self, payload, field):
         with pytest.raises(ConfigError, match=rf"^{field} must "):
@@ -169,10 +170,12 @@ class TestValueTypes:
                    if f.type in ("int", "float") and f.name not in _RANGES.get(cls, {})]
         assert not missing
 
-    def test_frames_need_not_match_the_window_without_temporal_binding(self):
+    def test_even_frames_are_accepted_only_without_temporal_binding(self):
+        with pytest.raises(ConfigError, match=r"^data\.frames must be odd with temporal"):
+            config_from_dict({"data": {"frames": 4}})
         cfg = config_from_dict({"model": {"use_temporal_binding": False},
                                 "data": {"frames": 4}})
-        assert (cfg.data.frames, cfg.model.window) == (4, 5)
+        assert param_shapes(cfg)["tbind.temb"] == (4, cfg.model.d_slot)
 
     def test_float_field_takes_an_int(self):
         cfg = config_from_dict({"model": {"delta": 4}, "train": {"peak_lr": 1}})
@@ -221,46 +224,44 @@ class TestValueTypes:
 
 
 class TestLrSchedule:
-    def _sched(self, total=200):
-        return LrSchedule(peak=4e-4, warmup_steps=10, total_steps=total,
-                          final_fraction=0.01)
+    TRAIN = TrainConfig(peak_lr=4e-4, warmup_fraction=0.05, final_lr_fraction=0.01)
+
+    def _lr(self, step, total=200):
+        return learning_rate(self.TRAIN, total, step)
 
     def test_starts_at_zero(self):
-        assert self._sched().lr(0) == 0.0
+        assert self._lr(0) == 0.0
 
     def test_peak_at_warmup_end(self):
-        assert self._sched().lr(10) == pytest.approx(4e-4)
+        assert self._lr(10) == pytest.approx(4e-4)
 
     def test_final_step_hits_floor_fraction(self):
-        s = self._sched()
-        assert s.lr(199) == pytest.approx(4e-6)
+        assert self._lr(199) == pytest.approx(4e-6)
 
     def test_positive_after_step_zero(self):
-        s = self._sched()
-        assert all(s.lr(t) > 0 for t in range(1, 200))
+        assert all(self._lr(t) > 0 for t in range(1, 200))
 
     def test_linear_then_exponential_and_continuous(self):
-        s = self._sched()
-        ws = [s.lr(t) for t in range(11)]
+        ws = [self._lr(t) for t in range(11)]
         diffs = np.diff(ws)
         np.testing.assert_allclose(diffs, diffs[0])  # linear warmup
-        log_decay = np.log([s.lr(t) for t in range(10, 200)])
+        log_decay = np.log([self._lr(t) for t in range(10, 200)])
         np.testing.assert_allclose(np.diff(log_decay), np.diff(log_decay)[0],
                                    atol=1e-9)  # exponential decay
-        assert abs(s.lr(10) - s.lr(11)) < 4e-4 * 0.05  # no jump at boundary
+        assert abs(self._lr(10) - self._lr(11)) < 4e-4 * 0.05  # no jump at boundary
 
     def test_from_config_warmup_fraction(self):
-        from solv.config import TrainConfig
-        s = LrSchedule.from_config(TrainConfig(), total_steps=400)
-        assert s.warmup_steps == 20
-        assert s.lr(20) == pytest.approx(4e-4)
+        # 5% of 400 steps: warmup ends at step 20
+        assert self._lr(19, total=400) == pytest.approx(4e-4 * 19 / 20)
+        assert self._lr(20, total=400) == pytest.approx(4e-4)
+        with pytest.raises(ConfigError, match="total_steps must be >= 1"):
+            self._lr(0, total=0)
 
 
 def _tiny_cfg_dict(tmp_path, clip_count=4):
     return {
-        "model": {"k_slots": 3, "d_slot": 16, "n_window": 1,
-                  "transformer_layers": 1, "transformer_heads": 2,
-                  "decoder_layers": 3, "decoder_hidden": 24},
+        "model": {"k_slots": 3, "d_slot": 16, "transformer_layers": 1,
+                  "transformer_heads": 2, "decoder_layers": 3, "decoder_hidden": 24},
         "data": {"canvas_h": 32, "canvas_w": 32, "patch": 8, "d_features": 12,
                  "sprite_max": 2, "clip_count": clip_count, "frames": 3,
                  "seed": 5},
@@ -430,6 +431,15 @@ class TestInferRejectsBadInput:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    def test_checkpoint_without_its_sidecar_exits_2(self, tmp_path, capsys):
+        cfg_path, ckpt, _ = _untrained_checkpoint(tmp_path)
+        os.remove(ckpt + ".meta.json")
+        out = tmp_path / "pred"
+        rc = cli_main(["infer", "--config", cfg_path, "--checkpoint", ckpt,
+                       "--features", "synthetic:3", "--out", str(out)])
+        assert rc == 2
+        assert f"{ckpt}.meta.json: missing" in capsys.readouterr().err
 
     def test_track_ids_past_uint16_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg_path, ckpt, _ = _untrained_checkpoint(tmp_path)

@@ -149,7 +149,7 @@ class TestAllocationScaling:
 
         cfg = RunConfig(
             model=ModelConfig(k_slots=3, d_slot=16, decoder_hidden=32,
-                              transformer_heads=4, n_window=1),
+                              transformer_heads=4),
             data=DataConfig(canvas_h=64, canvas_w=64, patch=8, d_features=8,
                             sprite_max=2, clip_count=4, seed=5, frames=3),
         ).validate()

@@ -17,7 +17,7 @@ from solv.model import Pipeline, infer_video
 
 
 def small_cfg(precision="f64", canvas=32, **model_overrides) -> RunConfig:
-    model = dict(k_slots=4, d_slot=16, n_window=2, transformer_layers=1,
+    model = dict(k_slots=4, d_slot=16, transformer_layers=1,
                  transformer_heads=2, decoder_layers=3, decoder_hidden=24,
                  tau_merge=0.05)
     model.update(model_overrides)
@@ -33,7 +33,8 @@ def per_window_oracle(pipe: Pipeline, features: np.ndarray):
     """Inference as one full ``forward_window`` per center frame, which
     re-encodes and re-binds every frame of every window."""
     cfg = pipe.cfg
-    n, window = cfg.model.n_window, cfg.model.window
+    window = cfg.data.frames
+    n = window // 2
     f_total, n_tok, _ = features.shape
     kept = [np.arange(n_tok)] * window
     label_frames, slot_vectors = [], []
@@ -199,7 +200,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     every parameter gradient."""
     cfg = small_cfg()
     cfg.train.precision = precision
-    d, window = cfg.data, cfg.model.window
+    d, window = cfg.data, cfg.data.frames
     pipe = Pipeline(cfg, seed=2)
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
     spec = datagen.random_scene(2, (d.canvas_h, d.canvas_w), d.patch, window,
@@ -275,10 +276,10 @@ def _clip_case(precision, availability, jitter, **model_overrides):
     d, m = cfg.data, cfg.model
     pipe = Pipeline(cfg, seed=3)
     clip = datagen.render_clip(datagen.random_scene(
-        3, (d.canvas_h, d.canvas_w), d.patch, m.window,
+        3, (d.canvas_h, d.canvas_w), d.patch, d.frames,
         (d.sprite_min, d.sprite_max)), datagen.FeatureOracle(
             d.seed, d.n_identities, d.d_features, d.sigma_noise))
-    kept = make_drop_plan(m.window, d.n_tokens, 0.5, seed=3)
+    kept = make_drop_plan(d.frames, d.n_tokens, 0.5, seed=3)
     init_jitter = None
     if jitter:
         init_jitter = 0.5 * np.random.default_rng(3).standard_normal((m.k_slots, m.d_slot))

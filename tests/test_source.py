@@ -1,9 +1,11 @@
 """Source-level rules for the program itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import solv
+from solv.config import _SECTIONS, load_config
 
 SOURCES = sorted(Path(solv.__file__).parent.glob("*.py"))
 
@@ -66,3 +68,19 @@ def test_imports_are_at_module_level():
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside functions: {found}"
+
+
+def test_every_config_field_has_a_reader():
+    """Every field of every config section is read as an attribute
+    somewhere in the program: a knob nothing reads changes nothing."""
+    read = {node.attr for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}.{f.name}" for name, cls in _SECTIONS.items()
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread, f"config fields nothing reads: {unread}"
+
+
+def test_the_documented_paper_scale_preset_loads():
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "paper_scale.json"))
+    assert (cfg.data.canvas_h, cfg.data.frames) == (336, 5)

@@ -29,9 +29,8 @@ from helpers import fail_writes_half_way
 
 def tiny_cfg(tmp_path, **overrides):
     cfg = RunConfig(
-        model=ModelConfig(k_slots=3, d_slot=16, n_window=1,
-                          transformer_layers=1, transformer_heads=2,
-                          decoder_layers=3, decoder_hidden=24),
+        model=ModelConfig(k_slots=3, d_slot=16, transformer_layers=1,
+                          transformer_heads=2, decoder_layers=3, decoder_hidden=24),
         data=DataConfig(canvas_h=32, canvas_w=32, patch=8, d_features=12,
                         sprite_max=2, clip_count=6, frames=3, seed=11),
         train=TrainConfig(epochs=2, batch_size=2, precision="f64",
@@ -99,6 +98,7 @@ class TestTrainingLoop:
             saved.m[name][...] = 1.0
         path = str(tmp_path / "w.ckpt")
         saved.save(path)
+        train_mod._write_meta(path, cfg, saved, epoch=0)
         pipe = load_pipeline(cfg, path)
         for name, t in saved.params.items():
             np.testing.assert_array_equal(pipe.store[name].data, t.data.astype(np.float32))
@@ -115,6 +115,7 @@ class TestTrainingLoop:
         saved = init_params(cfg, seed=5)
         path = str(tmp_path / "w.ckpt")
         saved.save(path)
+        train_mod._write_meta(path, cfg, saved, epoch=0)
 
         def no_init(*args, **kwargs):
             raise AssertionError("load_pipeline drew parameters")
@@ -138,6 +139,12 @@ class TestTrainingLoop:
         saved.save(path)
         with pytest.raises(FormatError, match="record 'tbind.l0.bk'"):
             load_pipeline(cfg, path)
+
+    def test_zero_steps_are_refused_before_any_directory_is_made(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(ConfigError, match="max_steps must be >= 1, got 0"):
+            train(cfg, max_steps=0)
+        assert not os.path.exists(cfg.paths.checkpoint_dir)
 
     def test_max_steps_truncation(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
