@@ -257,6 +257,8 @@ def write_masks(path: str, masks: np.ndarray) -> None:
     arr = np.asarray(masks)
     if arr.ndim != 3:
         raise ValueError(f"masks must be rank 3 (frames x H x W), got {arr.shape}")
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"mask labels must be integers, got dtype {arr.dtype}")
     if arr.size and not (arr.min() >= 0 and arr.max() <= 0xFFFF):
         raise ValueError(f"mask labels must lie in [0, 65535], got "
                          f"[{arr.min()}, {arr.max()}]")

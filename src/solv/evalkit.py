@@ -8,10 +8,12 @@ more: mIoU depends only on the optimal total, and track linking only on
 an optimum that is the same for the same matrix.
 
 ``score_video`` is the one scoring path. It counts a video into one
-(frame, gt label, pred label) table of pixels with a single
-``np.bincount``; ``mean_fg_ari`` reads its foreground rows,
-``video_miou`` its sum over frames, and the track count of each frame is
-its nonzero columns, so a video takes one pass over its pixels.
+(frame, gt label, pred label) table of pixels; ``mean_fg_ari`` reads its
+foreground rows, ``video_miou`` its sum over frames, and the track count
+of each frame is its nonzero columns. The count compares each pixel with
+its left neighbour once and then works on label runs: masks are
+piecewise constant, so a video has a few runs per row, and one weighted
+``np.bincount`` adds each run's length to its cell.
 Metrics follow the foreground-only convention: background (label 0 in
 ground truth) is never a matchable object, while predictions label every
 pixel with some track.
@@ -180,9 +182,17 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     """Pixel counts per (frame, gt label, pred label) of two same-shape
     label videos, and the gt labels of its rows. Only labels present
     somewhere keep a row or column, rows and columns ascending by label.
-    Labels that are not integers, or whose ranges would make the table
-    larger than max(pixels, 2**16), are compacted by ``np.unique`` first,
-    so no table is sized by a raw label value."""
+
+    Each frame is read in raster order as runs of pixels on which both
+    labels stay the same; a run starts at each frame's first pixel and
+    wherever either map changes label, and adds its length to its cell.
+    Masks are piecewise constant, so a video has a few runs per row and
+    the count and the label ranges work on runs, not pixels; labels that
+    change at nearly every pixel are counted as exactly, only slower than
+    a per-pixel count would be. Labels that are not integers, or whose
+    ranges would make the table larger than max(pixels, 2**16), are
+    compacted by ``np.unique`` first, so no table is sized by a raw label
+    value."""
     if np.shape(pred_frames) != np.shape(gt_frames):
         raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
                          f"ground truth {np.shape(gt_frames)}")
@@ -190,27 +200,37 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     f = len(gt)
     if gt.size == 0:
         return np.zeros((f, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    pixels = gt.size
     pred, gt = pred.reshape(f, -1), gt.reshape(f, -1)
+    change = np.empty(gt.shape, dtype=bool)
+    change[:, 0] = True
+    np.not_equal(gt[:, 1:], gt[:, :-1], out=change[:, 1:])
+    change[:, 1:] |= pred[:, 1:] != pred[:, :-1]
+    starts = np.flatnonzero(change)
+    frame_runs = np.diff(np.searchsorted(starts, np.arange(f + 1) * gt.shape[1]))
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = pixels - starts[-1]
+    gt, pred = np.take(gt, starts), np.take(pred, starts)
     direct = all(x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64) for x in (gt, pred))
     if direct:
         (g_lo, g_hi), (p_lo, p_hi) = ((int(x.min()), int(x.max())) for x in (gt, pred))
         n_g, n_p = g_hi - g_lo + 1, p_hi - p_lo + 1
-        direct = f * n_g * n_p <= max(gt.size, 1 << 16)
+        direct = f * n_g * n_p <= max(pixels, 1 << 16)
     if direct:
         g_vals = g_lo + np.arange(n_g)
+        # each label less its own low lies in [0, n), exact in int64
+        gt, pred = (np.subtract(x, lo, dtype=np.int64) for x, lo in ((gt, g_lo), (pred, p_lo)))
     else:
         (g_vals, gt), (p_vals, pred) = (np.unique(x, return_inverse=True)
                                         for x in (gt, pred))
-        pred, gt, g_lo, p_lo = pred.reshape(f, -1), gt.reshape(f, -1), 0, 0
         n_g, n_p = g_vals.size, p_vals.size
-    # both lows folded into the frame offset: int64 sums wrap, but every
-    # final cell lies in [0, f * n_g * n_p), so the wrapped result is exact
-    low = (-(g_lo * n_p + p_lo) + 2**63) % 2**64 - 2**63
-    cell = gt.astype(np.int64)
-    cell *= n_p
+    cell = np.repeat(np.arange(0, f * n_g * n_p, n_g * n_p), frame_runs)
+    cell += gt * n_p
     cell += pred
-    cell += (np.arange(f, dtype=np.int64) * (n_g * n_p) + low)[:, None]
-    table = np.bincount(cell.ravel(), minlength=f * n_g * n_p).reshape(f, n_g, n_p)
+    # float64 sums of whole run lengths are exact below 2**53 pixels
+    table = np.bincount(cell, weights=lengths, minlength=f * n_g * n_p)
+    table = table.astype(np.int64).reshape(f, n_g, n_p)
     g_seen, p_seen = table.any(axis=(0, 2)), table.any(axis=(0, 1))
     return table[:, g_seen][:, :, p_seen], g_vals[g_seen]
 

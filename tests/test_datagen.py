@@ -189,6 +189,25 @@ class TestFileFormats:
             write_masks(str(path), arr)
         assert not path.exists()
 
+    @pytest.mark.parametrize("labels", [[[[1.5, 2.9]]], [[[1.0, 2.0]]], [[["1", "2"]]]],
+                             ids=["fractional", "whole floats", "strings"])
+    def test_mask_labels_that_are_not_integers_rejected(self, tmp_path, labels):
+        arr = np.array(labels)
+        path = tmp_path / "m.mask"
+        with pytest.raises(ValueError, match=f"dtype {arr.dtype}"):
+            write_masks(str(path), arr)
+        assert not path.exists()
+
+    def test_integer_and_bool_masks_write_the_same_bytes(self, tmp_path):
+        labels = np.random.default_rng(3).integers(0, 2, size=(2, 3, 5))
+        blobs = []
+        for dtype in (np.uint16, np.int64, np.uint8, bool):
+            path = tmp_path / f"{np.dtype(dtype).name}.mask"
+            write_masks(str(path), labels.astype(dtype))
+            blobs.append(path.read_bytes())
+        assert blobs[0].endswith(labels.astype("<u2").tobytes())
+        assert all(b == blobs[0] for b in blobs)
+
     def test_mask_label_range_ends_roundtrip(self, tmp_path):
         arr = np.zeros((2, 4, 4), dtype=np.int64)
         arr[1, 2, 3] = 65535

@@ -100,6 +100,28 @@ def mask_loop_score(pred_frames, gt_frames) -> dict:
     }
 
 
+def add_at_table(pred_frames, gt_frames):
+    """(frame, gt, pred) counts of two label videos, one ``np.add.at``
+    increment per pixel, and the gt labels of the rows."""
+    pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
+    g_vals, g_idx = np.unique(gt.ravel(), return_inverse=True)
+    p_vals, p_idx = np.unique(pred.ravel(), return_inverse=True)
+    table = np.zeros((len(gt), g_vals.size, p_vals.size), dtype=np.int64)
+    frame = np.repeat(np.arange(len(gt)), gt[0].size)
+    np.add.at(table, (frame, g_idx.ravel(), p_idx.ravel()), 1)
+    return table, g_vals
+
+
+def raster_runs(pred_frames, gt_frames) -> int:
+    """Runs of a video read frame by frame in raster order: maximal
+    stretches of pixels within one frame on which neither label changes."""
+    runs = 0
+    for p, g in zip(pred_frames, gt_frames):
+        pairs = list(zip(np.ravel(p).tolist(), np.ravel(g).tolist()))
+        runs += 1 + sum(a != b for a, b in zip(pairs, pairs[1:]))
+    return runs
+
+
 # The metrics under test, each read from ``score_video``, the program's
 # one scoring call.
 
@@ -557,6 +579,63 @@ class TestMetricsMatchMaskLoops:
             score = score_video(pred, gt)
             assert score == mask_loop_score(pred, gt)
             assert list(score["k_t_histogram"].items()) == list(want.items())
+
+    @staticmethod
+    def _piecewise(case, rng):
+        def blocks(shape, size, k):
+            """Labels constant over ``size`` consecutive raster pixels, so
+            runs go on across row ends."""
+            n = int(np.prod(shape))
+            return np.repeat(rng.integers(0, k, size=-(-n // size)), size)[:n].reshape(shape)
+
+        if case == "blocks across row ends":
+            return blocks((3, 5, 7), 5, 6), blocks((3, 5, 7), 3, 4)
+        if case == "frame boundary inside a run":
+            # frame 0 ends and frame 1 starts on the same labels in both
+            # maps: the run must split at the frame boundary
+            pred, gt = blocks((2, 4, 6), 10, 3), blocks((2, 4, 6), 6, 3)
+            pred[0, -1, -3:], pred[1, 0, :3] = 2, 2
+            gt[0, -1, -3:], gt[1, 0, :3] = 1, 1
+            return pred, gt
+        if case == "1x1 frames":
+            return rng.integers(0, 3, size=(6, 1, 1)), rng.integers(0, 2, size=(6, 1, 1))
+        if case == "one label":
+            return np.full((3, 4, 5), 7), np.full((3, 4, 5), 2)
+        if case == "one frame":
+            return blocks((1, 6, 9), 4, 5), blocks((1, 6, 9), 7, 3)
+        raise AssertionError(case)
+
+    @pytest.mark.parametrize("case", [
+        "blocks across row ends", "frame boundary inside a run", "1x1 frames",
+        "one label", "one frame",
+    ])
+    def test_piecewise_constant_volumes(self, case):
+        rng = np.random.default_rng(len(case))
+        for _ in range(5):
+            pred, gt = self._piecewise(case, rng)
+            assert score_video(pred, gt) == mask_loop_score(pred, gt)
+            table, gt_ids = evalkit._table(pred, gt)
+            want, want_ids = add_at_table(pred, gt)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, want) and np.array_equal(gt_ids, want_ids)
+
+    def test_counts_one_entry_per_run(self, monkeypatch):
+        """The count is over runs, not pixels: a 2 x 32 x 32 video of
+        constant blocks is counted with one weighted entry per run."""
+        real, counted = np.bincount, []
+
+        def recording(x, weights=None, minlength=0):
+            counted.append((np.size(x), None if weights is None else float(np.sum(weights))))
+            return real(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(evalkit.np, "bincount", recording)
+        cells = np.arange(32) // 8
+        gt = np.broadcast_to(cells[:, None] * 4 + cells[None, :], (2, 32, 32)) % 3
+        pred = np.broadcast_to(np.arange(32) // 16, (2, 32, 32)) + np.array([0, 2])[:, None, None]
+        score_video(pred, gt)
+        runs = raster_runs(pred, gt)
+        assert runs == 2 * 32 * 4  # four runs a row, against 32 pixels
+        assert counted == [(runs, float(gt.size))]
 
     def test_dense_track_videos(self):
         for pred, gt in dense_track_videos(3, seed=1):
