@@ -65,6 +65,9 @@ class DataConfig:
         _check_ranges(self, "data.")
         if self.canvas_h % self.patch or self.canvas_w % self.patch:
             raise ConfigError("data.canvas_h and data.canvas_w must be divisible by data.patch")
+        if min(self.canvas_h, self.canvas_w) < 2 * self.patch:
+            raise ConfigError(f"data.canvas_h and data.canvas_w must be >= 2 * data.patch, the "
+                              f"smallest sprite size, got {self.canvas_h}x{self.canvas_w}")
         if self.sprite_min > self.sprite_max:
             raise ConfigError(f"data.sprite_min must be <= data.sprite_max, "
                               f"got {self.sprite_min} > {self.sprite_max}")

@@ -44,7 +44,6 @@ class SceneSpec:
     patch: int
     frames: int
     sprites: tuple[Sprite, ...]
-    background_identity: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -60,18 +59,6 @@ class SceneSpec:
                 raise ValueError(f"unknown sprite shape {s.shape!r}")
             if s.size > min(self.canvas_h, self.canvas_w):
                 raise ValueError(f"sprite size {s.size} exceeds canvas")
-
-    @property
-    def grid_rows(self) -> int:
-        return self.canvas_h // self.patch
-
-    @property
-    def grid_cols(self) -> int:
-        return self.canvas_w // self.patch
-
-    @property
-    def n_tokens(self) -> int:
-        return self.grid_rows * self.grid_cols
 
 
 @dataclass
@@ -160,9 +147,9 @@ def render_clip(spec: SceneSpec, oracle: FeatureOracle) -> ClipBatch:
         states.append([x, y, s.vx, s.vy, _shape_mask(s.shape, s.size), s.identity, s.size])
 
     pixel = np.empty((spec.frames, h, w), dtype=np.uint16)
-    feats = np.empty((spec.frames, spec.n_tokens, oracle.d), dtype=np.float64)
+    feats = np.empty((spec.frames, (h // p) * (w // p), oracle.d), dtype=np.float64)
     for t in range(spec.frames):
-        frame = np.full((h, w), spec.background_identity, dtype=np.uint16)
+        frame = np.zeros((h, w), dtype=np.uint16)
         for st in states:
             x, y, _, _, mask, ident, size = st
             region = frame[y:y + size, x:x + size]

@@ -413,28 +413,18 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g, need):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make(out, (a,), backward)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    count = a.data.size if axis is None else a.shape[axis]
 
     def backward(g, need):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, a.shape).copy(),)
 
     return _make(out, (a,), backward)

@@ -116,10 +116,10 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
     """
     if len(slot_vectors) != len(label_frames):
         raise ValueError("one slot-vector matrix per label frame required")
-    track_maps = []
-    first = np.arange(slot_vectors[0].shape[0], dtype=np.int64)
-    track_maps.append(first)
-    next_id = int(first.size)
+    if not slot_vectors:
+        raise ValueError("video has no frames")
+    track_maps = [np.arange(len(slot_vectors[0]), dtype=np.int64)]
+    next_id = len(track_maps[0])
     units = [unit_rows(v)[0] for v in slot_vectors]
     for t in range(1, len(slot_vectors)):
         pairs = hungarian(1.0 - units[t - 1] @ units[t].T)
@@ -142,7 +142,8 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
 # ---------------------------------------------------------------------------
 
 def bilinear_resize(maps: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Resize (K, rows, cols) maps to (K, h, w) with half-pixel centers."""
+    """Resize (K, rows, cols) maps to (K, h, w) with half-pixel centers,
+    interpolating along x first and then along y."""
     _, rows, cols = maps.shape
     ys = np.clip((np.arange(h) + 0.5) * rows / h - 0.5, 0, rows - 1)
     xs = np.clip((np.arange(w) + 0.5) * cols / w - 0.5, 0, cols - 1)
@@ -151,14 +152,9 @@ def bilinear_resize(maps: np.ndarray, h: int, w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, rows - 1)
     x1 = np.minimum(x0 + 1, cols - 1)
     wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
-    v00 = maps[:, y0[:, None], x0[None, :]]
-    v01 = maps[:, y0[:, None], x1[None, :]]
-    v10 = maps[:, y1[:, None], x0[None, :]]
-    v11 = maps[:, y1[:, None], x1[None, :]]
-    top = v00 * (1 - wx) + v01 * wx
-    bot = v10 * (1 - wx) + v11 * wx
-    return top * (1 - wy) + bot * wy
+    wx = xs - x0
+    across = maps[:, :, x0] * (1 - wx) + maps[:, :, x1] * wx
+    return across[:, y0] * (1 - wy) + across[:, y1] * wy
 
 
 def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray:
@@ -235,24 +231,20 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     return table[:, g_seen][:, :, p_seen], g_vals[g_seen]
 
 
-def _comb2(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.float64)
-    return x * (x - 1.0) / 2.0
-
-
 def _ari(tables: np.ndarray) -> np.ndarray:
-    """ARI of each contingency table along the leading axis, under the
-    permutation model.
+    """ARI of each integer contingency table along the leading axis, under
+    the permutation model.
 
     Degenerate cases (zero expected-index denominator): 1.0 when the two
-    labelings induce the same partition, 0.0 otherwise. The comb2 sums
-    are integer-valued, so zero rows and columns leave them exact.
+    labelings induce the same partition, 0.0 otherwise. Pair counts are
+    exact integers, sum c(c-1)/2 = (sum c**2 - n)/2 over the counts c of
+    n pixels, and exact in float64 below 2**53.
     """
     rows, cols = tables.sum(axis=2), tables.sum(axis=1)
-    sum_ij = _comb2(tables).sum(axis=(1, 2))
-    sum_a = _comb2(rows).sum(axis=1)
-    sum_b = _comb2(cols).sum(axis=1)
-    total = _comb2(rows.sum(axis=1))
+    n = rows.sum(axis=1)
+    sum_ij, sum_a, sum_b, total = (
+        ((np.square(x).sum(axis=tuple(range(1, x.ndim))) - n) // 2).astype(np.float64)
+        for x in (tables, rows, cols, n[:, None]))
     expected = np.divide(sum_a * sum_b, total, out=np.zeros_like(total), where=total > 0)
     max_index = 0.5 * (sum_a + sum_b)
     degenerate = max_index == expected

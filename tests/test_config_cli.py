@@ -159,6 +159,8 @@ class TestValueTypes:
         ({"data": {"sprite_min": 3, "sprite_max": 2}}, "data.sprite_min"),
         ({"data": {"frames": 4}}, "data.frames"),
         ({"data": {"frames": 2}}, "data.frames"),
+        ({"data": {"canvas_h": 8, "canvas_w": 8, "patch": 8}}, "data.canvas_h and data.canvas_w"),
+        ({"data": {"canvas_w": 8}}, "data.canvas_h and data.canvas_w"),
     ])
     def test_value_outside_its_range_names_the_field(self, payload, field):
         with pytest.raises(ConfigError, match=rf"^{field} must "):
@@ -204,8 +206,10 @@ class TestValueTypes:
         ({"frames": 2.0}, "data.frames must be an integer"),
         ({"patch": 0}, "data.patch must be >= 1"),
         ({"frames": 0}, "data.frames must be >= 1"),
+        ({"canvas_h": 8, "canvas_w": 8, "patch": 8, "clip_count": 4},
+         "data.canvas_h and data.canvas_w must be >= 2 * data.patch"),
     ], ids=["list_root", "truncated", "bad_split", "string_count", "float_frames",
-            "zero_patch", "zero_frames"])
+            "zero_patch", "zero_frames", "canvas_below_smallest_sprite"])
     def test_gen_rejects_bad_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(spec if isinstance(spec, str) else json.dumps(spec))

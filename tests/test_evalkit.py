@@ -183,6 +183,50 @@ def pair_counting_ari(a, b) -> float:
     return (index - expected) / (maximum - expected)
 
 
+def four_gather_resize(maps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Bilinear resize with half-pixel centers from the four corner
+    gathers of every output pixel."""
+    _, rows, cols = maps.shape
+    ys = np.clip((np.arange(h) + 0.5) * rows / h - 0.5, 0, rows - 1)
+    xs = np.clip((np.arange(w) + 0.5) * cols / w - 0.5, 0, cols - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, rows - 1)
+    x1 = np.minimum(x0 + 1, cols - 1)
+    wy = (ys - y0)[None, :, None]
+    wx = (xs - x0)[None, None, :]
+    v00 = maps[:, y0[:, None], x0[None, :]]
+    v01 = maps[:, y0[:, None], x1[None, :]]
+    v10 = maps[:, y1[:, None], x0[None, :]]
+    v11 = maps[:, y1[:, None], x1[None, :]]
+    top = v00 * (1 - wx) + v01 * wx
+    bot = v10 * (1 - wx) + v11 * wx
+    return top * (1 - wy) + bot * wy
+
+
+def comb2_ari(tables: np.ndarray) -> np.ndarray:
+    """ARI of each table along the leading axis from float64 pair counts
+    c(c-1)/2: the float formulation that the integer pair counts of
+    ``evalkit._ari`` must match bit for bit."""
+    def comb2(x):
+        x = x.astype(np.float64)
+        return x * (x - 1.0) / 2.0
+
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    sum_ij = comb2(tables).sum(axis=(1, 2))
+    sum_a = comb2(rows).sum(axis=1)
+    sum_b = comb2(cols).sum(axis=1)
+    total = comb2(rows.sum(axis=1))
+    expected = np.divide(sum_a * sum_b, total, out=np.zeros_like(total), where=total > 0)
+    max_index = 0.5 * (sum_a + sum_b)
+    degenerate = max_index == expected
+    same = (np.count_nonzero(tables, axis=1) <= 1).all(axis=1) & \
+           (np.count_nonzero(tables, axis=2) <= 1).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ari = (sum_ij - expected) / (max_index - expected)
+    return np.where(degenerate, same.astype(np.float64), ari)
+
+
 class TestHungarian:
     def test_two_by_two_example(self):
         pairs = hungarian([[1.0, 2.0], [3.0, 1.0]])
@@ -325,6 +369,10 @@ class TestLinkTracks:
         assert tracked.n_tracks == 3
         assert set(tracked.track_maps[1]) == {0, 1, 2}
 
+    def test_a_video_with_no_frames_is_refused(self):
+        with pytest.raises(ValueError, match="no frames"):
+            link_tracks([], [])
+
     def test_permuting_second_frame_slots_leaves_labels_unchanged(self):
         rng = np.random.default_rng(3)
         prev = rng.normal(size=(4, 8))
@@ -371,6 +419,16 @@ class TestRasterize:
         out = bilinear_resize(maps, 5, 7)
         np.testing.assert_allclose(out, maps)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("src, dst", [
+        ((16, 16), (128, 128)), ((3, 5), (7, 11)), ((1, 1), (8, 8)), ((24, 36), (336, 504)),
+    ], ids=str)
+    def test_separable_resize_is_bitwise_the_four_gather_one(self, dtype, src, dst):
+        maps = np.random.default_rng(4).random((2,) + src).astype(dtype)
+        out, want = bilinear_resize(maps, *dst), four_gather_resize(maps, *dst)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
 
 class TestAri:
     def test_perfect_prediction(self):
@@ -402,6 +460,23 @@ class TestAri:
         gt = np.array([1, 1, 1])
         assert adjusted_rand_index(np.array([5, 5, 5]), gt) == 1.0
         assert adjusted_rand_index(np.array([5, 5, 6]), gt) == 0.0
+
+    def test_integer_pair_counts_are_bitwise_the_float_ones(self):
+        rng = np.random.default_rng(10)
+        tables = [rng.integers(0, high, size=(20, g, p))
+                  for high in (2, 5, 100, 16385) for g in (1, 2, 5) for p in (1, 3, 8)]
+        tables += [rng.integers(0, 5, size=(20, 4, 6)) * (rng.random((20, 4, 6)) < 0.2)]
+        one_cell = np.zeros((4, 3, 5), dtype=np.int64)
+        one_cell[np.arange(4), [0, 1, 2, 2], [4, 0, 3, 1]] = [1, 2, 700, 16384]
+        tables += [
+            one_cell,                                   # a single cluster
+            np.eye(6, dtype=np.int64)[None],            # all singletons, both sides
+            np.ones((1, 1, 9), dtype=np.int64),         # singletons against one cluster
+            np.zeros((3, 2, 4), dtype=np.int64),        # frames with no pixels
+            np.full((2, 3, 3), 16384, dtype=np.int64),  # full cells
+        ]
+        for table in tables:
+            assert evalkit._ari(table).tobytes() == comb2_ari(table).tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_pair_counting(self, seed):

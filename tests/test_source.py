@@ -5,6 +5,7 @@ import dataclasses
 from pathlib import Path
 
 import solv
+from solv import datagen
 from solv.config import _SECTIONS, load_config
 
 SOURCES = sorted(Path(solv.__file__).parent.glob("*.py"))
@@ -71,14 +72,29 @@ def test_imports_are_at_module_level():
 
 
 def test_every_config_field_has_a_reader():
-    """Every field of every config section is read as an attribute
-    somewhere in the program: a knob nothing reads changes nothing."""
+    """Every field of every config section and of a scene (``Sprite``,
+    ``SceneSpec``) is read as an attribute somewhere in the program: a
+    knob nothing reads changes nothing."""
     read = {node.attr for path in SOURCES
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{name}.{f.name}" for name, cls in _SECTIONS.items()
+    classes = {**_SECTIONS, "Sprite": datagen.Sprite, "SceneSpec": datagen.SceneSpec}
+    unread = [f"{name}.{f.name}" for name, cls in classes.items()
               for f in dataclasses.fields(cls) if f.name not in read]
-    assert not unread, f"config fields nothing reads: {unread}"
+    assert not unread, f"config or scene fields nothing reads: {unread}"
+
+
+def test_every_scene_default_is_overridden_somewhere():
+    """Every scene field with a default is passed by keyword somewhere in
+    the program or its tests: a default nothing overrides is a constant."""
+    paths = SOURCES + sorted(Path(__file__).resolve().parent.glob("*.py"))
+    passed = {node.arg for path in paths
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.keyword)}
+    fixed = [f"{cls.__name__}.{f.name}" for cls in (datagen.Sprite, datagen.SceneSpec)
+             for f in dataclasses.fields(cls)
+             if f.default is not dataclasses.MISSING and f.name not in passed]
+    assert not fixed, f"scene defaults nothing overrides: {fixed}"
 
 
 def test_the_documented_paper_scale_preset_loads():
