@@ -599,10 +599,12 @@ _CKPT_VERSION = 1
 
 
 class ParamStore:
-    """Named trainable tensors plus Adam moment state, all of one float
-    width: ``precision`` is 'f32' or 'f64'. Parameters are cast to it when
-    registered and when loaded, and the model casts every array it feeds
-    into the computation to ``dtype``."""
+    """Named trainable tensors, all of one float width: ``precision`` is
+    'f32' or 'f64'. Parameters are cast to it when registered and when
+    loaded, and the model casts every array it feeds into the computation
+    to ``dtype``. The Adam moments ``m``/``v`` are created, at zero and of
+    the same width, by the first ``adam_step``; a store that never stepped
+    holds parameters only."""
 
     def __init__(self, precision: str):
         if precision not in _DTYPES:
@@ -618,9 +620,6 @@ class ParamStore:
             raise ConfigError(f"parameter {name!r} registered twice")
         t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
         self.params[name] = t
-        # np.zeros leaves the pages untouched until Adam first writes them
-        self.m[name] = np.zeros(t.data.shape, self.dtype)
-        self.v[name] = np.zeros(t.data.shape, self.dtype)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -650,10 +649,15 @@ class ParamStore:
         Returns the pre-clip gradient norm (useful for logging). When that
         norm is not finite the update is skipped: parameters, moments and
         the step count stay as they were, and the caller sees the
-        non-finite norm.
+        non-finite norm. The first call creates zero moments for every
+        parameter, skipped or not.
         """
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
+        for name, t in self.params.items():
+            if name not in self.m:
+                self.m[name] = np.zeros(t.data.shape, self.dtype)
+                self.v[name] = np.zeros(t.data.shape, self.dtype)
         norm = self.grad_global_norm()
         if not np.isfinite(norm):
             self.zero_grads()
@@ -681,15 +685,22 @@ class ParamStore:
     # -- checkpoint io ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write parameters then Adam moments (.m/.v suffixes) to a checkpoint."""
-        records = [(name, t.data) for name, t in self.params.items()]
-        records += [(name + ".m", arr) for name, arr in self.m.items()]
-        records += [(name + ".v", arr) for name, arr in self.v.items()]
+        """Write parameters then Adam moments (.m/.v suffixes) to a checkpoint.
+        A moment the store does not hold yet is written as zeros, made one
+        parameter at a time."""
+        def records():
+            for name, t in self.params.items():
+                yield name, t.data
+            for suffix, moments in ((".m", self.m), (".v", self.v)):
+                for name, t in self.params.items():
+                    held = moments.get(name)
+                    yield name + suffix, np.zeros(t.data.shape, "<f4") if held is None else held
+
         with atomic_write(path) as f:
             f.write(_CKPT_MAGIC)
             f.write(struct.pack("<I", _CKPT_VERSION))
             f.write(struct.pack("<Q", self.step))
-            for name, arr in records:
+            for name, arr in records():
                 nb = name.encode("utf-8")
                 f.write(struct.pack("<I", len(nb)))
                 f.write(nb)

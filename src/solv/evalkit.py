@@ -167,7 +167,7 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
     if n != rows * cols:
         raise ValueError(f"mask width {n} != grid {rows}x{cols}")
     up = bilinear_resize(m.reshape(k_t, rows, cols), h, w)
-    return np.argmax(up, axis=0).astype(np.int64)
+    return np.argmax(up, axis=0).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 
 def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
     """A pipeline whose parameters are read from ``ckpt_path``. The store
-    is registered from the parameter shapes with zero arrays, whose pages
-    stay untouched until the checkpoint's arrays replace them."""
+    is registered from the parameter shapes with zero arrays, which the
+    checkpoint's arrays replace; it holds no Adam moments."""
     check_compatible(ckpt_path, cfg)
     store = ParamStore(cfg.train.precision)
     for name, shape in param_shapes(cfg).items():

@@ -460,14 +460,17 @@ class TestPrecision:
         store = ParamStore(precision)
         assert store.dtype == dtype
         t = store.register("w", np.arange(6.0).reshape(2, 3))
-        assert t.data.dtype == store.m["w"].dtype == store.v["w"].dtype == dtype
+        assert t.data.dtype == dtype
         path = str(tmp_path / "w.ckpt")
         store.save(path)
         fresh = ParamStore(precision)
         fresh.register("w", np.zeros((2, 3), np.float32))
         fresh.load(path)
-        assert fresh["w"].data.dtype == fresh.m["w"].dtype == dtype
+        assert fresh["w"].data.dtype == dtype
         np.testing.assert_array_equal(fresh["w"].data, t.data)
+        t.grad = np.ones((2, 3), dtype)
+        store.adam_step(lr=0.1)
+        assert t.data.dtype == store.m["w"].dtype == store.v["w"].dtype == dtype
 
     def test_unknown_precision_rejected(self):
         with pytest.raises(ConfigError, match="f16"):
@@ -530,8 +533,8 @@ class TestCheckpoint:
         store = ParamStore("f64")
         store.register("a", np.full((2, 3), 1.5))
         store.register("b", np.full((4,), -2.0))
-        store.m["a"][...] = 0.25
-        store.v["b"][...] = 0.5
+        store.m = {"a": np.full((2, 3), 0.25), "b": np.zeros(4)}
+        store.v = {"a": np.zeros((2, 3)), "b": np.full((4,), 0.5)}
         store.step = 9
         return store
 
@@ -566,12 +569,65 @@ class TestCheckpoint:
         np.testing.assert_array_equal(store["a"].data, 1.5)
         np.testing.assert_array_equal(store.m["a"], 0.25)
 
+    def test_fresh_and_loaded_stores_hold_no_moments(self, tmp_path):
+        store = self._two_param_store()
+        path = str(tmp_path / "model.ckpt")
+        store.save(path)
+        fresh = ParamStore("f32")
+        fresh.register("a", np.zeros((2, 3)))
+        fresh.register("b", np.zeros(4))
+        assert fresh.m == {} == fresh.v
+        fresh.load(path)
+        assert fresh.step == 9
+        assert fresh.m == {} == fresh.v
+
+    @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+    @pytest.mark.parametrize("skipped", [False, True], ids=["stepped", "skipped"])
+    def test_first_step_creates_zero_moments(self, precision, dtype, skipped):
+        store = ParamStore(precision)
+        a = store.register("a", np.ones((2, 3)))
+        store.register("b", np.ones(4))
+        assert store.m == {} == store.v
+        a.grad = np.full((2, 3), np.nan if skipped else 1.0)  # b has no gradient
+        norm = store.adam_step(lr=0.1)
+        assert math.isfinite(norm) != skipped
+        assert store.step == (0 if skipped else 1)
+        assert list(store.m) == list(store.v) == ["a", "b"]
+        for name in ("a", "b"):
+            for moments in (store.m, store.v):
+                assert moments[name].dtype == dtype
+                assert moments[name].shape == store[name].shape
+        zero = ["a", "b"] if skipped else ["b"]
+        for name in zero:
+            assert not store.m[name].any() and not store.v[name].any()
+        if not skipped:
+            assert store.m["a"].all() and store.v["a"].all()
+
+    def test_unstepped_store_saves_zero_moment_records(self, tmp_path):
+        store = ParamStore("f64")
+        store.register("a", np.full((2, 3), 1.5))
+        store.register("b", np.arange(4.0))
+        store.step = 5
+        path = tmp_path / "model.ckpt"
+        store.save(str(path))
+        assert store.m == {} == store.v
+        by_hand = tmp_path / "by_hand.ckpt"
+        with open(by_hand, "wb") as f:
+            f.write(b"SOLVCKPT" + struct.pack("<IQ", 1, 5))
+            for name, arr in [("a", store["a"].data), ("b", store["b"].data),
+                              ("a.m", np.zeros((2, 3))), ("b.m", np.zeros(4)),
+                              ("a.v", np.zeros((2, 3))), ("b.v", np.zeros(4))]:
+                f.write(struct.pack("<I", len(name)) + name.encode())
+                dc.write_f32_array(f, arr)
+        assert path.read_bytes() == by_hand.read_bytes()
+
     def test_load_leaves_moments(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
         self._two_param_store().save(path)
         store = ParamStore("f64")
         store.register("a", np.zeros((2, 3)))
         store.register("b", np.zeros(4))
+        store.adam_step(lr=0.1)  # no gradients: zero moments, no update
         moments = {name: (store.m[name], store.v[name]) for name in store.names()}
         store.load(path)
         assert store.step == 9
@@ -582,7 +638,8 @@ class TestCheckpoint:
 
     @staticmethod
     def _big_store():
-        """8 parameters of 256 x 256, f32: 2 MiB of parameters and 4 MiB of moments."""
+        """8 parameters of 256 x 256, f32: 2 MiB of parameters. The store
+        holds no moments; its checkpoint carries 4 MiB of zero ones."""
         store = ParamStore("f32")
         for i in range(8):
             store.register(f"w{i}", np.full((256, 256), float(i)))

@@ -397,6 +397,13 @@ class TestRasterize:
         labels = rasterize(m, 4, 4, 4, 4)
         np.testing.assert_array_equal(labels.ravel(), np.argmax(m, axis=0))
 
+    def test_labels_are_int64_argmax_of_upsampled_masks(self):
+        m = np.random.default_rng(4).random((5, 24))
+        labels = rasterize(m, 4, 6, 40, 52)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(
+            labels, np.argmax(bilinear_resize(m.reshape(5, 4, 6), 40, 52), axis=0))
+
     def test_constant_masks_ignore_interpolation(self):
         m = np.array([[0.2] * 16, [0.5] * 16, [0.3] * 16])
         labels = rasterize(m, 4, 4, 64, 64)
