@@ -103,7 +103,8 @@ def hungarian(cost) -> list[tuple[int, int]]:
 
 @dataclass
 class TrackedSegmentation:
-    frames: np.ndarray        # F x H x W track labels
+    frames: np.ndarray        # F x H x W track labels, in the smallest
+                              # unsigned type that holds n_tracks - 1
     track_maps: list          # per frame: array mapping slot index -> track id
     n_tracks: int
 
@@ -131,7 +132,8 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
                 cur_map[j] = next_id
                 next_id += 1
         track_maps.append(cur_map)
-    out = np.empty((len(label_frames),) + np.shape(label_frames[0]), np.int64)
+    out = np.empty((len(label_frames),) + np.shape(label_frames[0]),
+                   np.min_scalar_type(next_id - 1))
     for t, labels in enumerate(label_frames):
         np.take(track_maps[t], labels, out=out[t])
     return TrackedSegmentation(frames=out, track_maps=track_maps, n_tracks=next_id)
@@ -161,13 +163,17 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
     """Patch-level masks to pixel-level hard labels.
 
     Each slot mask is reshaped to the patch grid, bilinearly upsampled,
-    and pixels take the argmax slot (ties go to the lower index).
+    and pixels take the argmax slot (ties go to the lower index). Labels
+    come in the smallest unsigned type that holds ``k_t - 1``: uint8 for
+    up to 256 slots.
     """
     k_t, n = m.shape
+    if k_t == 0:
+        raise ValueError(f"no slot masks to rasterize: shape {m.shape}")
     if n != rows * cols:
         raise ValueError(f"mask width {n} != grid {rows}x{cols}")
     up = bilinear_resize(m.reshape(k_t, rows, cols), h, w)
-    return np.argmax(up, axis=0).astype(np.int64, copy=False)
+    return np.argmax(up, axis=0).astype(np.min_scalar_type(k_t - 1), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from .diffcore import ParamStore, Tensor
 
 # Frames per spatial-binding call and windows per temporal-binding call
 # in infer_video. Binding a whole 48-frame video in one call was no
-# faster on the infer-long benchmark and raised its peak RSS from 136 to
-# 156 MB; 8 keeps a chunk's activations small.
+# faster on the infer-long benchmark (one BLAS thread, 2-core x86-64 VM)
+# and raised its peak RSS from 75-78 to 105-106 MB on seeds 1-4; 8 keeps
+# a chunk's activations small.
 CHUNK = 8
 
 
@@ -198,7 +199,8 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     per call; merging (always applied) and decoding run per frame, and
     the decoder runs only for frames left with two or more slots: one
     slot labels every pixel 0. Returns (tracked segmentation, per-frame
-    slot counts).
+    slot counts); the track labels are in the smallest unsigned type that
+    holds the last track id.
     """
     cfg = pipe.cfg
     d, m = cfg.data, cfg.model
@@ -244,9 +246,9 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
             available = (rows >= n) & (rows < n + f_total)
             centers[s:s + len(rows)] = pipe.bind_windows(Tensor(windows), available).data
 
-    # what rasterize returns for one slot (argmax over one slot is 0),
-    # shared by every frame left with one slot
-    one_slot = np.zeros((d.canvas_h, d.canvas_w), np.int64)
+    # what rasterize returns for one slot (argmax over one slot is 0, in
+    # uint8), shared by every frame left with one slot
+    one_slot = np.zeros((d.canvas_h, d.canvas_w), np.uint8)
     label_frames = []
     slot_vectors = []
     for t in range(f_total):

@@ -169,12 +169,13 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 
 def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
     """A pipeline whose parameters are read from ``ckpt_path``. The store
-    is registered from the parameter shapes with zero arrays, which the
-    checkpoint's arrays replace; it holds no Adam moments."""
+    is registered from the parameter shapes with zero-byte read-only
+    views, which the checkpoint's arrays replace, so loading holds one
+    copy of the parameters; the store holds no Adam moments."""
     check_compatible(ckpt_path, cfg)
     store = ParamStore(cfg.train.precision)
     for name, shape in param_shapes(cfg).items():
-        store.register(name, np.zeros(shape, store.dtype))
+        store.register(name, np.broadcast_to(np.zeros((), store.dtype), shape))
     store.load(ckpt_path)
     return Pipeline(cfg, store)
 

@@ -451,6 +451,8 @@ class TestInferRejectsBadInput:
 
         def many_tracks(pipe, feats):
             tracked, k_t = real_infer(pipe, feats)
+            # track labels come in the narrowest type that holds them
+            tracked.frames = tracked.frames.astype(np.int64)
             tracked.frames[0, 0, 0] = 70000
             return tracked, k_t
 

@@ -369,6 +369,24 @@ class TestLinkTracks:
         assert tracked.n_tracks == 3
         assert set(tracked.track_maps[1]) == {0, 1, 2}
 
+    @pytest.mark.parametrize("n_tracks, dtype", [
+        (256, np.uint8), (257, np.uint16), (65537, np.uint32)])
+    def test_labels_take_the_narrowest_type_that_holds_every_track(self, n_tracks, dtype):
+        # frame 0 opens n_tracks - 1 tracks, frame 1 keeps one of them and
+        # frame 2 keeps it and opens the last
+        rng = np.random.default_rng(6)
+        first = rng.normal(size=(n_tracks - 1, 4))
+        vectors = [first, first[:1], np.vstack([first[:1], -first[:1]])]
+        shape = (1, n_tracks - 1)
+        labels = [np.arange(n_tracks - 1).reshape(shape), np.zeros(shape, np.uint8),
+                  (np.arange(n_tracks - 1) % 2).reshape(shape).astype(np.uint8)]
+        tracked = link_tracks(vectors, labels)
+        assert tracked.n_tracks == n_tracks
+        assert tracked.frames.dtype == dtype
+        want = np.stack([m.astype(np.int64)[lab] for m, lab in zip(tracked.track_maps, labels)])
+        assert want.max() == n_tracks - 1
+        np.testing.assert_array_equal(tracked.frames, want)
+
     def test_a_video_with_no_frames_is_refused(self):
         with pytest.raises(ValueError, match="no frames"):
             link_tracks([], [])
@@ -397,12 +415,17 @@ class TestRasterize:
         labels = rasterize(m, 4, 4, 4, 4)
         np.testing.assert_array_equal(labels.ravel(), np.argmax(m, axis=0))
 
-    def test_labels_are_int64_argmax_of_upsampled_masks(self):
+    def test_labels_are_uint8_argmax_of_upsampled_masks(self):
         m = np.random.default_rng(4).random((5, 24))
         labels = rasterize(m, 4, 6, 40, 52)
-        assert labels.dtype == np.int64
-        np.testing.assert_array_equal(
-            labels, np.argmax(bilinear_resize(m.reshape(5, 4, 6), 40, 52), axis=0))
+        assert labels.dtype == np.uint8
+        reference = np.argmax(bilinear_resize(m.reshape(5, 4, 6), 40, 52), axis=0)
+        assert reference.dtype == np.int64
+        np.testing.assert_array_equal(labels, reference)
+
+    def test_empty_mask_stack_is_refused(self):
+        with pytest.raises(ValueError, match=r"no slot masks to rasterize: shape \(0, 16\)"):
+            rasterize(np.zeros((0, 16)), 4, 4, 8, 8)
 
     def test_constant_masks_ignore_interpolation(self):
         m = np.array([[0.2] * 16, [0.5] * 16, [0.3] * 16])

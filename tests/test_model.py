@@ -165,6 +165,37 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
     assert [w.shape[0] for w in windows] == [min(8, frames - s) for s in range(0, frames, 8)]
 
 
+@pytest.mark.parametrize("frames, seed, model_overrides", [
+    (5, 3, {"use_merging": False}),
+    (9, 3, {"tau_merge": 0.3}),
+], ids=["every_frame_decoded", "mixed_slot_counts"])
+def test_infer_video_labels_are_narrow(frames, seed, model_overrides, monkeypatch):
+    """Track labels come in the narrowest unsigned type that holds them,
+    valued as the int64 argmax labels mapped through the track maps; a
+    frame left with one slot is labelled by its track map's first id."""
+    cfg = small_cfg(canvas=64, **model_overrides)
+    d = cfg.data
+    wide = []  # int64 argmax labels of each rasterized frame
+    real_rasterize = evalkit.rasterize
+
+    def recording(m, *grid):
+        up = evalkit.bilinear_resize(m.reshape(len(m), d.grid_rows, d.grid_cols),
+                                     d.canvas_h, d.canvas_w)
+        wide.append(np.argmax(up, axis=0))
+        return real_rasterize(m, *grid)
+
+    monkeypatch.setattr(evalkit, "rasterize", recording)
+    tracked, k_t = infer_video(Pipeline(cfg, seed=seed), _video(cfg, frames, seed))
+    assert tracked.frames.dtype == np.uint8
+    labels, one_slot = iter(wide), np.zeros((d.canvas_h, d.canvas_w), np.int64)
+    want = np.stack([maps.astype(np.int64)[next(labels) if k > 1 else one_slot]
+                     for maps, k in zip(tracked.track_maps, k_t)])
+    assert want.dtype == np.int64
+    np.testing.assert_array_equal(tracked.frames, want)
+    if cfg.model.tau_merge == 0.3:
+        assert min(k_t) == 1 < max(k_t)
+
+
 def _features(cfg: RunConfig, frames: int) -> np.ndarray:
     d = cfg.data
     return np.random.default_rng(7).normal(size=(frames, d.n_tokens, d.d_features))

@@ -130,6 +130,23 @@ class TestTrainingLoop:
         # Adam moments would add two more copies of the parameters
         assert retained <= 1.1 * params
 
+    def test_load_pipeline_holds_one_copy_of_the_parameters(self, tmp_path):
+        # a placeholder array per parameter next to the record that replaces
+        # it would peak at twice the parameters
+        cfg = tiny_cfg(tmp_path, **{"model.decoder_hidden": 512, "train.precision": "f32"})
+        saved = init_params(cfg, seed=4)
+        path = str(tmp_path / "w.ckpt")
+        saved.save(path)
+        train_mod._write_meta(path, cfg, saved, epoch=0)
+        params = sum(t.data.nbytes for t in saved.params.values())
+        tracemalloc.start()
+        try:
+            load_pipeline(cfg, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * params
+
     def test_load_pipeline_draws_no_parameters(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path)
         saved = init_params(cfg, seed=5)
