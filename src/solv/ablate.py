@@ -11,12 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import datagen, objecthead
+from . import datagen, evalkit, objecthead
 from .config import DataConfig, RunConfig
 from .diffcore import ConfigError, Tape
 from .encoder import make_drop_plan
-from .model import Pipeline
-from .train import evaluate_clips, summarize, train
+from .model import Pipeline, infer_video
+from .train import train
 
 # Component grid: (merging, invariant attention, temporal binding)
 COMPONENT_VARIANTS = {
@@ -74,10 +74,18 @@ def _train_and_score(cfg: RunConfig, eval_clips: int) -> dict:
     pipe = Pipeline(cfg, store)
     d = cfg.data
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
-    per_video = evaluate_clips(pipe, _val_specs(d)[:eval_clips], oracle)
-    row = summarize(per_video)
-    row["mean_k_t"] = float(np.mean([v["mean_k_t"] for v in per_video]))
-    return row
+    k_t_means = []
+
+    def segmented():
+        for i, spec in enumerate(_val_specs(d)[:eval_clips]):
+            clip = datagen.render_clip(spec, oracle)
+            tracked, k_t = infer_video(pipe, clip.features)
+            k_t_means.append(float(np.mean(k_t)))
+            yield i, tracked.frames, clip.gt_pixel_labels
+
+    report = evalkit.score_videos(segmented())
+    return {"mean_fg_ari": report["mean_fg_ari"], "mean_miou": report["mean_miou"],
+            "mean_k_t": float(np.mean(k_t_means))}
 
 
 def peak_live_values(cfg: RunConfig) -> int:

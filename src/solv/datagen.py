@@ -211,30 +211,20 @@ def dataset_split(seed: int, count: int, canvas: tuple[int, int] = (128, 128),
 # Binary formats
 # ---------------------------------------------------------------------------
 
-def write_tensor(path: str, array: np.ndarray) -> None:
-    arr = np.asarray(array)
+def write_features(path: str, features: np.ndarray) -> None:
+    arr = np.asarray(features)
+    if arr.ndim != 3:
+        raise ValueError(f"features must be rank 3 (frames x tokens x dim), got {arr.shape}")
     with atomic_write(path) as f:
         f.write(_TNSR_MAGIC)
         f.write(struct.pack("<I", _FILE_VERSION))
         write_f32_array(f, arr)
 
 
-def read_tensor(path: str) -> np.ndarray:
-    with BinaryReader(path, _TNSR_MAGIC, _FILE_VERSION) as r:
-        arr = r.f32_array("tensor")
-        r.done("payload")
-    return arr
-
-
-def write_features(path: str, features: np.ndarray) -> None:
-    arr = np.asarray(features)
-    if arr.ndim != 3:
-        raise ValueError(f"features must be rank 3 (frames x tokens x dim), got {arr.shape}")
-    write_tensor(path, arr)
-
-
 def read_features(path: str) -> np.ndarray:
-    arr = read_tensor(path)
+    with BinaryReader(path, _TNSR_MAGIC, _FILE_VERSION) as r:
+        arr = r.array(r.f32_dims("tensor"), "<f4", "payload of tensor")
+        r.done("payload")
     if arr.ndim != 3:
         raise FormatError(f"{path}: feature tensor must be rank 3, got rank {arr.ndim}")
     return arr

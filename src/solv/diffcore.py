@@ -118,10 +118,6 @@ class BinaryReader:
         (rank,) = self.unpack("<I", f"rank of {what}")
         return self.unpack(f"<{rank}Q", f"dims of {what}")
 
-    def f32_array(self, what: str) -> np.ndarray:
-        """Read the record ``write_f32_array`` writes."""
-        return self.array(self.f32_dims(what), "<f4", f"payload of {what}")
-
     def at_end(self) -> bool:
         return self.off == self.size
 
@@ -550,19 +546,14 @@ def mlp(x: Tensor, layers) -> Tensor:
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-              eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis; constant rows map to zero via eps."""
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize over the last axis, then scale by ``gamma`` and shift by
+    ``beta``; constant rows normalize to zero via eps."""
     m = reduce_mean(x, axis=-1, keepdims=True)
     xc = sub(x, m)
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
     inv = 1.0 / sqrt(var + eps)
-    out = mul(xc, inv)
-    if gamma is not None:
-        out = mul(out, gamma)
-    if beta is not None:
-        out = add(out, beta)
-    return out
+    return add(mul(mul(xc, inv), gamma), beta)
 
 
 def gru_param_shapes(d: int) -> dict:

@@ -7,7 +7,8 @@ reach, so the same matrix always gives the same pairs. Callers need no
 more: mIoU depends only on the optimal total, and track linking only on
 an optimum that is the same for the same matrix.
 
-``score_video`` is the one scoring path. It counts a video into one
+``score_video`` is the one scoring path, and ``score_videos`` the one
+summary of many videos over it. ``score_video`` counts a video into one
 (frame, gt label, pred label) table of pixels; ``mean_fg_ari`` reads its
 foreground rows, ``video_miou`` its sum over frames, and the track count
 of each frame is its nonzero columns. The count compares each pixel with
@@ -301,3 +302,23 @@ def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
     return {"fg_ari": ari, "miou": video_miou(table.sum(axis=0), gt_ids),
             "skipped_frames": skipped,
             "k_t_histogram": dict(Counter(map(int, np.count_nonzero(table.sum(axis=1), axis=1))))}
+
+
+def score_videos(videos) -> dict:
+    """Score each ``(id, predicted, ground truth)`` label video of an
+    iterable with ``score_video``, one video at a time; returns one row
+    per video and each mean over the videos that have that score (None
+    when none do)."""
+    rows = []
+    for vid, pred, gt in videos:
+        if np.shape(pred) != np.shape(gt):
+            raise ValueError(f"video {vid}: predicted masks have shape {np.shape(pred)}, "
+                             f"ground truth has shape {np.shape(gt)}")
+        score = score_video(pred, gt)
+        rows.append({"id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
+                     "k_t_histogram": {str(k): n for k, n in score["k_t_histogram"].items()}})
+    report = {"videos": rows}
+    for key in ("fg_ari", "miou"):
+        scores = [row[key] for row in rows if row[key] is not None]
+        report["mean_" + key] = float(np.mean(scores)) if scores else None
+    return report

@@ -21,7 +21,7 @@ from . import datagen, evalkit, objecthead
 from .config import RunConfig, learning_rate
 from .diffcore import ConfigError, ParamStore, Tape, read_json_object, write_json
 from .encoder import make_drop_plan
-from .model import Pipeline, infer_video, init_params, param_shapes
+from .model import Pipeline, init_params, param_shapes
 from .objecthead import merge_gate
 
 log = logging.getLogger(__name__)
@@ -180,26 +180,6 @@ def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
     return Pipeline(cfg, store)
 
 
-def evaluate_clips(pipe: Pipeline, specs, oracle) -> list[dict]:
-    """Segment each clip and score it against its own ground truth."""
-    rows = []
-    for spec in specs:
-        clip = datagen.render_clip(spec, oracle)
-        tracked, k_t = infer_video(pipe, clip.features)
-        rows.append({**evalkit.score_video(tracked.frames, clip.gt_pixel_labels),
-                     "mean_k_t": float(np.mean(k_t))})
-    return rows
-
-
-def summarize(per_video: list[dict]) -> dict:
-    aris = [v["fg_ari"] for v in per_video if v["fg_ari"] is not None]
-    mious = [v["miou"] for v in per_video if v["miou"] is not None]
-    return {
-        "mean_fg_ari": float(np.mean(aris)) if aris else None,
-        "mean_miou": float(np.mean(mious)) if mious else None,
-    }
-
-
 def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
                   config_digest: str = "") -> dict:
     """Score mask files in pred_dir against same-named files in gt_dir."""
@@ -215,20 +195,13 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
             f"missing ground truth {missing_gt}")
     if not pred_ids:
         raise ValueError("no .mask files found in either directory")
-    videos = []
-    for vid in sorted(pred_ids):
-        pred = datagen.read_masks(os.path.join(pred_dir, vid + ".mask"))
-        gt = datagen.read_masks(os.path.join(gt_dir, vid + ".mask"))
-        if pred.shape != gt.shape:
-            raise ValueError(
-                f"video {vid}: predicted masks have shape {pred.shape}, "
-                f"ground truth has shape {gt.shape}")
-        score = evalkit.score_video(pred, gt)
-        videos.append({
-            "id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
-            "k_t_histogram": {str(k): v for k, v in score["k_t_histogram"].items()},
-        })
-    report = {"videos": videos, **summarize(videos), "config_digest": config_digest}
+
+    def mask_pairs():  # one video read at a time, as it is scored
+        for vid in sorted(pred_ids):
+            yield (vid, datagen.read_masks(os.path.join(pred_dir, vid + ".mask")),
+                   datagen.read_masks(os.path.join(gt_dir, vid + ".mask")))
+
+    report = {**evalkit.score_videos(mask_pairs()), "config_digest": config_digest}
     if report_path:
         write_json(report_path, report)
     return report

@@ -1,6 +1,7 @@
 """Scene rendering, the feature oracle, file formats, and dataset splits."""
 
 import os
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,10 +11,9 @@ import pytest
 from solv import datagen
 from solv.datagen import (
     FeatureOracle, SceneSpec, Sprite, dataset_split, patch_labels_from_pixels,
-    read_features, read_masks, read_tensor, render_clip, write_features,
-    write_masks, write_tensor,
+    read_features, read_masks, render_clip, write_features, write_masks,
 )
-from solv.diffcore import FormatError
+from solv.diffcore import FormatError, write_f32_array
 
 
 def _oracle(d=16, n_id=5, sigma=0.05, seed=11):
@@ -131,11 +131,11 @@ class TestFeatureOracle:
 class TestFileFormats:
     def test_tensor_roundtrip_random_shapes(self, tmp_path):
         rng = np.random.default_rng(13)
-        for shape in [(3,), (2, 5), (4, 3, 2), (1, 1, 7, 2)]:
+        for shape in [(1, 1, 3), (2, 5, 1), (4, 3, 2), (1, 7, 2)]:
             arr = rng.normal(size=shape).astype(np.float32)
-            path = str(tmp_path / "t.bin")
-            write_tensor(path, arr)
-            back = read_tensor(path)
+            path = str(tmp_path / "t.features")
+            write_features(path, arr)
+            back = read_features(path)
             assert np.array_equal(arr, back)
 
     def test_features_roundtrip_bit_exact(self, tmp_path):
@@ -169,6 +169,14 @@ class TestFileFormats:
     def test_features_rank_enforced(self, tmp_path):
         with pytest.raises(ValueError, match="rank 3"):
             write_features(str(tmp_path / "x"), np.zeros((3, 3)))
+
+    def test_feature_file_of_another_rank_is_refused(self, tmp_path):
+        path = tmp_path / "r2.features"
+        with open(path, "wb") as f:  # a SOLVTNSR file whose tensor is rank 2
+            f.write(b"SOLVTNSR" + struct.pack("<I", 1))
+            write_f32_array(f, np.ones((2, 3)))
+        with pytest.raises(FormatError, match="must be rank 3, got rank 2"):
+            read_features(str(path))
 
     def test_mask_roundtrip_and_truncation(self, tmp_path):
         arr = np.random.default_rng(2).integers(0, 9, size=(3, 8, 8)).astype(np.uint16)
@@ -225,7 +233,7 @@ class TestFileFormats:
             read_masks(path)
 
     @pytest.mark.parametrize("write, read, data", [
-        (write_tensor, read_tensor, np.ones((2, 3), np.float32)),
+        (write_features, read_features, np.ones((1, 2, 3), np.float32)),
         (write_masks, read_masks, np.ones((2, 4, 4), np.uint16)),
     ], ids=["tensor", "masks"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,

@@ -36,7 +36,7 @@ class TestForwardValues:
             assert (out > 0).all()
 
     def test_layernorm_constant_row_is_zero(self):
-        out = dc.layernorm(Tensor([3.0, 3.0, 3.0, 3.0]))
+        out = dc.layernorm(Tensor([3.0, 3.0, 3.0, 3.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_matmul_hand_product(self):
@@ -125,7 +125,7 @@ class TestBackward:
                 h = dc.add(dc.matmul(a, b), c)
                 h = dc.sigmoid(h) + dc.tanh(h)
                 h = dc.softmax(h, axis=1)
-                h = dc.layernorm(h)
+                h = dc.layernorm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
                 s = dc.reduce_mean(dc.mul(h, h)) + dc.reduce_sum(dc.sqrt(dc.mul(h, h) + 1.0))
             return s, tape
 
@@ -687,7 +687,7 @@ def _tracking_open(monkeypatch):
 
 
 def _tensor_file(path):
-    datagen.write_tensor(path, np.arange(6.0).reshape(2, 3))  # payload at 32, ends at 56
+    datagen.write_features(path, np.arange(6.0).reshape(1, 2, 3))  # payload at 40, ends at 64
 
 
 def _mask_file(path):
@@ -701,7 +701,7 @@ def _ckpt_file(path):
 
 
 _FORMATS = {
-    "tensor": (_tensor_file, datagen.read_tensor),
+    "tensor": (_tensor_file, datagen.read_features),
     "mask": (_mask_file, datagen.read_masks),
     "ckpt": (_ckpt_file, lambda path: dc.read_checkpoint(path)[0]),
 }
@@ -729,19 +729,19 @@ class TestBinaryFormats:
         ("mask", dict(cut=10), "expected version at byte 8"),
         ("ckpt", dict(cut=16), "expected step counter at byte 12"),
         ("tensor", dict(cut=14), "expected rank of tensor at byte 12"),
-        ("tensor", dict(cut=20), "expected dims of tensor at byte 16"),
+        ("tensor", dict(cut=30), "expected dims of tensor at byte 16"),
         ("mask", dict(cut=16), "expected dims at byte 12"),
         ("ckpt", dict(cut=22), "expected name length at byte 20"),
         ("ckpt", dict(cut=35), "expected dims of 'w' at byte 29"),
         ("ckpt", dict(at=24, put=b"\xff"), "record name at byte 24 is not UTF-8"),
-        ("tensor", dict(cut=50), "expected payload of tensor at byte 32"),
+        ("tensor", dict(cut=58), "expected payload of tensor at byte 40"),
         ("mask", dict(cut=70), "expected payload at byte 24"),
         ("ckpt", dict(cut=60), "expected payload of 'w' at byte 45"),
         ("ckpt", dict(cut=160), r"expected payload of 'w.v' at byte 147"),
         # a header whose dims ask for far more than the file holds
         ("tensor", dict(at=16, put=struct.pack("<Q", 2 ** 40)),
-         "expected payload of tensor at byte 32"),
-        ("tensor", dict(tail=b"xx"), "2 trailing bytes after payload at byte 56"),
+         "expected payload of tensor at byte 40"),
+        ("tensor", dict(tail=b"xx"), "2 trailing bytes after payload at byte 64"),
         ("mask", dict(tail=b"xx"), "2 trailing bytes after payload at byte 72"),
         ("ckpt", dict(tail=b"xx"), "expected name length at byte 171"),
     ])
@@ -767,8 +767,8 @@ class TestBinaryFormats:
 
     def test_zero_size_payloads_read_back(self, tmp_path):
         path = str(tmp_path / "t.bin")
-        datagen.write_tensor(path, np.zeros((0, 4, 3), np.float32))
-        assert datagen.read_tensor(path).shape == (0, 4, 3)
+        datagen.write_features(path, np.zeros((0, 4, 3), np.float32))
+        assert datagen.read_features(path).shape == (0, 4, 3)
         datagen.write_masks(path, np.zeros((0, 8, 8), np.uint16))
         assert datagen.read_masks(path).shape == (0, 8, 8)
         store = ParamStore("f32")

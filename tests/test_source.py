@@ -71,6 +71,22 @@ def test_imports_are_at_module_level():
     assert not found, f"imports inside functions: {found}"
 
 
+def test_only_score_videos_calls_score_video():
+    """One scoring path: ``evalkit.score_videos`` is the only caller of
+    ``score_video``, so ``solv evaluate`` and ``solv ablate`` build their
+    scores the same way."""
+    callers = []
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            callers += [f"{path.stem}.{func.name}:{node.lineno}"
+                        for node in ast.walk(func) if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "score_video"]
+    assert [c.split(":")[0] for c in callers] == ["evalkit.score_videos"], callers
+
+
 def test_every_config_field_has_a_reader():
     """Every field of every config section and of a scene (``Sprite``,
     ``SceneSpec``) is read as an attribute somewhere in the program: a

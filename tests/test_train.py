@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from solv import ablate as ablate_mod
 from solv import datagen, evalkit, objecthead
 from solv import model as model_mod
 from solv import train as train_mod
@@ -22,7 +23,7 @@ from solv.diffcore import (
 from solv.encoder import make_drop_plan
 from solv.model import Pipeline, infer_video, init_params
 from solv.train import (
-    check_compatible, evaluate_clips, evaluate_dirs, load_pipeline, train,
+    TrainLog, check_compatible, evaluate_dirs, load_pipeline, train,
 )
 
 from helpers import fail_writes_half_way
@@ -391,46 +392,73 @@ class TestInference:
         b, _ = infer_video(pipe, clip.features)
         assert np.array_equal(a.frames, b.frames)
 
-    def test_evaluate_clips_reports_metrics(self, tmp_path):
-        cfg, pipe = self._trained(tmp_path)
-        d = cfg.data
-        oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
-                                       d.sigma_noise)
-        _, val = datagen.dataset_split(d.seed, d.clip_count, (32, 32), 8, 3,
-                                       (1, 2))
-        rows = evaluate_clips(pipe, val[:1], oracle)
-        assert set(rows[0]) >= {"fg_ari", "miou", "k_t_histogram", "mean_k_t"}
+    def test_score_videos_rows_and_means(self):
+        rng = np.random.default_rng(4)
+        gt = rng.integers(0, 3, size=(2, 6, 6))
+        empty = np.zeros((2, 6, 6), int)  # no object: no fg_ari, no miou
+        pred = gt[::-1].copy()
+        videos = [("a", gt.copy(), gt), ("b", empty.copy(), empty), ("c", pred, gt)]
+        report = evalkit.score_videos(iter(videos))
+        assert list(report) == ["videos", "mean_fg_ari", "mean_miou"]
+        for row, (vid, p, g) in zip(report["videos"], videos, strict=True):
+            score = evalkit.score_video(p, g)
+            assert row == {"id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
+                           "k_t_histogram": {str(k): n for k, n
+                                             in score["k_t_histogram"].items()}}
+        rows = report["videos"]
+        assert all(isinstance(k, str) for row in rows for k in row["k_t_histogram"])
+        assert rows[1]["fg_ari"] is None and rows[1]["miou"] is None
+        assert report["mean_fg_ari"] == float(np.mean([rows[0]["fg_ari"], rows[2]["fg_ari"]]))
+        assert report["mean_miou"] == float(np.mean([rows[0]["miou"], rows[2]["miou"]]))
+        assert evalkit.score_videos([("b", empty, empty)]) == {
+            "videos": [{"id": "b", "fg_ari": None, "miou": None,
+                        "k_t_histogram": {"1": 2}}],
+            "mean_fg_ari": None, "mean_miou": None}
 
-    def test_evaluate_clips_and_dirs_score_videos_alike(self, tmp_path, monkeypatch):
-        # without merging, so that frames hold several tracks
-        cfg = tiny_cfg(tmp_path, **{"model.use_merging": False})
-        pipe = Pipeline(cfg, init_params(cfg))
-        d = cfg.data
-        oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
-                                       d.sigma_noise)
-        _, val = datagen.dataset_split(d.seed, 40, (32, 32), 8, 3, (1, 2))
-        segmented = []
-        real_infer = train_mod.infer_video
+    def test_score_videos_shape_mismatch_names_the_video(self):
+        drawn = []
+
+        def videos():
+            for vid, frames in (("ok", 2), ("clip7", 1), ("never", 2)):
+                drawn.append(vid)
+                yield vid, np.ones((frames, 4, 4), int), np.ones((2, 4, 4), int)
+
+        with pytest.raises(ValueError, match=r"video clip7: .*\(1, 4, 4\).*\(2, 4, 4\)"):
+            evalkit.score_videos(videos())
+        assert drawn == ["ok", "clip7"]  # one video drawn at a time
+
+    def test_ablation_row_scores_like_evaluate_dirs(self, tmp_path, monkeypatch):
+        # without merging, so that frames hold several tracks; untrained
+        # weights, as the row's scoring is under test, not its training
+        cfg = tiny_cfg(tmp_path, **{"model.use_merging": False, "data.clip_count": 40})
+        monkeypatch.setattr(ablate_mod, "train", lambda cfg: (init_params(cfg), TrainLog()))
+        segmented, k_t_means = [], []
+        real_infer = ablate_mod.infer_video
 
         def recording(pipe, features):
             tracked, k_t = real_infer(pipe, features)
             segmented.append(tracked.frames)
+            k_t_means.append(float(np.mean(k_t)))
             return tracked, k_t
 
-        monkeypatch.setattr(train_mod, "infer_video", recording)
-        rows = evaluate_clips(pipe, val[:4], oracle)
+        monkeypatch.setattr(ablate_mod, "infer_video", recording)
+        row = ablate_mod._train_and_score(cfg, 4)
+        d = cfg.data
+        oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
+                                       d.sigma_noise)
+        val = ablate_mod._val_specs(d)[:4]
         for side in ("pred", "gt"):
             (tmp_path / side).mkdir()
-        for i, (spec, pred) in enumerate(zip(val[:4], segmented)):
+        for i, (spec, pred) in enumerate(zip(val, segmented, strict=True)):
             gt = datagen.render_clip(spec, oracle).gt_pixel_labels
             datagen.write_masks(str(tmp_path / "pred" / f"v{i}.mask"), pred)
             datagen.write_masks(str(tmp_path / "gt" / f"v{i}.mask"), gt)
         report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"))
-        assert len(rows) == len(report["videos"]) == 4
-        for row, video in zip(rows, report["videos"]):
-            assert (video["fg_ari"], video["miou"]) == (row["fg_ari"], row["miou"])
-            assert video["k_t_histogram"] == {
-                str(k): v for k, v in row["k_t_histogram"].items()}
+        assert any(set(v["k_t_histogram"]) != {"1"} for v in report["videos"])
+        assert list(row) == ["mean_fg_ari", "mean_miou", "mean_k_t"]
+        assert row["mean_fg_ari"] == report["mean_fg_ari"]
+        assert row["mean_miou"] == report["mean_miou"]
+        assert row["mean_k_t"] == float(np.mean(k_t_means))
 
     def test_pipeline_precision_does_not_depend_on_earlier_runs(self, tmp_path):
         # an f32 pipeline built before and after an f64 train() and an f64
