@@ -11,7 +11,7 @@ Everything is a pure function of (spec, seed).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

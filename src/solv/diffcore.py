@@ -205,13 +205,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # operator sugar
     def __add__(self, other):
         return add(self, _wrap(other, self))
@@ -615,12 +608,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def names(self):
-        return list(self.params)
 
     def zero_grads(self) -> None:
         for t in self.params.values():

@@ -106,7 +106,6 @@ def hungarian(cost) -> list[tuple[int, int]]:
 class TrackedSegmentation:
     frames: np.ndarray        # F x H x W track labels, in the smallest
                               # unsigned type that holds n_tracks - 1
-    track_maps: list          # per frame: array mapping slot index -> track id
     n_tracks: int
 
 
@@ -117,7 +116,8 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
     unmatched (when counts differ) open fresh tracks.
     """
     if len(slot_vectors) != len(label_frames):
-        raise ValueError("one slot-vector matrix per label frame required")
+        raise ValueError(f"{len(slot_vectors)} slot-vector matrices for "
+                         f"{len(label_frames)} label frames; one per frame required")
     if not slot_vectors:
         raise ValueError("video has no frames")
     track_maps = [np.arange(len(slot_vectors[0]), dtype=np.int64)]
@@ -137,7 +137,7 @@ def link_tracks(slot_vectors: list, label_frames: list) -> TrackedSegmentation:
                    np.min_scalar_type(next_id - 1))
     for t, labels in enumerate(label_frames):
         np.take(track_maps[t], labels, out=out[t])
-    return TrackedSegmentation(frames=out, track_maps=track_maps, n_tracks=next_id)
+    return TrackedSegmentation(frames=out, n_tracks=next_id)
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +262,15 @@ def _ari(tables: np.ndarray) -> np.ndarray:
     return np.where(degenerate, same.astype(np.float64), ari)
 
 
-def mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> tuple[float | None, int]:
+def mean_fg_ari(table: np.ndarray, gt_ids: np.ndarray) -> float | None:
     """Per-frame foreground ARI of a (frame, gt, pred) count table,
-    averaged over the video.
-
-    Frames with fewer than 2 foreground pixels are skipped; returns
-    (mean, skipped), with mean None when no frame qualified.
-    """
+    averaged over the frames with at least 2 foreground pixels; None when
+    no frame has them."""
     fg = table[:, gt_ids > 0]
     scored = fg.sum(axis=(1, 2)) >= 2
-    skipped = int(np.count_nonzero(~scored))
     if not scored.any():
-        return None, skipped
-    return float(np.mean(_ari(fg[scored]))), skipped
+        return None
+    return float(np.mean(_ari(fg[scored])))
 
 
 def video_miou(table: np.ndarray, gt_ids: np.ndarray) -> float | None:
@@ -294,13 +290,11 @@ def video_miou(table: np.ndarray, gt_ids: np.ndarray) -> float | None:
 
 
 def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
-    """Foreground ARI with its skipped-frame count, video mIoU and the
-    histogram of per-frame track counts, all from one count table of two
-    same-shape label videos."""
+    """Foreground ARI, video mIoU and the histogram of per-frame track
+    counts, all from one count table of two same-shape label videos."""
     table, gt_ids = _table(pred_frames, gt_frames)
-    ari, skipped = mean_fg_ari(table, gt_ids)
-    return {"fg_ari": ari, "miou": video_miou(table.sum(axis=0), gt_ids),
-            "skipped_frames": skipped,
+    return {"fg_ari": mean_fg_ari(table, gt_ids),
+            "miou": video_miou(table.sum(axis=0), gt_ids),
             "k_t_histogram": dict(Counter(map(int, np.count_nonzero(table.sum(axis=1), axis=1))))}
 
 

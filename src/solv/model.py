@@ -108,10 +108,9 @@ class WindowOutput:
 class Pipeline:
     """Stateless forward passes over a fixed parameter store."""
 
-    def __init__(self, cfg: RunConfig, store: ParamStore | None = None,
-                 seed: int | None = None):
+    def __init__(self, cfg: RunConfig, store: ParamStore | None = None):
         self.cfg = cfg
-        self.store = store if store is not None else init_params(cfg, seed)
+        self.store = store if store is not None else init_params(cfg)
         d = cfg.data
         self.grid = encoder.build_position_grid(d.grid_rows, d.grid_cols)
 
@@ -259,6 +258,6 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
         else:
             labels = one_slot
         label_frames.append(labels)
-        slot_vectors.append(merged.cprime.data.copy())
+        slot_vectors.append(merged.cprime.data)
     tracked = evalkit.link_tracks(slot_vectors, label_frames)
     return tracked, [v.shape[0] for v in slot_vectors]

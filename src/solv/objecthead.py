@@ -41,10 +41,8 @@ class MergedSlots:
 
 @dataclass
 class DecodedFrame:
-    y: Tensor        # N x D combined reconstruction
-    m: Tensor        # K_t x N soft masks, columns sum to 1
-    alpha: Tensor    # K_t x N pre-softmax logits
-    y_slots: Tensor  # K_t x N x D per-slot reconstructions
+    y: Tensor  # N x D combined reconstruction
+    m: Tensor  # K_t x N soft masks, columns sum to 1
 
 
 def complete_linkage(dist: np.ndarray, threshold: float) -> list[list[int]]:
@@ -190,7 +188,7 @@ def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
     alpha = dc.reshape(dc.slice_axis(out, 2, d_out, d_out + 1), (k_t, n))
     m = dc.softmax(alpha, axis=0)
     y = dc.reduce_sum(dc.mul(dc.reshape(m, (k_t, n, 1)), y_slots), axis=0)
-    return DecodedFrame(y=y, m=m, alpha=alpha, y_slots=y_slots)
+    return DecodedFrame(y=y, m=m)
 
 
 def reconstruction_loss(y: Tensor, target) -> Tensor:

@@ -194,7 +194,7 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
             f"video id mismatch: missing predictions {missing_pred}, "
             f"missing ground truth {missing_gt}")
     if not pred_ids:
-        raise ValueError("no .mask files found in either directory")
+        raise ValueError(f"no .mask files in {pred_dir} or {gt_dir}")
 
     def mask_pairs():  # one video read at a time, as it is scored
         for vid in sorted(pred_ids):

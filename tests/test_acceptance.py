@@ -71,7 +71,7 @@ class TestGradientOracle:
                     loss = dc.reduce_mean(dc.mul(out, out))
                 return loss, tape
 
-            return run, [x] + [store[n] for n in store.names()]
+            return run, [x] + list(store.params.values())
 
         def isa(seed):
             store = binding_store(d_slot=6, k_slots=3, seed=seed)

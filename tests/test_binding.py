@@ -225,7 +225,7 @@ class TestFactoredAttention:
                    "geometry.mass": geometry.mass,
                    "geometry.position": geometry.position,
                    "geometry.var": geometry.var}
-        grads = {name: store[name].grad.copy() for name in store.names()
+        grads = {name: store[name].grad.copy() for name in store.params
                  if store[name].grad is not None}
         grads["tokens"] = tokens.grad.copy()
         return outputs, grads
@@ -349,7 +349,7 @@ class TestTemporalBind:
         masked_out = self._bind(slots, avail, store, n_layers=2, heads=2)
 
         truncated = binding_store(d_slot=d, k_slots=k, window=3, seed=28)
-        for name in truncated.names():
+        for name in truncated.params:
             if name != "tbind.temb":
                 truncated[name].data = store[name].data.copy()
         truncated["tbind.temb"].data = store["tbind.temb"].data[1:4].copy()

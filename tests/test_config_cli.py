@@ -161,10 +161,19 @@ class TestValueTypes:
         ({"data": {"frames": 2}}, "data.frames"),
         ({"data": {"canvas_h": 8, "canvas_w": 8, "patch": 8}}, "data.canvas_h and data.canvas_w"),
         ({"data": {"canvas_w": 8}}, "data.canvas_h and data.canvas_w"),
+        ({"data": {"canvas_h": 36}}, "data.canvas_h and data.canvas_w"),
+        ({"data": {"d_features": 6}}, "data.d_features"),
+        ({"train": {"precision": "f16"}}, "train.precision"),
+        ({"model": {"d_slot": 12}}, "model.d_slot"),
     ])
     def test_value_outside_its_range_names_the_field(self, payload, field):
         with pytest.raises(ConfigError, match=rf"^{field} must "):
             config_from_dict(payload)
+
+    @pytest.mark.parametrize("section", sorted(_SECTIONS))
+    def test_section_that_is_not_an_object_is_named(self, section):
+        with pytest.raises(ConfigError, match=f"^config section '{section}' must be an object"):
+            config_from_dict({section: [1]})
 
     def test_every_number_field_has_a_range(self):
         missing = [f"{name}.{f.name}" for name, cls in _SECTIONS.items()

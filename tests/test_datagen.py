@@ -58,6 +58,18 @@ class TestRendering:
         assert clip.gt_pixel_labels[0, 12, 12] == 2
         assert clip.gt_pixel_labels[0, 4, 4] == 1
 
+    def test_sprite_spanning_the_canvas_height_keeps_its_row(self):
+        """A sprite as tall as the canvas has one row to be at: it stays at
+        row 0 whatever its vertical velocity, while it still moves and
+        reflects across the width."""
+        sprite = Sprite("square", 16, 5, 3, identity=1, x=2, y=0)
+        spec = SceneSpec(16, 32, 8, 6, sprites=(sprite,), seed=4)
+        clip = render_clip(spec, _oracle())
+        for frame, x in zip(clip.gt_pixel_labels, [2, 7, 12, 15, 10, 5]):
+            want = np.zeros((16, 32), np.uint16)
+            want[:, x:x + 16] = 1
+            np.testing.assert_array_equal(frame, want)
+
     def test_oversized_sprite_rejected(self):
         with pytest.raises(ValueError, match="exceeds canvas"):
             SceneSpec(32, 32, 8, 1, sprites=(Sprite("square", 40, 0, 0, 1),), seed=1)
@@ -177,6 +189,12 @@ class TestFileFormats:
             write_f32_array(f, np.ones((2, 3)))
         with pytest.raises(FormatError, match="must be rank 3, got rank 2"):
             read_features(str(path))
+
+    def test_masks_rank_enforced(self, tmp_path):
+        path = tmp_path / "m.mask"
+        with pytest.raises(ValueError, match=r"masks must be rank 3 .*got \(4, 4\)"):
+            write_masks(str(path), np.zeros((4, 4), np.uint16))
+        assert not path.exists()
 
     def test_mask_roundtrip_and_truncation(self, tmp_path):
         arr = np.random.default_rng(2).integers(0, 9, size=(3, 8, 8)).astype(np.uint16)

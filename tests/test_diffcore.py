@@ -50,6 +50,11 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             dc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("a, b", [((3,), (3, 2)), ((2, 3), (3,))])
+    def test_matmul_of_a_rank_1_operand_is_refused(self, a, b):
+        with pytest.raises(ShapeError, match=rf"rank >= 2 operands, got {re.escape(f'{a} @ {b}')}"):
+            dc.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -472,6 +477,13 @@ class TestPrecision:
         store.adam_step(lr=0.1)
         assert t.data.dtype == store.m["w"].dtype == store.v["w"].dtype == dtype
 
+    def test_name_registered_twice_rejected(self):
+        store = ParamStore("f64")
+        first = store.register("w", np.ones(2))
+        with pytest.raises(ConfigError, match="parameter 'w' registered twice"):
+            store.register("w", np.zeros(3))
+        assert store["w"] is first and list(store.params) == ["w"]
+
     def test_unknown_precision_rejected(self):
         with pytest.raises(ConfigError, match="f16"):
             ParamStore("f16")
@@ -628,7 +640,7 @@ class TestCheckpoint:
         store.register("a", np.zeros((2, 3)))
         store.register("b", np.zeros(4))
         store.adam_step(lr=0.1)  # no gradients: zero moments, no update
-        moments = {name: (store.m[name], store.v[name]) for name in store.names()}
+        moments = {name: (store.m[name], store.v[name]) for name in store.params}
         store.load(path)
         assert store.step == 9
         np.testing.assert_array_equal(store["a"].data, 1.5)

@@ -134,7 +134,7 @@ class TestProjection:
 
         loss, tape = run()
         tape.backward(loss)
-        params = [store[n] for n in store.names()]
+        params = list(store.params.values())
         worst = finite_diff(lambda: float(run()[0].data), [x] + params, max_coords=8)
         assert worst <= 1e-4
 

@@ -95,7 +95,6 @@ def mask_loop_score(pred_frames, gt_frames) -> dict:
     return {
         "fg_ari": float(np.mean(aris)) if aris else None,
         "miou": mask_loop_miou(pred_frames, gt_frames),
-        "skipped_frames": len(gt_frames) - len(aris),
         "k_t_histogram": hist,
     }
 
@@ -367,7 +366,7 @@ class TestLinkTracks:
                          rng.normal(size=(1, 8))])
         tracked = link_tracks([prev, cur], [self._labels(2), self._labels(3)])
         assert tracked.n_tracks == 3
-        assert set(tracked.track_maps[1]) == {0, 1, 2}
+        np.testing.assert_array_equal(tracked.frames[1], self._labels(3))
 
     @pytest.mark.parametrize("n_tracks, dtype", [
         (256, np.uint8), (257, np.uint16), (65537, np.uint32)])
@@ -383,13 +382,19 @@ class TestLinkTracks:
         tracked = link_tracks(vectors, labels)
         assert tracked.n_tracks == n_tracks
         assert tracked.frames.dtype == dtype
-        want = np.stack([m.astype(np.int64)[lab] for m, lab in zip(tracked.track_maps, labels)])
-        assert want.max() == n_tracks - 1
+        # frame 2's second slot is the track frame 2 opens
+        want = np.stack(labels).astype(np.int64)
+        want[2] *= n_tracks - 1
         np.testing.assert_array_equal(tracked.frames, want)
 
     def test_a_video_with_no_frames_is_refused(self):
         with pytest.raises(ValueError, match="no frames"):
             link_tracks([], [])
+
+    def test_unequal_slot_and_label_frame_counts_are_refused(self):
+        vecs = np.ones((2, 4))
+        with pytest.raises(ValueError, match="2 slot-vector matrices for 1 label frames"):
+            link_tracks([vecs, vecs], [self._labels(2)])
 
     def test_permuting_second_frame_slots_leaves_labels_unchanged(self):
         rng = np.random.default_rng(3)
@@ -422,6 +427,10 @@ class TestRasterize:
         reference = np.argmax(bilinear_resize(m.reshape(5, 4, 6), 40, 52), axis=0)
         assert reference.dtype == np.int64
         np.testing.assert_array_equal(labels, reference)
+
+    def test_mask_width_other_than_the_grid_is_refused(self):
+        with pytest.raises(ValueError, match="mask width 15 != grid 4x4"):
+            rasterize(np.zeros((2, 15)), 4, 4, 8, 8)
 
     def test_empty_mask_stack_is_refused(self):
         with pytest.raises(ValueError, match=r"no slot masks to rasterize: shape \(0, 16\)"):
@@ -527,15 +536,18 @@ class TestAri:
         assert fg_ari(pred, gt_relab) == pytest.approx(base, abs=1e-12)
 
     def test_mean_fg_ari_skips_empty_frames(self):
-        gt = np.stack([np.zeros((2, 2), int), np.array([[1, 1], [2, 2]])])
-        pred = gt.copy()
-        score = score_video(pred, gt)
-        assert score["fg_ari"] == 1.0 and score["skipped_frames"] == 1
+        """Frames with 0 and 1 foreground pixels are not scored, so the
+        mean is the one scored frame's 0.0, not pulled up by their
+        identical partitions."""
+        gt = np.stack([np.zeros((2, 2), int), np.array([[0, 0], [0, 1]]),
+                       np.array([[1, 1], [2, 2]])])
+        pred = np.stack([gt[0], gt[1], np.array([[0, 0], [0, 1]])])
+        assert [fg_ari(p, g) for p, g in zip(pred, gt)] == [None, None, 0.0]
+        assert score_video(pred, gt)["fg_ari"] == 0.0
 
     def test_mean_fg_ari_no_foreground_anywhere(self):
         gt = np.zeros((3, 2, 2), int)
-        score = score_video(gt.copy(), gt)
-        assert score["fg_ari"] is None and score["skipped_frames"] == 3
+        assert score_video(gt.copy(), gt)["fg_ari"] is None
 
     def test_mean_fg_ari_rejects_shape_mismatch(self):
         gt = np.ones((5, 2, 2), int)
@@ -552,11 +564,9 @@ class TestAri:
         for pred, gt in videos:
             scores = [mask_loop_ari(p[g > 0], g[g > 0])
                       for p, g in zip(pred, gt) if (g > 0).sum() >= 2]
-            want = (float(np.mean(scores)) if scores else None, len(gt) - len(scores))
-            score = score_video(pred, gt)
-            assert (score["fg_ari"], score["skipped_frames"]) == want
-        score = score_video(np.zeros((0, 3, 3), int), np.zeros((0, 3, 3), int))
-        assert (score["fg_ari"], score["skipped_frames"]) == (None, 0)
+            want = float(np.mean(scores)) if scores else None
+            assert score_video(pred, gt)["fg_ari"] == want
+        assert score_video(np.zeros((0, 3, 3), int), np.zeros((0, 3, 3), int))["fg_ari"] is None
 
 
 class TestVideoMiou:
@@ -757,8 +767,7 @@ class TestMetricsMatchMaskLoops:
         assert video_miou(pred, gt) is None
         assert mask_loop_miou(pred, gt) is None
         assert score_video(pred, gt) == mask_loop_score(pred, gt) == {
-            "fg_ari": None, "miou": None, "skipped_frames": 1,
-            "k_t_histogram": {12: 1}}
+            "fg_ari": None, "miou": None, "k_t_histogram": {12: 1}}
 
 
 class TestKtHistogram:

@@ -13,7 +13,7 @@ from solv import binding, datagen, diffcore as dc, encoder, evalkit, model, obje
 from solv.config import DataConfig, ModelConfig, RunConfig, TrainConfig
 from solv.diffcore import Tape, Tensor
 from solv.encoder import make_drop_plan
-from solv.model import Pipeline, infer_video
+from solv.model import Pipeline, infer_video, init_params
 
 
 def small_cfg(precision="f64", canvas=32, **model_overrides) -> RunConfig:
@@ -75,10 +75,9 @@ def _counting(monkeypatch, module, name):
 
 def _assert_same_segmentation(got, want):
     (tracked, k_t), (expected, expected_k_t) = got, want
+    assert tracked.frames.dtype == expected.frames.dtype
     assert np.array_equal(tracked.frames, expected.frames)
-    assert len(tracked.track_maps) == len(expected.track_maps)
-    for got_map, want_map in zip(tracked.track_maps, expected.track_maps):
-        assert np.array_equal(got_map, want_map)
+    assert tracked.n_tracks == expected.n_tracks
     assert k_t == expected_k_t
 
 
@@ -111,7 +110,7 @@ def _least_final_scale(moments, cfg: RunConfig) -> float:
 def test_infer_video_matches_per_window_oracle(frames, seed, model_overrides,
                                                monkeypatch):
     cfg = small_cfg(canvas=64, **model_overrides)
-    pipe = Pipeline(cfg, seed=seed)
+    pipe = Pipeline(cfg, init_params(cfg, seed=seed))
     features = _video(cfg, frames, seed)
     expected = per_window_oracle(pipe, features)
 
@@ -145,7 +144,7 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
     center slots that reach merging are bitwise those of one forward per
     window; without merging every frame is decoded."""
     cfg = small_cfg(precision, canvas=64, use_merging=False)
-    pipe = Pipeline(cfg, seed=frames)
+    pipe = Pipeline(cfg, init_params(cfg, seed=frames))
     features = _video(cfg, frames, seed=frames)
     merges = _counting(monkeypatch, objecthead, "merge_slots")
     expected = per_window_oracle(pipe, features)
@@ -171,12 +170,13 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
 ], ids=["every_frame_decoded", "mixed_slot_counts"])
 def test_infer_video_labels_are_narrow(frames, seed, model_overrides, monkeypatch):
     """Track labels come in the narrowest unsigned type that holds them,
-    valued as the int64 argmax labels mapped through the track maps; a
-    frame left with one slot is labelled by its track map's first id."""
+    valued as the tracks linked from the int64 argmax labels; a frame left
+    with one slot is labelled as if all its pixels were slot 0."""
     cfg = small_cfg(canvas=64, **model_overrides)
     d = cfg.data
     wide = []  # int64 argmax labels of each rasterized frame
-    real_rasterize = evalkit.rasterize
+    linked = []  # the slot vectors infer_video links
+    real_rasterize, real_link = evalkit.rasterize, evalkit.link_tracks
 
     def recording(m, *grid):
         up = evalkit.bilinear_resize(m.reshape(len(m), d.grid_rows, d.grid_cols),
@@ -184,14 +184,19 @@ def test_infer_video_labels_are_narrow(frames, seed, model_overrides, monkeypatc
         wide.append(np.argmax(up, axis=0))
         return real_rasterize(m, *grid)
 
+    def linking(slot_vectors, label_frames):
+        linked.extend(slot_vectors)
+        return real_link(slot_vectors, label_frames)
+
     monkeypatch.setattr(evalkit, "rasterize", recording)
-    tracked, k_t = infer_video(Pipeline(cfg, seed=seed), _video(cfg, frames, seed))
+    monkeypatch.setattr(evalkit, "link_tracks", linking)
+    tracked, k_t = infer_video(Pipeline(cfg, init_params(cfg, seed=seed)),
+                               _video(cfg, frames, seed))
     assert tracked.frames.dtype == np.uint8
     labels, one_slot = iter(wide), np.zeros((d.canvas_h, d.canvas_w), np.int64)
-    want = np.stack([maps.astype(np.int64)[next(labels) if k > 1 else one_slot]
-                     for maps, k in zip(tracked.track_maps, k_t)])
-    assert want.dtype == np.int64
-    np.testing.assert_array_equal(tracked.frames, want)
+    want = real_link(linked, [next(labels) if k > 1 else one_slot for k in k_t])
+    assert want.n_tracks == tracked.n_tracks
+    np.testing.assert_array_equal(tracked.frames, want.frames)
     if cfg.model.tau_merge == 0.3:
         assert min(k_t) == 1 < max(k_t)
 
@@ -203,14 +208,16 @@ def _features(cfg: RunConfig, frames: int) -> np.ndarray:
 
 @pytest.mark.parametrize("features, message", [
     (lambda cfg: _features(cfg, 0), "no frames"),
+    (lambda cfg: _features(cfg, 1)[0], r"rank 3 .*got shape \(16, 12\)"),
+    (lambda cfg: _features(cfg, 3)[:, :-1], "feature grid 15 does not match config tokens 16"),
     (lambda cfg: _features(cfg, 3)[..., :-1], "width 11 does not match"),
     (lambda cfg: _features(cfg, 4) * np.array([1, 1, np.nan, 1])[:, None, None],
      "non-finite features in frame 2"),
-], ids=["zero_frames", "wrong_width", "non_finite"])
+], ids=["zero_frames", "rank_2", "wrong_token_count", "wrong_width", "non_finite"])
 def test_infer_video_rejects_bad_features(features, message):
     cfg = small_cfg()
     with pytest.raises(ValueError, match=message):
-        infer_video(Pipeline(cfg, seed=0), features(cfg))
+        infer_video(Pipeline(cfg, init_params(cfg, seed=0)), features(cfg))
 
 
 def test_infer_video_checks_finiteness_in_the_store_dtype():
@@ -218,9 +225,10 @@ def test_infer_video_checks_finiteness_in_the_store_dtype():
     f32 model, so it is refused as non-finite; an f64 model takes it."""
     features = _features(small_cfg(), 3)
     features[1, 2, 3] = 1e39
+    f32, f64 = small_cfg("f32"), small_cfg("f64")
     with pytest.raises(ValueError, match="non-finite features in frame 1"):
-        infer_video(Pipeline(small_cfg("f32"), seed=0), features)
-    tracked, k_t = infer_video(Pipeline(small_cfg("f64"), seed=0), features)
+        infer_video(Pipeline(f32, init_params(f32, seed=0)), features)
+    tracked, k_t = infer_video(Pipeline(f64, init_params(f64, seed=0)), features)
     assert tracked.frames.shape[0] == len(k_t) == 3
 
 
@@ -232,7 +240,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
     cfg = small_cfg()
     cfg.train.precision = precision
     d, window = cfg.data, cfg.data.frames
-    pipe = Pipeline(cfg, seed=2)
+    pipe = Pipeline(cfg, init_params(cfg, seed=2))
     oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, d.sigma_noise)
     spec = datagen.random_scene(2, (d.canvas_h, d.canvas_w), d.patch, window,
                                 (d.sprite_min, d.sprite_max))
@@ -305,7 +313,7 @@ def _clip_case(precision, availability, jitter, **model_overrides):
     enters (see ``test_clip_cases_run_in_the_training_regime``)."""
     cfg = small_cfg(precision, canvas=64, **model_overrides)
     d, m = cfg.data, cfg.model
-    pipe = Pipeline(cfg, seed=3)
+    pipe = Pipeline(cfg, init_params(cfg, seed=3))
     clip = datagen.render_clip(datagen.random_scene(
         3, (d.canvas_h, d.canvas_w), d.patch, d.frames,
         (d.sprite_min, d.sprite_max)), datagen.FeatureOracle(
@@ -401,5 +409,5 @@ def test_every_parameter_learns():
     _, _, grads = _loss_and_grads(pipe, pipe.forward_window, args, target)
     largest = {name: np.abs(g).max() for name, g in grads.items()}
     top = max(largest.values())
-    assert grads.keys() == set(pipe.store.names())
+    assert grads.keys() == set(pipe.store.params)
     assert not {name: g / top for name, g in largest.items() if g < 1e-10 * top}

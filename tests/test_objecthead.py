@@ -288,14 +288,32 @@ def _merged(k_t, d_slot, n, seed=0):
     )
 
 
+def _one_slot(ms, k):
+    """Slot ``k`` of merged slots, alone."""
+    return objecthead.MergedSlots(
+        cprime=Tensor(ms.cprime.data[k:k + 1]), members=[ms.members[k]],
+        mass=ms.mass[k:k + 1], position=ms.position[k:k + 1], scale=ms.scale[k:k + 1])
+
+
 class TestDecode:
-    def test_single_slot_mask_is_ones_and_y_is_its_reconstruction(self):
+    def test_single_slot_mask_is_ones_and_y_is_its_reconstruction(self, monkeypatch):
+        """One slot's mask is all ones and y is the decoder's feature
+        columns, without the alpha column."""
         n, d_slot, d_out = 16, 6, 5
         store = _decoder_store(d_slot, n, d_out)
         grid = build_position_grid(4, 4)
+        outputs, real_mlp = [], dc.mlp
+
+        def recording(*args):
+            outputs.append(real_mlp(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(dc, "mlp", recording)
         out = decode(_merged(1, d_slot, n), store, grid, 5.0, d_out)
-        np.testing.assert_allclose(out.m.data, 1.0)
-        np.testing.assert_allclose(out.y.data, out.y_slots.data[0])
+        np.testing.assert_array_equal(out.m.data, 1.0)
+        h = outputs[-1]  # the decoder's; the position term's linear comes first
+        assert h.shape == (n, d_out + 1)
+        np.testing.assert_array_equal(out.y.data, h.data[:, :d_out])
 
     def test_mask_columns_sum_to_one(self):
         n, d_slot, d_out = 16, 6, 5
@@ -311,16 +329,20 @@ class TestDecode:
         out = decode(_merged(3, d_slot, n, seed=4), store, grid, 5.0, d_out)
         assert out.y.shape == (n, d_out)
         assert out.m.shape == (3, n)
-        assert out.alpha.shape == (3, n)
-        assert out.y_slots.shape == (3, n, d_out)
 
     def test_reconstruction_is_mask_weighted_sum(self):
+        """y is the masks' weighted sum of what each slot decodes to alone,
+        whose mask is all ones. Decoding a slot alone multiplies a
+        different row block, which need not round the same way."""
         n, d_slot, d_out = 16, 6, 4
         store = _decoder_store(d_slot, n, d_out, seed=5)
         grid = build_position_grid(4, 4)
-        out = decode(_merged(3, d_slot, n, seed=6), store, grid, 5.0, d_out)
-        manual = (out.m.data[:, :, None] * out.y_slots.data).sum(axis=0)
-        np.testing.assert_array_equal(out.y.data, manual)
+        ms = _merged(3, d_slot, n, seed=6)
+        out = decode(ms, store, grid, 5.0, d_out)
+        alone = np.stack([decode(_one_slot(ms, k), store, grid, 5.0, d_out).y.data
+                          for k in range(3)])
+        manual = (out.m.data[:, :, None] * alone).sum(axis=0)
+        np.testing.assert_allclose(out.y.data, manual, rtol=1e-12, atol=1e-12)
 
     def test_relative_grid_per_slot(self, monkeypatch):
         # the position term's input: each slot's coordinates of the shared

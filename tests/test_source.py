@@ -2,13 +2,16 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import solv
 from solv import datagen
-from solv.config import _SECTIONS, load_config
+from solv.config import load_config
 
 SOURCES = sorted(Path(solv.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 
 
 def test_no_process_global_switches():
@@ -87,17 +90,43 @@ def test_only_score_videos_calls_score_video():
     assert [c.split(":")[0] for c in callers] == ["evalkit.score_videos"], callers
 
 
-def test_every_config_field_has_a_reader():
-    """Every field of every config section and of a scene (``Sprite``,
-    ``SceneSpec``) is read as an attribute somewhere in the program: a
-    knob nothing reads changes nothing."""
-    read = {node.attr for path in SOURCES
+def test_every_dataclass_field_has_a_reader():
+    """Every field of every dataclass of the program (config sections,
+    scenes, results) is read as an attribute somewhere in the program or
+    its benchmark: a knob nothing reads changes nothing, and a result
+    field nothing reads is work for no one. Tests do not count."""
+    read = {node.attr for path in SOURCES + BENCH
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    classes = {**_SECTIONS, "Sprite": datagen.Sprite, "SceneSpec": datagen.SceneSpec}
-    unread = [f"{name}.{f.name}" for name, cls in classes.items()
-              for f in dataclasses.fields(cls) if f.name not in read]
-    assert not unread, f"config or scene fields nothing reads: {unread}"
+    classes = {cls for path in SOURCES
+               for _, cls in inspect.getmembers(importlib.import_module(f"solv.{path.stem}"),
+                                                dataclasses.is_dataclass)
+               if cls.__module__ == f"solv.{path.stem}"}
+    assert {"RunConfig", "SceneSpec", "TrackedSegmentation", "DecodedFrame"} <= \
+        {cls.__name__ for cls in classes}
+    unread = sorted(f"{cls.__name__}.{f.name}" for cls in classes
+                    for f in dataclasses.fields(cls) if f.name not in read)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports is loaded in that module; the package's
+    ``__init__.py`` is exempt, as its imports are re-exports."""
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} {bound}" for alias in node.names
+                          if (bound := alias.asname or alias.name.split(".")[0])
+                          not in loaded]
+    assert not found, f"imported names nothing loads: {found}"
 
 
 def test_every_scene_default_is_overridden_somewhere():

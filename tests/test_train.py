@@ -106,7 +106,7 @@ class TestTrainingLoop:
             np.testing.assert_array_equal(pipe.store[name].data, t.data.astype(np.float32))
         assert pipe.store.m == {} == pipe.store.v
         # the last record is a moment, which inference steps over
-        last = saved.names()[-1] + ".v"
+        last = list(saved.params)[-1] + ".v"
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-3])
         with pytest.raises(FormatError, match=f"payload of '{last}' at byte"):
@@ -127,7 +127,7 @@ class TestTrainingLoop:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pipe.store.names() == saved.names()
+        assert list(pipe.store.params) == list(saved.params)
         # Adam moments would add two more copies of the parameters
         assert retained <= 1.1 * params
 
@@ -161,16 +161,16 @@ class TestTrainingLoop:
         monkeypatch.setattr(model_mod, "init_params", no_init)
         monkeypatch.setattr(train_mod, "init_params", no_init)
         pipe = load_pipeline(cfg, path)
-        assert pipe.store.names() == saved.names()
+        assert list(pipe.store.params) == list(saved.params)
         for name, t in saved.params.items():
             np.testing.assert_array_equal(pipe.store[name].data,
                                           t.data.astype(np.float32))
         # a checkpoint missing a parameter still fails
         partial = ParamStore(cfg.train.precision)
-        for name in saved.names()[1:]:
+        for name in list(saved.params)[1:]:
             partial.register(name, saved[name].data)
         partial.save(path)
-        with pytest.raises(FormatError, match=f"missing parameter '{saved.names()[0]}'"):
+        with pytest.raises(FormatError, match=f"missing parameter '{list(saved.params)[0]}'"):
             load_pipeline(cfg, path)
         # so does one that still holds the temporal keys' bias
         saved.register("tbind.l0.bk", np.zeros(cfg.model.d_slot))
@@ -337,7 +337,7 @@ class TestTrainingFaults:
         meta = Path(latest + ".meta.json").read_text()
         # the moments are written after every parameter, so this fails
         # part way through the file
-        last = store.names()[-1]
+        last = list(store.params)[-1]
         store.v[last] = np.array(["not a float"])
         store.step += 1
         with pytest.raises(ValueError):
@@ -472,7 +472,7 @@ class TestInference:
         features = datagen.render_clip(spec, oracle).features
 
         def fresh_f32_run():
-            pipe = Pipeline(cfg, seed=3)
+            pipe = Pipeline(cfg, init_params(cfg, seed=3))
             tracked, k_t = infer_video(pipe, features)
             dtypes = {t.data.dtype for t in pipe.store.params.values()}
             return dtypes, tracked.frames.tobytes(), k_t
@@ -605,6 +605,14 @@ class TestEvaluateDirs:
         report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
                                str(report_path), "d")
         assert report_path.read_bytes() == json.dumps(report, indent=2).encode()
+
+    def test_directories_with_no_mask_files_are_refused(self, tmp_path):
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        (gt_dir / "notes.txt").write_text("not a mask")
+        with pytest.raises(ValueError, match=f"no .mask files in {pred_dir} or {gt_dir}"):
+            evaluate_dirs(str(pred_dir), str(gt_dir))
 
     def test_missing_ids_listed(self, tmp_path):
         gt_dir = tmp_path / "gt"
