@@ -15,7 +15,7 @@ from . import datagen, evalkit, objecthead
 from .config import DataConfig, RunConfig
 from .diffcore import ConfigError, Tape
 from .encoder import make_drop_plan
-from .model import Pipeline, infer_video
+from .model import Pipeline, infer_video, init_params
 from .train import train
 
 # Component grid: (merging, invariant attention, temporal binding)
@@ -95,10 +95,11 @@ def peak_live_values(cfg: RunConfig) -> int:
     d = cfg.data
     features = np.zeros((d.frames, d.n_tokens, d.d_features))
     kept = make_drop_plan(d.frames, d.n_tokens, cfg.train.drop_ratio, d.seed)
+    pipe = Pipeline(cfg, init_params(cfg))
     tape = Tape()
     with tape:
-        out = Pipeline(cfg).forward_window(features, np.ones(d.frames, bool),
-                                           kept, apply_merge=False)
+        out = pipe.forward_window(features, np.ones(d.frames, bool), kept,
+                                  apply_merge=False)
         objecthead.reconstruction_loss(out.decoded.y, features[d.frames // 2])
     return tape.live_elements
 

@@ -66,7 +66,6 @@ class ClipBatch:
     """Rendered clip: full (pre-drop) per-patch features and ground truth."""
     features: np.ndarray         # frames x N x D, float64
     gt_pixel_labels: np.ndarray  # frames x H x W, uint16
-    center: int
 
 
 def _shape_mask(shape: str, size: int) -> np.ndarray:
@@ -159,7 +158,7 @@ def render_clip(spec: SceneSpec, oracle: FeatureOracle) -> ClipBatch:
         for st in states:
             st[0], st[2] = _reflect_step(st[0], st[2], 0, w - st[6])
             st[1], st[3] = _reflect_step(st[1], st[3], 0, h - st[6])
-    return ClipBatch(feats, pixel, center=spec.frames // 2)
+    return ClipBatch(feats, pixel)
 
 
 def _scene_from_rng(rng: np.random.Generator, canvas: tuple[int, int], patch: int,

@@ -56,23 +56,16 @@ def project_features(raw: Tensor, params) -> Tensor:
     return dc.layernorm(h, params["enc.proj.ln_g"], params["enc.proj.ln_b"])
 
 
-def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray | None,
+def encode_frame(features: np.ndarray, grid: np.ndarray, kept: np.ndarray,
                  params) -> tuple[Tensor, np.ndarray]:
     """Gather each frame's kept tokens and project them to slot width.
 
     ``features`` is (..., N, D_in) and ``kept`` (..., N') holds each
     frame's kept token indices; leading axes index frames, which are
-    projected independently in one call. With ``kept`` None every token
-    is kept: the frames are projected as they are and the kept grid is
-    ``grid`` broadcast to each frame. Returns the (..., N', D_slot)
+    projected independently in one call. Returns the (..., N', D_slot)
     projected tokens and the (..., N', 2) kept grid, absolute positions
     in [-1, 1]^2.
     """
-    features = np.asarray(features)
-    if kept is None:
-        raw, kept_grid = features, np.broadcast_to(grid, features.shape[:-1] + (2,))
-    else:
-        kept = np.asarray(kept)
-        raw = np.take_along_axis(features, kept[..., None], axis=-2)
-        kept_grid = grid[kept]
-    return project_features(Tensor(raw.astype(params.dtype, copy=False)), params), kept_grid
+    kept = np.asarray(kept)
+    raw = np.take_along_axis(np.asarray(features), kept[..., None], axis=-2)
+    return project_features(Tensor(raw.astype(params.dtype, copy=False)), params), grid[kept]

@@ -291,11 +291,13 @@ def video_miou(table: np.ndarray, gt_ids: np.ndarray) -> float | None:
 
 def score_video(pred_frames: np.ndarray, gt_frames: np.ndarray) -> dict:
     """Foreground ARI, video mIoU and the histogram of per-frame track
-    counts, all from one count table of two same-shape label videos."""
+    counts, keyed by the count as a string, all from one count table of
+    two same-shape label videos."""
     table, gt_ids = _table(pred_frames, gt_frames)
+    k_t = Counter(map(str, np.count_nonzero(table.sum(axis=1), axis=1)))
     return {"fg_ari": mean_fg_ari(table, gt_ids),
             "miou": video_miou(table.sum(axis=0), gt_ids),
-            "k_t_histogram": dict(Counter(map(int, np.count_nonzero(table.sum(axis=1), axis=1))))}
+            "k_t_histogram": dict(k_t)}
 
 
 def score_videos(videos) -> dict:
@@ -308,9 +310,7 @@ def score_videos(videos) -> dict:
         if np.shape(pred) != np.shape(gt):
             raise ValueError(f"video {vid}: predicted masks have shape {np.shape(pred)}, "
                              f"ground truth has shape {np.shape(gt)}")
-        score = score_video(pred, gt)
-        rows.append({"id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
-                     "k_t_histogram": {str(k): n for k, n in score["k_t_histogram"].items()}})
+        rows.append({"id": vid, **score_video(pred, gt)})
     report = {"videos": rows}
     for key in ("fg_ari", "miou"):
         scores = [row[key] for row in rows if row[key] is not None]

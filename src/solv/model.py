@@ -1,11 +1,12 @@
 """Pipeline assembly: parameter initialization and window-level forward.
 
 One forward covers a ``data.frames``-frame window in two stages: per frame,
-encode the frame with token drop and bind it spatially from the shared
-slot initialization; per window, relate slots temporally and merge them,
-then decode the center frame over the full grid. The decoder places each
-merged slot by the center frame's binding geometry: the position and
-scale binding's final iteration computed, pooled over the cluster.
+encode the tokens its drop plan keeps (every token at inference) and bind
+them spatially from the shared slot initialization; per window, relate
+slots temporally and merge them, then decode the center frame over the
+full grid. The decoder places each merged slot by the center frame's
+binding geometry: the position and scale binding's final iteration
+computed, pooled over the cluster.
 
 Both stages take leading batch axes: ``Pipeline.bind_frames`` binds
 (..., N, D) features of many frames to (..., K, D_slot) slots, and
@@ -108,18 +109,17 @@ class WindowOutput:
 class Pipeline:
     """Stateless forward passes over a fixed parameter store."""
 
-    def __init__(self, cfg: RunConfig, store: ParamStore | None = None):
+    def __init__(self, cfg: RunConfig, store: ParamStore):
         self.cfg = cfg
-        self.store = store if store is not None else init_params(cfg)
+        self.store = store
         d = cfg.data
         self.grid = encoder.build_position_grid(d.grid_rows, d.grid_cols)
 
-    def bind_frames(self, features: np.ndarray, kept: np.ndarray | None,
+    def bind_frames(self, features: np.ndarray, kept: np.ndarray,
                     init_z: Tensor | None = None):
         """Per-frame stage: encode each frame's kept tokens and bind them to
-        slots. ``features`` is (..., N, D) and ``kept`` (..., N'), or None
-        to keep every token; returns (..., K, D_slot) slots and their
-        ``binding.SlotGeometry``.
+        slots. ``features`` is (..., N, D) and ``kept`` (..., N'); returns
+        (..., K, D_slot) slots and their ``binding.SlotGeometry``.
 
         Without ``init_z`` a frame's slots depend on that frame alone, so
         inference binds each frame once and reuses it in every window.
@@ -191,15 +191,15 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     """Sliding center-frame inference over the whole video.
 
     Every frame becomes the center of its own window; frames outside the
-    video are masked via availability. Token drop is off, so each frame
-    is bound once and every window containing it reuses those slots.
-    The video is cast to the store's dtype once and its frames encoded
-    whole. Frames are bound ``CHUNK`` per call and windows related ``CHUNK``
-    per call; merging (always applied) and decoding run per frame, and
-    the decoder runs only for frames left with two or more slots: one
-    slot labels every pixel 0. Returns (tracked segmentation, per-frame
-    slot counts); the track labels are in the smallest unsigned type that
-    holds the last track id.
+    video are masked via availability. Every frame keeps all its tokens,
+    so each frame is bound once and every window containing it reuses
+    those slots. The video is cast to the store's dtype once. Frames are
+    bound ``CHUNK`` per call and windows related ``CHUNK`` per call;
+    merging (always applied) and decoding run per frame, and the decoder
+    runs only for frames left with two or more slots: one slot labels
+    every pixel 0. Returns (tracked segmentation, per-frame slot counts);
+    the track labels are in the smallest unsigned type that holds the last
+    track id.
     """
     cfg = pipe.cfg
     d, m = cfg.data, cfg.model
@@ -225,9 +225,10 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
 
     slots = np.empty((f_total, m.k_slots, m.d_slot), pipe.store.dtype)
     geometry = []
+    every_token = np.broadcast_to(np.arange(n_tok), (CHUNK, n_tok))
     for s in range(0, f_total, CHUNK):
         chunk = features[s:s + CHUNK]
-        z, chunk_geometry = pipe.bind_frames(chunk, None)
+        z, chunk_geometry = pipe.bind_frames(chunk, every_token[:len(chunk)])
         slots[s:s + len(chunk)] = z.data
         geometry += (chunk_geometry[i] for i in range(len(chunk)))
 

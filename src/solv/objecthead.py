@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 class MergedSlots:
     cprime: Tensor            # K_t x D_slot mean slot per cluster
     members: list             # partition of 0..K-1, sorted
-    mass: np.ndarray          # K_t pooled attention mass
     position: np.ndarray      # K_t x 2 pooled slot geometry
     scale: np.ndarray         # K_t x 2
 
@@ -126,8 +125,8 @@ def merge_slots(c: Tensor, geometry: SlotGeometry, tau_merge: float,
     position = w @ geometry.position
     offset = geometry.position - position[:, None]      # K_t x K x 2
     var = np.einsum("ck,ckd->cd", w, geometry.var + offset * offset)
-    return MergedSlots(cprime=cprime, members=partition, mass=mass,
-                       position=position, scale=np.sqrt(var + EPS))
+    return MergedSlots(cprime=cprime, members=partition, position=position,
+                       scale=np.sqrt(var + EPS))
 
 
 def identity_partition(k: int) -> list[list[int]]:

@@ -118,7 +118,7 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                     clip.features, availability, kept,
                     apply_merge, init_jitter=jitter)
                 loss = objecthead.reconstruction_loss(
-                    out.decoded.y, clip.features[clip.center])
+                    out.decoded.y, clip.features[d.frames // 2])
                 scaled = loss * (1.0 / batch)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
@@ -180,9 +180,10 @@ def load_pipeline(cfg: RunConfig, ckpt_path: str) -> Pipeline:
     return Pipeline(cfg, store)
 
 
-def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
-                  config_digest: str = "") -> dict:
-    """Score mask files in pred_dir against same-named files in gt_dir."""
+def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str,
+                  config_digest: str) -> dict:
+    """Score mask files in pred_dir against same-named files in gt_dir and
+    write the report, stamped with ``config_digest``, to ``report_path``."""
     def ids_of(d):
         return {os.path.splitext(f)[0] for f in os.listdir(d) if f.endswith(".mask")}
 
@@ -202,6 +203,5 @@ def evaluate_dirs(pred_dir: str, gt_dir: str, report_path: str | None = None,
                    datagen.read_masks(os.path.join(gt_dir, vid + ".mask")))
 
     report = {**evalkit.score_videos(mask_pairs()), "config_digest": config_digest}
-    if report_path:
-        write_json(report_path, report)
+    write_json(report_path, report)
     return report

@@ -298,7 +298,7 @@ class TestNormalizationInvariance:
         perm = [1, 2, 0]
         permuted = objecthead.MergedSlots(
             cprime=Tensor(ms.cprime.data[perm]),
-            members=[ms.members[i] for i in perm], mass=ms.mass[perm],
+            members=[ms.members[i] for i in perm],
             position=ms.position[perm], scale=ms.scale[perm])
         permuted_loss = float(reconstruction_loss(
             decode(permuted, dstore, build_position_grid(4, 4), 5.0, 5).y,

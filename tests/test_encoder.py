@@ -90,17 +90,16 @@ class TestPositionGrid:
         assert np.array_equal(kept_grid, grid[kept])
 
     def test_full_frames_equal_keeping_every_index(self):
-        """Without kept indices the frames are projected as they are, with
-        no gather, and give bitwise what keeping every index gives."""
+        """A plan that keeps every index, broadcast as inference passes it,
+        gives bitwise the projection of the frames as they are and the grid
+        at every frame."""
         grid = build_position_grid(4, 4)
         store = _projection_store(8, 6)
         features = np.random.default_rng(1).normal(size=(3, 16, 8))
-        tokens, kept_grid = encode_frame(features, grid, None, store)
-        tokens_g, kept_grid_g = encode_frame(features, grid, np.tile(np.arange(16), (3, 1)),
-                                             store)
-        assert np.array_equal(tokens.data, tokens_g.data)
-        assert np.array_equal(kept_grid, kept_grid_g)
-        assert kept_grid.shape == (3, 16, 2)
+        every_token = np.broadcast_to(np.arange(16), (3, 16))
+        tokens, kept_grid = encode_frame(features, grid, every_token, store)
+        assert np.array_equal(tokens.data, project_features(Tensor(features), store).data)
+        assert np.array_equal(kept_grid, np.broadcast_to(grid, (3, 16, 2)))
 
 
 class TestProjection:
@@ -144,7 +143,7 @@ class TestAllocationScaling:
         # forward-pass allocation must grow linearly with the kept-token
         # count; three equally spaced points have equal differences
         from solv.config import DataConfig, ModelConfig, RunConfig
-        from solv.model import Pipeline
+        from solv.model import Pipeline, init_params
         from solv import datagen
 
         cfg = RunConfig(
@@ -157,7 +156,7 @@ class TestAllocationScaling:
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features, 0.0)
         spec = datagen.random_scene(1, (64, 64), 8, 3, (1, 2))
         clip = datagen.render_clip(spec, oracle)
-        pipe = Pipeline(cfg)
+        pipe = Pipeline(cfg, init_params(cfg))
 
         counts = []
         for ratio in (0.0, 0.25, 0.5):
@@ -167,7 +166,7 @@ class TestAllocationScaling:
                 out = pipe.forward_window(clip.features, np.ones(3, bool),
                                           kept, apply_merge=False)
                 objecthead.reconstruction_loss(out.decoded.y,
-                                               clip.features[clip.center])
+                                               clip.features[d.frames // 2])
             counts.append(tape.live_elements)
         n64 = 64  # tokens at each ratio: 64, 48, 32
         d1 = counts[0] - counts[1]

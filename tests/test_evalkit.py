@@ -86,11 +86,11 @@ def mask_loop_miou(pred_frames, gt_frames):
 
 def mask_loop_score(pred_frames, gt_frames) -> dict:
     """score_video from the mask loops: per-frame foreground ARI, the
-    full-volume mIoU and distinct track counts per frame."""
+    full-volume mIoU and distinct track counts per frame, keyed by str."""
     aris = [mask_loop_ari(p[g > 0], g[g > 0])
             for p, g in zip(pred_frames, gt_frames) if (g > 0).sum() >= 2]
     hist = {}
-    for k in (np.unique(frame).size for frame in pred_frames):
+    for k in (str(np.unique(frame).size) for frame in pred_frames):
         hist[k] = hist.get(k, 0) + 1
     return {
         "fg_ari": float(np.mean(aris)) if aris else None,
@@ -688,7 +688,7 @@ class TestMetricsMatchMaskLoops:
                     assert fg_ari(p, g) == mask_loop_ari(p[fg], g[fg])
             hist = score_video(pred, np.zeros_like(pred))["k_t_histogram"]
             want = {}
-            for k in (np.unique(frame).size for frame in pred):
+            for k in (str(np.unique(frame).size) for frame in pred):
                 want[k] = want.get(k, 0) + 1
             assert list(hist.items()) == list(want.items())
             score = score_video(pred, gt)
@@ -767,10 +767,10 @@ class TestMetricsMatchMaskLoops:
         assert video_miou(pred, gt) is None
         assert mask_loop_miou(pred, gt) is None
         assert score_video(pred, gt) == mask_loop_score(pred, gt) == {
-            "fg_ari": None, "miou": None, "k_t_histogram": {12: 1}}
+            "fg_ari": None, "miou": None, "k_t_histogram": {"12": 1}}
 
 
 class TestKtHistogram:
     def test_counts_distinct_labels_per_frame(self):
         frames = np.array([[[0, 0], [1, 1]], [[2, 2], [2, 2]]])
-        assert score_video(frames, np.zeros_like(frames))["k_t_histogram"] == {2: 1, 1: 1}
+        assert score_video(frames, np.zeros_like(frames))["k_t_histogram"] == {"2": 1, "1": 1}

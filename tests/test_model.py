@@ -164,6 +164,29 @@ def test_infer_video_chunks_match_per_window_oracle(frames, precision, monkeypat
     assert [w.shape[0] for w in windows] == [min(8, frames - s) for s in range(0, frames, 8)]
 
 
+@pytest.mark.parametrize("frames", [1, 9, 17])
+def test_infer_video_encodes_every_token_of_every_frame(frames, monkeypatch):
+    """Inference encodes through the training gather with a plan that
+    drops nothing: every frame once, in order, with all its token indices."""
+    cfg = small_cfg(canvas=64)
+    n_tok = cfg.data.n_tokens
+    features = _video(cfg, frames, seed=frames)
+    encoded, plans = [], []
+    real = encoder.encode_frame
+
+    def spying(chunk, grid, kept, params):
+        encoded.append(chunk)
+        plans.append(np.asarray(kept))
+        return real(chunk, grid, kept, params)
+
+    monkeypatch.setattr(encoder, "encode_frame", spying)
+    infer_video(Pipeline(cfg, init_params(cfg, seed=frames)), features)
+    assert [plan.shape for plan in plans] == [chunk.shape[:-1] for chunk in encoded]
+    assert np.array_equal(np.concatenate(encoded), features)
+    assert np.array_equal(np.concatenate(plans),
+                          np.broadcast_to(np.arange(n_tok), (frames, n_tok)))
+
+
 @pytest.mark.parametrize("frames, seed, model_overrides", [
     (5, 3, {"use_merging": False}),
     (9, 3, {"tau_merge": 0.3}),
@@ -260,7 +283,7 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
         out = pipe.forward_window(clip.features, np.ones(window, bool),
                                   kept, apply_merge=True,
                                   init_jitter=jitter)
-        loss = objecthead.reconstruction_loss(out.decoded.y, clip.features[clip.center])
+        loss = objecthead.reconstruction_loss(out.decoded.y, clip.features[window // 2])
     tape.backward(loss)
     grads = {t.grad.dtype for t in pipe.store.params.values() if t.grad is not None}
     n_train = len(built)
@@ -323,7 +346,7 @@ def _clip_case(precision, availability, jitter, **model_overrides):
     if jitter:
         init_jitter = 0.5 * np.random.default_rng(3).standard_normal((m.k_slots, m.d_slot))
     args = (clip.features, np.asarray(availability), kept, True, init_jitter)
-    return pipe, args, clip.features[clip.center]
+    return pipe, args, clip.features[d.frames // 2]
 
 
 def _loss_and_grads(pipe, forward, args, target):

@@ -181,7 +181,6 @@ class TestMergedStatistics:
                              tau_merge=0.12, partition=identity_partition(5))
             assert ms.position.dtype == ms.scale.dtype == store.dtype
             assert np.array_equal(ms.cprime.data, z.data[f])
-            assert np.array_equal(ms.mass, geometry.mass[f])
             assert np.array_equal(ms.position, position.data[f])
             assert np.array_equal(ms.scale, scale.data[f])
 
@@ -227,12 +226,16 @@ class TestMergedStatistics:
         assert checked > 20
 
     def test_pooled_masses_sum_to_the_kept_tokens(self):
+        """Merging pools every slot into exactly one cluster, so the
+        clusters' masses sum to the kept tokens."""
         _, z, geometry, kept_grid = _bound_frames("f64")
         for f in range(z.shape[0]):
             ms = merge_slots(Tensor(z.data[f]), geometry[f], tau_merge=0.5)
             n_kept, k = kept_grid.shape[1], z.shape[1]
             assert ms.k_t < k
-            np.testing.assert_allclose(ms.mass.sum(), n_kept + k * EPS, rtol=1e-14)
+            assert sorted(sum(ms.members, [])) == list(range(k))
+            pooled = [geometry.mass[f][members].sum() for members in ms.members]
+            np.testing.assert_allclose(sum(pooled), n_kept + k * EPS, rtol=1e-14)
 
     def test_gradients_flow_through_mean_slots(self):
         rng = np.random.default_rng(10)
@@ -282,7 +285,6 @@ def _merged(k_t, d_slot, n, seed=0):
     return objecthead.MergedSlots(
         cprime=Tensor(rng.normal(size=(k_t, d_slot)), requires_grad=False),
         members=identity_partition(k_t),
-        mass=rng.uniform(0.5, 4.0, size=k_t),
         position=rng.normal(scale=0.3, size=(k_t, 2)),
         scale=np.abs(rng.normal(0.4, 0.1, size=(k_t, 2))) + 0.05,
     )
@@ -292,7 +294,7 @@ def _one_slot(ms, k):
     """Slot ``k`` of merged slots, alone."""
     return objecthead.MergedSlots(
         cprime=Tensor(ms.cprime.data[k:k + 1]), members=[ms.members[k]],
-        mass=ms.mass[k:k + 1], position=ms.position[k:k + 1], scale=ms.scale[k:k + 1])
+        position=ms.position[k:k + 1], scale=ms.scale[k:k + 1])
 
 
 class TestDecode:
@@ -421,7 +423,6 @@ class TestReconstructionLoss:
         permuted = objecthead.MergedSlots(
             cprime=Tensor(ms.cprime.data[perm]),
             members=[ms.members[i] for i in perm],
-            mass=ms.mass[perm],
             position=ms.position[perm],
             scale=ms.scale[perm],
         )

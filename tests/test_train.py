@@ -401,10 +401,8 @@ class TestInference:
         report = evalkit.score_videos(iter(videos))
         assert list(report) == ["videos", "mean_fg_ari", "mean_miou"]
         for row, (vid, p, g) in zip(report["videos"], videos, strict=True):
-            score = evalkit.score_video(p, g)
-            assert row == {"id": vid, "fg_ari": score["fg_ari"], "miou": score["miou"],
-                           "k_t_histogram": {str(k): n for k, n
-                                             in score["k_t_histogram"].items()}}
+            assert row == {"id": vid, **evalkit.score_video(p, g)}
+            assert list(row) == ["id", "fg_ari", "miou", "k_t_histogram"]
         rows = report["videos"]
         assert all(isinstance(k, str) for row in rows for k in row["k_t_histogram"])
         assert rows[1]["fg_ari"] is None and rows[1]["miou"] is None
@@ -453,7 +451,8 @@ class TestInference:
             gt = datagen.render_clip(spec, oracle).gt_pixel_labels
             datagen.write_masks(str(tmp_path / "pred" / f"v{i}.mask"), pred)
             datagen.write_masks(str(tmp_path / "gt" / f"v{i}.mask"), gt)
-        report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
+                               str(tmp_path / "r.json"), "d")
         assert any(set(v["k_t_histogram"]) != {"1"} for v in report["videos"])
         assert list(row) == ["mean_fg_ari", "mean_miou", "mean_k_t"]
         assert row["mean_fg_ari"] == report["mean_fg_ari"]
@@ -489,7 +488,7 @@ class TestInference:
 class TestWindowForward:
     def test_unavailable_frames_do_not_affect_output(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        pipe = Pipeline(cfg)
+        pipe = Pipeline(cfg, init_params(cfg))
         d = cfg.data
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
                                        d.sigma_noise)
@@ -507,7 +506,7 @@ class TestWindowForward:
 
     def test_center_unavailable_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        pipe = Pipeline(cfg)
+        pipe = Pipeline(cfg, init_params(cfg))
         kept = np.tile(np.arange(cfg.data.n_tokens), (3, 1))
         feats = np.zeros((3, cfg.data.n_tokens, cfg.data.d_features))
         with pytest.raises(ValueError, match="center"):
@@ -516,7 +515,7 @@ class TestWindowForward:
 
     def test_init_jitter_changes_output_but_not_params(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        pipe = Pipeline(cfg)
+        pipe = Pipeline(cfg, init_params(cfg))
         d = cfg.data
         oracle = datagen.FeatureOracle(d.seed, d.n_identities, d.d_features,
                                        d.sigma_noise)
@@ -573,7 +572,8 @@ class TestEvaluateDirs:
 
         for name in calls:
             monkeypatch.setattr(evalkit, name, counting(name))
-        evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
+                      str(tmp_path / "r.json"), "d")
         assert calls == {"video_miou": 3, "mean_fg_ari": 3}
 
     def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
@@ -612,7 +612,7 @@ class TestEvaluateDirs:
         pred_dir.mkdir()
         (gt_dir / "notes.txt").write_text("not a mask")
         with pytest.raises(ValueError, match=f"no .mask files in {pred_dir} or {gt_dir}"):
-            evaluate_dirs(str(pred_dir), str(gt_dir))
+            evaluate_dirs(str(pred_dir), str(gt_dir), str(tmp_path / "r.json"), "d")
 
     def test_missing_ids_listed(self, tmp_path):
         gt_dir = tmp_path / "gt"
@@ -622,7 +622,7 @@ class TestEvaluateDirs:
         masks = np.ones((1, 4, 4), dtype=np.uint16)
         datagen.write_masks(str(gt_dir / "x.mask"), masks)
         with pytest.raises(ValueError, match="x"):
-            evaluate_dirs(str(pred_dir), str(gt_dir))
+            evaluate_dirs(str(pred_dir), str(gt_dir), str(tmp_path / "r.json"), "d")
 
     @pytest.mark.parametrize("pred_frames", [1, 3])
     def test_frame_count_mismatch_names_video_and_shapes(self, tmp_path,
@@ -635,4 +635,4 @@ class TestEvaluateDirs:
         datagen.write_masks(str(gt_dir / "clip7.mask"), masks)
         datagen.write_masks(str(pred_dir / "clip7.mask"), masks[:pred_frames])
         with pytest.raises(ValueError, match=rf"clip7.*\({pred_frames}, 4, 4\).*\(5, 4, 4\)"):
-            evaluate_dirs(str(pred_dir), str(gt_dir))
+            evaluate_dirs(str(pred_dir), str(gt_dir), str(tmp_path / "r.json"), "d")
