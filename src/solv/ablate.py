@@ -104,7 +104,7 @@ def peak_live_values(cfg: RunConfig) -> int:
     return tape.live_elements
 
 
-def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int = 16) -> dict:
+def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int) -> dict:
     """Train/evaluate each variant of one ablation axis; returns rows
     keyed by variant name, comparable across reruns. Every row's config
     and ``eval_clips`` are checked before the first row trains."""

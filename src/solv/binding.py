@@ -218,21 +218,20 @@ def plain_attention_iteration(z: Tensor, kf: Tensor, vf: Tensor, params):
     return z, a
 
 
-def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params,
-                 delta: float, n_iters: int = 3, invariant: bool = True,
-                 init_z: Tensor | None = None):
+def spatial_bind(tokens: Tensor, kept_grid: np.ndarray, params, delta: float,
+                 n_iters: int, invariant: bool, init_z: Tensor | None):
     """Bind frames' tokens to slots from the shared initialization.
 
     ``tokens`` is (..., N', D) and ``kept_grid`` (..., N', 2); leading
     axes index frames, bound independently in one call, and every output
     carries them in front. The same initialization tensors feed every
     frame of a clip; outputs differ only through the frame's features and
-    kept grid. ``init_z`` overrides the stored slot contents (training
-    jitters them per clip). Invariant attention centers the grid and
-    takes the first relative coordinates once; each iteration passes its
-    relative coordinates to the next. Returns the (..., K, D) slots and
-    the final iteration's ``SlotGeometry``; plain attention takes the
-    same moments of its final attention.
+    kept grid. ``init_z``, unless None, overrides the stored slot
+    contents (training jitters them per clip). Invariant attention centers
+    the grid and takes the first relative coordinates once; each iteration
+    passes its relative coordinates to the next. Returns the (..., K, D)
+    slots and the final iteration's ``SlotGeometry``; plain attention
+    takes the same moments of its final attention.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
@@ -300,7 +299,7 @@ def _mha(x: Tensor, mask_bias: np.ndarray, params, prefix: str, heads: int):
 
 
 def temporal_bind(windows: Tensor, availability: np.ndarray, params,
-                  n_layers: int = 3, heads: int = 8):
+                  n_layers: int, heads: int):
     """Relate same-index slots across the clip window.
 
     ``windows`` stacks each window's frame slots as (..., K, T, D) and

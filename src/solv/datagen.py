@@ -101,10 +101,11 @@ def patch_labels_from_pixels(pixel_labels: np.ndarray, patch: int) -> np.ndarray
     rows, cols = h // patch, w // patch
     tiles = pixel_labels.reshape(rows, patch, cols, patch).transpose(0, 2, 1, 3)
     tiles = tiles.reshape(rows * cols, patch * patch)
-    out = np.empty(rows * cols, dtype=np.uint16)
-    for i, tile in enumerate(tiles):
-        out[i] = np.bincount(tile).argmax()
-    return out
+    # one count per (tile, label) cell; argmax takes the first maximum
+    n_labels = int(pixel_labels.max()) + 1
+    cells = np.arange(rows * cols)[:, None] * n_labels + tiles
+    counts = np.bincount(cells.ravel(), minlength=rows * cols * n_labels)
+    return counts.reshape(rows * cols, n_labels).argmax(axis=1).astype(np.uint16)
 
 
 class FeatureOracle:
@@ -114,7 +115,7 @@ class FeatureOracle:
     so distinct identities are exactly orthogonal unit vectors.
     """
 
-    def __init__(self, embed_seed: int, n_identities: int, d: int, sigma: float = 0.05):
+    def __init__(self, embed_seed: int, n_identities: int, d: int, sigma: float):
         if d < n_identities + 2:
             raise ValueError(f"feature dim {d} must be >= identities + 2 = {n_identities + 2}")
         self.sigma = float(sigma)
@@ -183,8 +184,8 @@ def _scene_from_rng(rng: np.random.Generator, canvas: tuple[int, int], patch: in
     )
 
 
-def random_scene(seed: int, canvas: tuple[int, int] = (128, 128), patch: int = 8,
-                 frames: int = 5, sprite_range: tuple[int, int] = (1, 4)) -> SceneSpec:
+def random_scene(seed: int, canvas: tuple[int, int], patch: int, frames: int,
+                 sprite_range: tuple[int, int]) -> SceneSpec:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C1]))
     return _scene_from_rng(rng, canvas, patch, frames, sprite_range)
 

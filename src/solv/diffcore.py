@@ -259,8 +259,7 @@ class Tape:
         self._nodes.append((out, parents, backward_fn, need))
         # a view of an operand (reshape, transpose, slice) holds no values
         owner = _buffer_owner(out.data)
-        if not any(isinstance(p, Tensor) and _buffer_owner(p.data) is owner
-                   for p in parents):
+        if not any(_buffer_owner(p.data) is owner for p in parents):
             self.live_elements += out.data.size
 
     def backward(self, loss: Tensor) -> None:
@@ -282,7 +281,7 @@ class Tape:
                 continue
             parent_grads = backward_fn(g, need)
             for p, pg in zip(parents, parent_grads):
-                if pg is None or not isinstance(p, Tensor):
+                if pg is None:
                     continue
                 if p.grad is None:
                     p.grad = pg if pg.dtype == p.data.dtype else pg.astype(p.data.dtype)
@@ -308,7 +307,7 @@ def _make(out_data, parents, backward_fn) -> Tensor:
     if tape is None:
         need = None
     else:
-        need = tuple(isinstance(p, Tensor) and p.requires_grad for p in parents)
+        need = tuple(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -398,7 +397,7 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g, need: (g * (1.0 - out * out),))
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor, axis: int | None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g, need):
@@ -460,17 +459,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     """A read-only view of ``a`` repeated along new or unit axes."""
     out = np.broadcast_to(a.data, shape)
     return _make(out, (a,), lambda g, need: (_unbroadcast(g, a.shape),))
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g, need):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
-
-    return _make(out, tuple(tensors), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -539,13 +527,16 @@ def mlp(x: Tensor, layers) -> Tensor:
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+LN_EPS = 1e-6  # added to every layer-norm variance
+
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale by ``gamma`` and shift by
-    ``beta``; constant rows normalize to zero via eps."""
+    ``beta``; constant rows normalize to zero via ``LN_EPS``."""
     m = reduce_mean(x, axis=-1, keepdims=True)
     xc = sub(x, m)
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = 1.0 / sqrt(var + eps)
+    inv = 1.0 / sqrt(var + LN_EPS)
     return add(mul(mul(xc, inv), gamma), beta)
 
 
@@ -580,6 +571,9 @@ def gru_cell(state: Tensor, inp: Tensor, p: dict) -> Tensor:
 
 _CKPT_MAGIC = b"SOLVCKPT"
 _CKPT_VERSION = 1
+
+# Adam's moment decay rates and the term that keeps its step finite
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ParamStore:
@@ -620,9 +614,9 @@ class ParamStore:
                 total += float(np.sum(np.asarray(t.grad, dtype=np.float64) ** 2))
         return float(np.sqrt(total))
 
-    def adam_step(self, lr: float, clip_norm: float | None = None,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> float:
-        """Clip the global gradient norm, apply one Adam update, zero grads.
+    def adam_step(self, lr: float, clip_norm: float) -> float:
+        """Clip the global gradient norm to ``clip_norm``, apply one Adam
+        update, zero grads.
 
         Returns the pre-clip gradient norm (useful for logging). When that
         norm is not finite the update is skipped: parameters, moments and
@@ -641,22 +635,22 @@ class ParamStore:
             self.zero_grads()
             return norm
         scale = 1.0
-        if clip_norm is not None and norm > clip_norm:
+        if norm > clip_norm:
             scale = clip_norm / (norm + 1e-12)
         self.step += 1
-        b1t = 1.0 - beta1 ** self.step
-        b2t = 1.0 - beta2 ** self.step
+        b1t = 1.0 - BETA1 ** self.step
+        b2t = 1.0 - BETA2 ** self.step
         for name, t in self.params.items():
             if t.grad is None:
                 continue
             g = t.grad * scale if scale != 1.0 else t.grad
             m = self.m[name]
             v = self.v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            t.data -= (lr / b1t) * m / (np.sqrt(v / b2t) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            t.data -= (lr / b1t) * m / (np.sqrt(v / b2t) + ADAM_EPS)
         self.zero_grads()
         return norm
 
@@ -690,9 +684,9 @@ class ParamStore:
         The ``.m``/``.v`` Adam moment records are stepped over, still
         bounds-checked, and the store's moments are left as they are. Every
         record must be a parameter of this store or its moment, appear once
-        and have the parameter's shape, and every parameter must be present.
-        All of it is checked before anything is assigned, so a failed load
-        leaves the store as it was.
+        and have the parameter's shape, and every parameter must be present
+        and finite. All of it is checked before anything is assigned, so a
+        failed load leaves the store as it was.
         """
         expected = {}
         for name, t in self.params.items():
@@ -710,6 +704,10 @@ class ParamStore:
         for name in self.params:
             if name not in records:
                 raise FormatError(f"{path}: checkpoint missing parameter {name!r}")
+            # a float64 sum of f32 values is finite exactly when they all
+            # are, and it allocates no mask the size of the record
+            if not np.isfinite(records[name].sum(dtype=np.float64)):
+                raise FormatError(f"{path}: parameter record {name!r} is not finite")
         self.step = step
         for name, t in self.params.items():
             t.data = records[name].astype(self.dtype, copy=False)

@@ -182,9 +182,10 @@ def rasterize(m: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel counts per (frame, gt label, pred label) of two same-shape
-    label videos, and the gt labels of its rows. Only labels present
-    somewhere keep a row or column, rows and columns ascending by label.
+    """Pixel counts per (frame, gt label, pred label) of two label videos
+    of one shape, which ``score_videos`` checks, and the gt labels of its
+    rows. Only labels present somewhere keep a row or column, rows and
+    columns ascending by label.
 
     Each frame is read in raster order as runs of pixels on which both
     labels stay the same; a run starts at each frame's first pixel and
@@ -196,9 +197,6 @@ def _table(pred_frames, gt_frames) -> tuple[np.ndarray, np.ndarray]:
     ranges would make the table larger than max(pixels, 2**16), are
     compacted by ``np.unique`` first, so no table is sized by a raw label
     value."""
-    if np.shape(pred_frames) != np.shape(gt_frames):
-        raise ValueError(f"prediction shape {np.shape(pred_frames)} differs from "
-                         f"ground truth {np.shape(gt_frames)}")
     pred, gt = np.asarray(pred_frames), np.asarray(gt_frames)
     f = len(gt)
     if gt.size == 0:

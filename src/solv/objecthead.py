@@ -99,7 +99,7 @@ def cosine_distances(vectors: np.ndarray) -> np.ndarray:
 
 
 def merge_slots(c: Tensor, geometry: SlotGeometry, tau_merge: float,
-                partition: list[list[int]] | None = None) -> MergedSlots:
+                partition: list[list[int]] | None) -> MergedSlots:
     """Cluster slots by content similarity and pool each cluster.
 
     A cluster's slot is its members' mean. Its position is the
@@ -108,8 +108,8 @@ def merge_slots(c: Tensor, geometry: SlotGeometry, tau_merge: float,
     plus its squared offset from that position: in real arithmetic the
     moments of the members' summed attention, up to the ``EPS`` in each
     member's mass. A singleton keeps its slot's geometry bit for bit.
-    With ``partition`` given (e.g. singletons to skip merging) clustering
-    is bypassed but the pooled statistics are still produced.
+    A ``partition`` other than None (e.g. singletons to skip merging)
+    bypasses clustering, and the pooled statistics are still produced.
     """
     if not 0.0 < tau_merge < 2.0:
         raise dc.ConfigError(f"merge threshold must lie in (0, 2), got {tau_merge}")
@@ -153,7 +153,7 @@ def merge_gate(epoch: int, total_epochs: int, rng: np.random.Generator) -> bool:
 
 
 def decoder_param_shapes(d_slot: int, n_positions: int, d_out: int,
-                         hidden: int = 1024, n_layers: int = 5) -> dict:
+                         hidden: int, n_layers: int) -> dict:
     shapes = {
         "merge.h.w": (2, d_slot), "merge.h.b": (d_slot,),
         "dec.pos": (n_positions, d_slot),
@@ -166,7 +166,7 @@ def decoder_param_shapes(d_slot: int, n_positions: int, d_out: int,
 
 
 def decode(ms: MergedSlots, params, full_grid: np.ndarray, delta: float,
-           d_out: int, n_layers: int = 5) -> DecodedFrame:
+           d_out: int, n_layers: int) -> DecodedFrame:
     """Spatial-broadcast decode of merged slots over the full grid."""
     k_t = ms.k_t
     n = full_grid.shape[0]

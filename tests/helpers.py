@@ -27,6 +27,19 @@ def binding_store(d_slot=8, k_slots=3, window=3, n_layers=2, seed=0,
     return store
 
 
+def stack(tensors, axis: int) -> Tensor:
+    """``np.stack`` of tensors as one tape node, for the oracles that build
+    a window frame by frame; each operand's gradient is its slice."""
+    tensors = list(tensors)
+    out = np.stack([t.data for t in tensors], axis=axis)
+
+    def backward(g, need):
+        parts = np.split(g, len(tensors), axis=axis)
+        return tuple(np.squeeze(p, axis=axis) for p in parts)
+
+    return dc._make(out, tuple(tensors), backward)
+
+
 def fail_writes_half_way(monkeypatch):
     """Replace ``diffcore.atomic_write`` by a wrapper around the real one
     whose ``write`` puts half of the bytes it is given into ``<path>.tmp``

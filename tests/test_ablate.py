@@ -39,7 +39,7 @@ class TestAxes:
 
     def test_unknown_axis(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):
-            ablate("widgets", [], tiny_cfg(tmp_path))
+            ablate("widgets", [], tiny_cfg(tmp_path), eval_clips=1)
 
     @pytest.mark.parametrize("axis, values, message", [
         ("components", [7], "takes no values"),
@@ -57,7 +57,7 @@ class TestAxes:
         monkeypatch.setattr(ablate_mod, "_train_and_score",
                             lambda cfg, eval_clips: trained.append(cfg) or {})
         with pytest.raises(ConfigError, match=message):
-            ablate(axis, values, tiny_cfg(tmp_path))
+            ablate(axis, values, tiny_cfg(tmp_path), eval_clips=1)
         argv = ["ablate", "--axis", axis]
         argv += ["--values", ",".join(map(str, values))] if values else []
         assert cli_main(argv) == 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from helpers import binding_store, finite_diff, record_attention
+from helpers import binding_store, finite_diff, record_attention, stack
 from solv import datagen, diffcore as dc, objecthead
 from solv.binding import spatial_bind, temporal_bind
 from solv.config import RunConfig, config_from_dict
@@ -83,7 +83,7 @@ class TestGradientOracle:
                 tape = Tape()
                 with tape:
                     z, _ = spatial_bind(tokens, grid, store, delta=5.0,
-                                       n_iters=1)
+                                       n_iters=1, invariant=True, init_z=None)
                     loss = dc.reduce_mean(dc.mul(z, z))
                 return loss, tape
 
@@ -117,7 +117,7 @@ class TestGradientOracle:
             def run():
                 tape = Tape()
                 with tape:
-                    out = temporal_bind(dc.stack(slots, axis=1), np.ones(3, bool),
+                    out = temporal_bind(stack(slots, axis=1), np.ones(3, bool),
                                         store, n_layers=1, heads=2)
                     loss = dc.reduce_mean(dc.mul(out, out))
                 return loss, tape
@@ -137,7 +137,7 @@ class TestGradientOracle:
             def run():
                 tape = Tape()
                 with tape:
-                    out = decode(ms, store, grid, 5.0, 4)
+                    out = decode(ms, store, grid, 5.0, 4, n_layers=5)
                     loss = reconstruction_loss(out.y, target)
                 return loss, tape
 
@@ -261,14 +261,14 @@ class TestNormalizationInvariance:
         store = binding_store(d_slot=8, k_slots=4, seed=3)
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(4).normal(size=(20, 8)))
-        spatial_bind(tokens, grid, store, delta=5.0)
+        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True, init_z=None)
         attn_ok = len(attention) == 3 and all(
             np.allclose(a.sum(axis=0), 1.0, atol=1e-6) for a in attention)
 
         # decoder masks sum to 1 per token
         dstore = _decoder_store(6, 16, 5, hidden=16, seed=5)
         out = decode(_merged(4, 6, 16, seed=6), dstore,
-                     build_position_grid(4, 4), 5.0, 5)
+                     build_position_grid(4, 4), 5.0, 5, n_layers=5)
         mask_ok = np.allclose(out.m.data.sum(axis=0), 1.0, atol=1e-6)
 
         # ISA translation invariance, bit exact on dyadic inputs in f64
@@ -277,12 +277,13 @@ class TestNormalizationInvariance:
             [[0.25, -0.5], [-0.125, 0.375], [0.75, 0.0]])
         grid2 = build_position_grid(5, 5)
         feats = np.random.default_rng(8).normal(size=(25, 8))
-        z_a, geometry_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0)
+        z_a, geometry_a = spatial_bind(Tensor(feats), grid2, store2, delta=5.0, n_iters=3,
+                                       invariant=True, init_z=None)
         a_a = attention[-1]
         offset = np.array([0.75, -0.25])
         store2["bind.init.pos"].data = store2["bind.init.pos"].data + offset
         z_b, geometry_b = spatial_bind(Tensor(feats), grid2 + offset, store2,
-                                       delta=5.0)
+                                       delta=5.0, n_iters=3, invariant=True, init_z=None)
         translation_ok = np.array_equal(a_a, attention[-1]) and \
             np.array_equal(z_a.data, z_b.data) and \
             np.array_equal(geometry_a.var, geometry_b.var) and \
@@ -293,7 +294,7 @@ class TestNormalizationInvariance:
         ms = _merged(3, 6, 16, seed=9)
         target = np.random.default_rng(10).normal(size=(16, 5))
         base = float(reconstruction_loss(
-            decode(ms, dstore, build_position_grid(4, 4), 5.0, 5).y,
+            decode(ms, dstore, build_position_grid(4, 4), 5.0, 5, n_layers=5).y,
             target).data)
         perm = [1, 2, 0]
         permuted = objecthead.MergedSlots(
@@ -301,7 +302,7 @@ class TestNormalizationInvariance:
             members=[ms.members[i] for i in perm],
             position=ms.position[perm], scale=ms.scale[perm])
         permuted_loss = float(reconstruction_loss(
-            decode(permuted, dstore, build_position_grid(4, 4), 5.0, 5).y,
+            decode(permuted, dstore, build_position_grid(4, 4), 5.0, 5, n_layers=5).y,
             target).data)
         loss_ok = abs(base - permuted_loss) < 1e-12
 

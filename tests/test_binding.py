@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (
     binding_store, final_moments, finite_diff, record_attention,
-    record_isa_moments, reference_isa_iteration,
+    record_isa_moments, reference_isa_iteration, stack,
 )
 from solv import binding, diffcore as dc
 from solv.binding import spatial_bind, temporal_bind
@@ -27,7 +27,8 @@ class TestSpatialBind:
         grid = build_position_grid(3, 3)
         tokens = Tensor(np.random.default_rng(4).normal(size=(9, 6)))
         attention = record_attention(monkeypatch)
-        _, geometry = spatial_bind(tokens, grid, store, delta=5.0)
+        _, geometry = spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True,
+                                   init_z=None)
         np.testing.assert_array_equal(attention[-1], np.ones((1, 9)))
         np.testing.assert_allclose(geometry.position[0], grid.mean(axis=0),
                                    atol=1e-9)
@@ -45,7 +46,8 @@ class TestSpatialBind:
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(6).normal(size=(16, 6)))
         attention = record_attention(monkeypatch)
-        _, geometry = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
+        _, geometry = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1, invariant=True,
+                                   init_z=None)
         np.testing.assert_allclose(attention[-1], 1.0 / 3.0, atol=1e-12)
         for j in range(3):
             np.testing.assert_allclose(geometry.position[j],
@@ -65,7 +67,7 @@ class TestSpatialBind:
         f = np.array([[0.3, 1.2], [-0.7, 0.4]])
         grid = np.zeros((2, 2))
         attention = record_attention(monkeypatch)
-        spatial_bind(Tensor(f), grid, store, delta=5.0, n_iters=1)
+        spatial_bind(Tensor(f), grid, store, delta=5.0, n_iters=1, invariant=True, init_z=None)
         logits = f @ _layernorm_np(z).T / np.sqrt(d)  # token x slot
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = (e / e.sum(axis=1, keepdims=True)).T  # slot x token
@@ -76,7 +78,7 @@ class TestSpatialBind:
         grid = build_position_grid(4, 5)
         tokens = Tensor(np.random.default_rng(9).normal(size=(20, 8)))
         attention = record_attention(monkeypatch)
-        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3)
+        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True, init_z=None)
         assert len(attention) == 3
         for a in attention:
             np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-6)
@@ -85,8 +87,10 @@ class TestSpatialBind:
         store = binding_store(d_slot=8, k_slots=3, seed=10)
         grid = build_position_grid(3, 4)
         feats = np.random.default_rng(11).normal(size=(12, 8))
-        za, ga = spatial_bind(Tensor(feats), grid, store, delta=5.0)
-        zb, gb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0)
+        za, ga = spatial_bind(Tensor(feats), grid, store, delta=5.0, n_iters=3, invariant=True,
+                              init_z=None)
+        zb, gb = spatial_bind(Tensor(feats.copy()), grid, store, delta=5.0, n_iters=3,
+                              invariant=True, init_z=None)
         assert np.array_equal(za.data, zb.data)
         assert np.array_equal(ga.position, gb.position)
         assert np.array_equal(ga.var, gb.var)
@@ -96,7 +100,7 @@ class TestSpatialBind:
         grid = build_position_grid(5, 5)
         tokens = Tensor(np.random.default_rng(13).normal(size=(25, 8)))
         moments = record_isa_moments(monkeypatch)
-        spatial_bind(tokens, grid, store, delta=5.0)
+        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True, init_z=None)
         pos = final_moments(moments, store)[1].data
         assert (pos >= grid.min(axis=0) - 1e-6).all()
         assert (pos <= grid.max(axis=0) + 1e-6).all()
@@ -106,7 +110,7 @@ class TestSpatialBind:
         grid = build_position_grid(4, 4)
         tokens = Tensor(np.random.default_rng(15).normal(size=(16, 8)))
         moments = record_isa_moments(monkeypatch)
-        spatial_bind(tokens, grid, store, delta=5.0)
+        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True, init_z=None)
         assert (final_moments(moments, store)[0].data > 0).all()
 
     def test_translation_invariance_bit_exact_on_dyadic_inputs(self, monkeypatch):
@@ -119,13 +123,14 @@ class TestSpatialBind:
         grid = build_position_grid(5, 5)  # multiples of 0.5
         tokens = np.random.default_rng(17).normal(size=(25, 8))
         attention = record_attention(monkeypatch)
-        z_a, geometry_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        z_a, geometry_a = spatial_bind(Tensor(tokens), grid, store, delta=5.0, n_iters=3,
+                                       invariant=True, init_z=None)
         a_a = attention[-1]
 
         offset = np.array([0.75, -0.25])
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
         z_b, geometry_b = spatial_bind(Tensor(tokens), grid + offset,
-                                       store, delta=5.0)
+                                       store, delta=5.0, n_iters=3, invariant=True, init_z=None)
         assert np.array_equal(a_a, attention[-1])
         assert np.array_equal(z_a.data, z_b.data)
         assert np.array_equal(geometry_a.var, geometry_b.var)
@@ -137,12 +142,13 @@ class TestSpatialBind:
         grid = build_position_grid(4, 4)
         tokens = np.random.default_rng(19).normal(size=(16, 8))
         attention = record_attention(monkeypatch)
-        z_a, _ = spatial_bind(Tensor(tokens), grid, store, delta=5.0)
+        z_a, _ = spatial_bind(Tensor(tokens), grid, store, delta=5.0, n_iters=3, invariant=True,
+                              init_z=None)
         a_a = attention[-1]
         offset = np.random.default_rng(20).normal(size=2)
         store["bind.init.pos"].data = store["bind.init.pos"].data + offset
         z_b, _ = spatial_bind(Tensor(tokens), grid + offset, store,
-                              delta=5.0)
+                              delta=5.0, n_iters=3, invariant=True, init_z=None)
         np.testing.assert_allclose(a_a, attention[-1], atol=1e-10)
         np.testing.assert_allclose(z_a.data, z_b.data, atol=1e-9)
 
@@ -152,7 +158,7 @@ class TestSpatialBind:
         tokens = Tensor(np.random.default_rng(38).normal(size=(9, 6)))
         with pytest.raises(ValueError, match="n_iters must be >= 1"):
             spatial_bind(tokens, build_position_grid(3, 3), store, delta=5.0,
-                         n_iters=0, invariant=invariant)
+                         n_iters=0, invariant=invariant, init_z=None)
 
     def test_plain_attention_variant_shapes_and_normalization(self, monkeypatch):
         store = binding_store(d_slot=8, k_slots=4, seed=21)
@@ -160,7 +166,7 @@ class TestSpatialBind:
         tokens = Tensor(np.random.default_rng(22).normal(size=(16, 8)))
         attention = record_attention(monkeypatch)
         z, geometry = spatial_bind(tokens, grid, store, delta=5.0,
-                                   invariant=False)
+                                   invariant=False, n_iters=3, init_z=None)
         assert z.shape == (4, 8)
         assert len(attention) == 1  # the final attention's moments only
         np.testing.assert_allclose(attention[0].sum(axis=0), 1.0, atol=1e-6)
@@ -182,7 +188,8 @@ class TestSpatialBind:
         def run():
             tape = Tape()
             with tape:
-                z, _ = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1)
+                z, _ = spatial_bind(tokens, grid, store, delta=5.0, n_iters=1, invariant=True,
+                                    init_z=None)
                 loss = dc.reduce_mean(dc.mul(z, z))
             return loss, tape
 
@@ -214,12 +221,12 @@ class TestFactoredAttention:
         tape = Tape()
         with tape:
             z, geometry = spatial_bind(tokens, grid, store, delta=5.0,
-                                       n_iters=n_iters)
+                                       n_iters=n_iters, invariant=True, init_z=None)
             scale, position = final_moments(moments, store)
             loss = Tensor(0.0)
             for out in (z, scale, position):
                 loss = dc.add(loss, dc.reduce_sum(
-                    dc.mul(out, Tensor(rng.normal(size=out.shape)))))
+                    dc.mul(out, Tensor(rng.normal(size=out.shape))), axis=None))
         tape.backward(loss)
         outputs = {"z": z.data, "scale": scale.data, "position": position.data,
                    "geometry.mass": geometry.mass,
@@ -272,9 +279,11 @@ class TestFactoredAttention:
             try:
                 if with_tape:
                     with tape:
-                        spatial_bind(tokens, grid, store, delta=5.0)
+                        spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True,
+                                     init_z=None)
                 else:
-                    spatial_bind(tokens, grid, store, delta=5.0)
+                    spatial_bind(tokens, grid, store, delta=5.0, n_iters=3, invariant=True,
+                                 init_z=None)
             finally:
                 monkeypatch.setattr(dc, "_make", real_make)
             if with_tape:  # every recorded node was also seen being built
@@ -315,7 +324,8 @@ class TestFactoredAttention:
             monkeypatch.setattr(dc, "_make", recording_make)
             monkeypatch.setattr(dc, "div", recording_div)
             with Tape() if with_tape else contextlib.nullcontext():
-                spatial_bind(tokens, kept_grid, store, delta=5.0, n_iters=n_iters)
+                spatial_bind(tokens, kept_grid, store, delta=5.0, n_iters=n_iters, invariant=True,
+                             init_z=None)
             monkeypatch.setattr(dc, "_make", real_make)
             monkeypatch.setattr(dc, "div", real_div)
             assert (n_kept, 2, frames, k) in shapes  # the geometry itself
@@ -331,7 +341,7 @@ class TestTemporalBind:
                 for _ in range(window)]
 
     def _bind(self, slots, availability, store, **kwargs):
-        return temporal_bind(dc.stack(slots, axis=1), availability, store, **kwargs)
+        return temporal_bind(stack(slots, axis=1), availability, store, **kwargs)
 
     def test_degenerate_single_frame_window(self):
         store = binding_store(d_slot=8, k_slots=3, window=1, seed=25)
@@ -438,7 +448,7 @@ class TestBatchedCalls:
         moments = record_isa_moments(monkeypatch)
         attention = record_attention(monkeypatch)
         z, geometry = spatial_bind(Tensor(tokens), grid[kept], store,
-                                   delta=5.0, invariant=invariant)
+                                   delta=5.0, invariant=invariant, n_iters=3, init_z=None)
         a = attention[-1]
         if invariant:
             scale, position = final_moments(moments, store)
@@ -449,7 +459,7 @@ class TestBatchedCalls:
         for f in range(frames):
             z_f, geometry_f = spatial_bind(
                 Tensor(tokens[f]), grid[kept[f]], store, delta=5.0,
-                invariant=invariant)
+                invariant=invariant, n_iters=3, init_z=None)
             assert np.array_equal(z.data[f], z_f.data)
             assert np.array_equal(a[f], attention[-1])
             for field in ("mass", "position", "var"):

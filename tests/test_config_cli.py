@@ -445,6 +445,19 @@ class TestInferRejectsBadInput:
         assert message in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("record", ["dec.l0.w", "bind.init.z", "enc.proj.w1"])
+    def test_non_finite_checkpoint_record_exits_2(self, tmp_path, capsys, record):
+        cfg_path, ckpt, cfg = _untrained_checkpoint(tmp_path)
+        store = init_params(cfg)
+        store[record].data[0, 0] = np.nan
+        store.save(ckpt)
+        out = tmp_path / "pred"
+        rc = cli_main(["infer", "--config", cfg_path, "--checkpoint", ckpt,
+                       "--features", "synthetic:3", "--out", str(out)])
+        assert rc == 2
+        assert f"{ckpt}: parameter record '{record}' is not finite" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.mask"))
+
     def test_checkpoint_without_its_sidecar_exits_2(self, tmp_path, capsys):
         cfg_path, ckpt, _ = _untrained_checkpoint(tmp_path)
         os.remove(ckpt + ".meta.json")

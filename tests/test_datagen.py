@@ -20,6 +20,17 @@ def _oracle(d=16, n_id=5, sigma=0.05, seed=11):
     return FeatureOracle(seed, n_id, d, sigma)
 
 
+def patch_labels_loop(pixel_labels, patch):
+    """Majority owner per patch, one ``np.bincount`` per tile: ties go to
+    the lowest label, the first maximum ``argmax`` finds."""
+    h, w = pixel_labels.shape
+    out = []
+    for r in range(0, h, patch):
+        for c in range(0, w, patch):
+            out.append(np.bincount(pixel_labels[r:r + patch, c:c + patch].ravel()).argmax())
+    return np.array(out, dtype=np.uint16)
+
+
 class TestRendering:
     def test_zero_sprites_all_background(self):
         spec = SceneSpec(32, 32, 8, 3, sprites=(), seed=1)
@@ -92,6 +103,23 @@ class TestRendering:
                     winners = np.flatnonzero(counts == best)
                     assert got[pr * 4 + pc] == winners.min()
 
+    def test_patch_labels_equal_the_per_tile_loop(self):
+        """Random label maps with few labels, so ties are common, on
+        rectangular grids, and every frame of rendered clips."""
+        rng = np.random.default_rng(8)
+        for i in range(60):
+            patch = int(rng.integers(1, 6))
+            rows, cols = rng.integers(1, 7, size=2)
+            pixels = rng.integers(0, 1 + i % 5, size=(rows * patch, cols * patch))
+            pixels = pixels.astype(np.uint16)
+            got = patch_labels_from_pixels(pixels, patch)
+            assert got.dtype == np.uint16
+            np.testing.assert_array_equal(got, patch_labels_loop(pixels, patch))
+        for spec in dataset_split(6, 12, (48, 64), 8, 4, (1, 4))[0]:
+            for frame in render_clip(spec, _oracle()).gt_pixel_labels:
+                np.testing.assert_array_equal(patch_labels_from_pixels(frame, 8),
+                                              patch_labels_loop(frame, 8))
+
     def test_temporal_translation_up_to_reflection(self):
         sprite = Sprite("circle", 12, 3, 2, identity=1, x=4, y=6)
         spec = SceneSpec(64, 64, 8, 6, sprites=(sprite,), seed=5)
@@ -137,7 +165,7 @@ class TestFeatureOracle:
 
     def test_dimension_precondition(self):
         with pytest.raises(ValueError, match="identities"):
-            FeatureOracle(1, n_identities=10, d=8)
+            FeatureOracle(1, n_identities=10, d=8, sigma=0.05)
 
 
 class TestFileFormats:

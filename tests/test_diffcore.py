@@ -19,7 +19,7 @@ from solv.diffcore import (
     read_json_object, write_json,
 )
 
-from helpers import fail_writes_half_way, finite_diff
+from helpers import fail_writes_half_way, finite_diff, stack
 
 
 class TestForwardValues:
@@ -61,7 +61,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         tape = Tape()
         with tape:
-            loss = dc.reduce_sum(x)
+            loss = dc.reduce_sum(x, axis=None)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [1.0, 1.0, 1.0])
 
@@ -69,7 +69,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()
         with tape:
-            loss = dc.reduce_sum(dc.mul(x, x))
+            loss = dc.reduce_sum(dc.mul(x, x), axis=None)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
@@ -85,7 +85,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()
         with tape:
-            loss = dc.reduce_sum(dc.mul(x, x))
+            loss = dc.reduce_sum(dc.mul(x, x), axis=None)
         scaled = loss * 0.5  # computed after the tape closed: not recorded
         with pytest.raises(ValueError, match="not the output of a node on this tape"):
             tape.backward(scaled)
@@ -96,7 +96,7 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         tape = Tape()
         with tape:
-            loss = dc.reduce_sum(x)
+            loss = dc.reduce_sum(x, axis=None)
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
@@ -131,7 +131,8 @@ class TestBackward:
                 h = dc.sigmoid(h) + dc.tanh(h)
                 h = dc.softmax(h, axis=1)
                 h = dc.layernorm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-                s = dc.reduce_mean(dc.mul(h, h)) + dc.reduce_sum(dc.sqrt(dc.mul(h, h) + 1.0))
+                s = dc.reduce_mean(dc.mul(h, h)) + \
+                    dc.reduce_sum(dc.sqrt(dc.mul(h, h) + 1.0), axis=None)
             return s, tape
 
         loss, tape = run()
@@ -152,7 +153,7 @@ class TestBackward:
         def run():
             tape = Tape()
             with tape:
-                s = dc.reduce_sum(dc.mlp(x, layers))
+                s = dc.reduce_sum(dc.mlp(x, layers), axis=None)
             return s, tape
 
         loss, tape = run()
@@ -170,10 +171,10 @@ class TestBackward:
             tape = Tape()
             with tape:
                 g = dc.matmul(pick, a)
-                st = dc.stack([g, g], axis=0)
+                st = stack([g, g], axis=0)
                 sl = dc.slice_axis(st, 2, 1, 3)
                 b = dc.broadcast_to(sl, (3,) + sl.shape)
-                s = dc.reduce_sum(dc.mul(b, sl))
+                s = dc.reduce_sum(dc.mul(b, sl), axis=None)
             return s, tape
 
         loss, tape = run()
@@ -231,7 +232,7 @@ def _loss_and_grads(f, x, layers, weight):
     tape = Tape()
     with tape:
         out = f(x, layers)
-        loss = dc.reduce_sum(dc.mul(out, weight))
+        loss = dc.reduce_sum(dc.mul(out, weight), axis=None)
     tape.backward(loss)
     return out.data, [t.grad for t in _leaves(x, layers)]
 
@@ -264,7 +265,7 @@ class TestMlp:
         weight = Tensor(rng.normal(size=x_shape[:-1] + (2,)))
 
         def loss():
-            return float(dc.reduce_sum(dc.mul(dc.mlp(x, layers), weight)).data)
+            return float(dc.reduce_sum(dc.mul(dc.mlp(x, layers), weight), axis=None).data)
 
         _loss_and_grads(dc.mlp, x, layers, weight)
         assert finite_diff(loss, _leaves(x, layers), rng=rng) <= 1e-4
@@ -285,7 +286,7 @@ class TestMlp:
             # a probe node recorded before the mlp node, so replayed after it
             probe = dc._make(x.data.copy(), (x,), lambda g, need: (
                 seen.append((hidden_ref(), out_ref())), g)[1:])
-            loss = dc.reduce_sum(dc.mlp(probe, layers))
+            loss = dc.reduce_sum(dc.mlp(probe, layers), axis=None)
         out, _, fn, _ = tape._nodes[-2]
         saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
         hidden_ref, out_ref = weakref.ref(saved[1]), weakref.ref(out.data)
@@ -426,7 +427,7 @@ class TestAdam:
         store = ParamStore("f64")
         store.register("w", np.zeros(1))
         with pytest.raises(ConfigError):
-            store.adam_step(lr=0.0)
+            store.adam_step(lr=0.0, clip_norm=1.0)
 
     def test_adam_matches_reference_sequence(self):
         # scalar Adam recurrence computed independently
@@ -474,7 +475,7 @@ class TestPrecision:
         assert fresh["w"].data.dtype == dtype
         np.testing.assert_array_equal(fresh["w"].data, t.data)
         t.grad = np.ones((2, 3), dtype)
-        store.adam_step(lr=0.1)
+        store.adam_step(lr=0.1, clip_norm=np.inf)
         assert t.data.dtype == store.m["w"].dtype == store.v["w"].dtype == dtype
 
     def test_name_registered_twice_rejected(self):
@@ -601,7 +602,7 @@ class TestCheckpoint:
         store.register("b", np.ones(4))
         assert store.m == {} == store.v
         a.grad = np.full((2, 3), np.nan if skipped else 1.0)  # b has no gradient
-        norm = store.adam_step(lr=0.1)
+        norm = store.adam_step(lr=0.1, clip_norm=np.inf)
         assert math.isfinite(norm) != skipped
         assert store.step == (0 if skipped else 1)
         assert list(store.m) == list(store.v) == ["a", "b"]
@@ -639,7 +640,8 @@ class TestCheckpoint:
         store = ParamStore("f64")
         store.register("a", np.zeros((2, 3)))
         store.register("b", np.zeros(4))
-        store.adam_step(lr=0.1)  # no gradients: zero moments, no update
+        # no gradients: zero moments, no update
+        store.adam_step(lr=0.1, clip_norm=np.inf)
         moments = {name: (store.m[name], store.v[name]) for name in store.params}
         store.load(path)
         assert store.step == 9

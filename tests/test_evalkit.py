@@ -550,9 +550,11 @@ class TestAri:
         assert score_video(gt.copy(), gt)["fg_ari"] is None
 
     def test_mean_fg_ari_rejects_shape_mismatch(self):
+        """``score_videos`` refuses a prediction with fewer frames than its
+        ground truth before it counts anything."""
         gt = np.ones((5, 2, 2), int)
-        with pytest.raises(ValueError, match=r"\(1, 2, 2\).*\(5, 2, 2\)"):
-            score_video(gt[:1].copy(), gt)
+        with pytest.raises(ValueError, match=r"video v: .*\(1, 2, 2\).*\(5, 2, 2\)"):
+            evalkit.score_videos([("v", gt[:1].copy(), gt)])
 
     def test_mean_fg_ari_equals_mean_of_per_frame_loops(self):
         rng = np.random.default_rng(9)
@@ -577,8 +579,8 @@ class TestVideoMiou:
     def test_rejects_shape_mismatch(self):
         # the same labels reshaped: equal element counts, different videos
         gt = np.arange(32).reshape(2, 4, 4) % 3
-        with pytest.raises(ValueError, match=r"\(4, 2, 4\).*\(2, 4, 4\)"):
-            video_miou(gt.reshape(4, 2, 4), gt)
+        with pytest.raises(ValueError, match=r"video v: .*\(4, 2, 4\).*\(2, 4, 4\)"):
+            evalkit.score_videos([("v", gt.reshape(4, 2, 4), gt)])
 
     def test_partial_overlap_one_third(self):
         # one object of 4 pixels; prediction covers 2 of them plus 2

@@ -57,26 +57,26 @@ def _geometry(k, seed=0):
 class TestCompleteLinkage:
     def test_identical_vectors_merge(self):
         c = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        ms = merge_slots(c, _geometry(2), tau_merge=0.12)
+        ms = merge_slots(c, _geometry(2), tau_merge=0.12, partition=None)
         assert ms.k_t == 1
         assert ms.members == [[0, 1]]
 
     def test_orthogonal_vectors_stay_apart(self):
         c = Tensor(np.eye(4))
-        ms = merge_slots(c, _geometry(4), tau_merge=0.12)
+        ms = merge_slots(c, _geometry(4), tau_merge=0.12, partition=None)
         assert ms.k_t == 4
 
     def test_zero_norm_slot_never_merges(self):
         c = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-        ms = merge_slots(c, _geometry(3), tau_merge=0.5)
+        ms = merge_slots(c, _geometry(3), tau_merge=0.5, partition=None)
         assert [0, 2] in ms.members and [1] in ms.members
 
     def test_threshold_bounds(self):
         c = Tensor(np.eye(2))
         with pytest.raises(ConfigError):
-            merge_slots(c, _geometry(2), tau_merge=0.0)
+            merge_slots(c, _geometry(2), tau_merge=0.0, partition=None)
         with pytest.raises(ConfigError):
-            merge_slots(c, _geometry(2), tau_merge=2.0)
+            merge_slots(c, _geometry(2), tau_merge=2.0, partition=None)
 
     @pytest.mark.parametrize("tau", [0.05, 0.12, 0.5])
     @pytest.mark.parametrize("seed", range(12))
@@ -161,7 +161,7 @@ def _bound_frames(precision, invariant=True, frames=3, k=5, seed=0):
     kept = np.stack([np.sort(rng.permutation(36)[:24]) for _ in range(frames)])
     tokens = Tensor(rng.normal(size=(frames, 24, 8)).astype(store.dtype))
     z, geometry = spatial_bind(tokens, grid[kept], store, delta=5.0,
-                               invariant=invariant)
+                               invariant=invariant, n_iters=3, init_z=None)
     return store, z, geometry, grid[kept]
 
 
@@ -230,7 +230,7 @@ class TestMergedStatistics:
         clusters' masses sum to the kept tokens."""
         _, z, geometry, kept_grid = _bound_frames("f64")
         for f in range(z.shape[0]):
-            ms = merge_slots(Tensor(z.data[f]), geometry[f], tau_merge=0.5)
+            ms = merge_slots(Tensor(z.data[f]), geometry[f], tau_merge=0.5, partition=None)
             n_kept, k = kept_grid.shape[1], z.shape[1]
             assert ms.k_t < k
             assert sorted(sum(ms.members, [])) == list(range(k))
@@ -311,7 +311,7 @@ class TestDecode:
             return outputs[-1]
 
         monkeypatch.setattr(dc, "mlp", recording)
-        out = decode(_merged(1, d_slot, n), store, grid, 5.0, d_out)
+        out = decode(_merged(1, d_slot, n), store, grid, 5.0, d_out, n_layers=5)
         np.testing.assert_array_equal(out.m.data, 1.0)
         h = outputs[-1]  # the decoder's; the position term's linear comes first
         assert h.shape == (n, d_out + 1)
@@ -321,14 +321,14 @@ class TestDecode:
         n, d_slot, d_out = 16, 6, 5
         store = _decoder_store(d_slot, n, d_out, seed=1)
         grid = build_position_grid(4, 4)
-        out = decode(_merged(4, d_slot, n, seed=2), store, grid, 5.0, d_out)
+        out = decode(_merged(4, d_slot, n, seed=2), store, grid, 5.0, d_out, n_layers=5)
         np.testing.assert_allclose(out.m.data.sum(axis=0), 1.0, atol=1e-6)
 
     def test_output_shapes(self):
         n, d_slot, d_out = 25, 6, 7
         store = _decoder_store(d_slot, n, d_out, seed=3)
         grid = build_position_grid(5, 5)
-        out = decode(_merged(3, d_slot, n, seed=4), store, grid, 5.0, d_out)
+        out = decode(_merged(3, d_slot, n, seed=4), store, grid, 5.0, d_out, n_layers=5)
         assert out.y.shape == (n, d_out)
         assert out.m.shape == (3, n)
 
@@ -340,8 +340,8 @@ class TestDecode:
         store = _decoder_store(d_slot, n, d_out, seed=5)
         grid = build_position_grid(4, 4)
         ms = _merged(3, d_slot, n, seed=6)
-        out = decode(ms, store, grid, 5.0, d_out)
-        alone = np.stack([decode(_one_slot(ms, k), store, grid, 5.0, d_out).y.data
+        out = decode(ms, store, grid, 5.0, d_out, n_layers=5)
+        alone = np.stack([decode(_one_slot(ms, k), store, grid, 5.0, d_out, n_layers=5).y.data
                           for k in range(3)])
         manual = (out.m.data[:, :, None] * alone).sum(axis=0)
         np.testing.assert_allclose(out.y.data, manual, rtol=1e-12, atol=1e-12)
@@ -356,7 +356,7 @@ class TestDecode:
         inputs, real_linear = [], dc.linear
         monkeypatch.setattr(dc, "linear", lambda x, *wb: inputs.append(x.data)
                             or real_linear(x, *wb))
-        decode(ms, store, grid, 5.0, d_out)
+        decode(ms, store, grid, 5.0, d_out, n_layers=5)
         assert inputs[0].shape == (3, n, 2)
         for j in range(3):
             np.testing.assert_array_equal(
@@ -373,7 +373,7 @@ class TestDecode:
         def run():
             tape = Tape()
             with tape:
-                out = decode(ms, store, grid, 5.0, d_out)
+                out = decode(ms, store, grid, 5.0, d_out, n_layers=5)
                 loss = reconstruction_loss(out.y, target)
             return loss, tape
 
@@ -418,7 +418,7 @@ class TestReconstructionLoss:
         ms = _merged(3, d_slot, n, seed=11)
         target = np.random.default_rng(12).normal(size=(n, d_out))
         base = float(reconstruction_loss(
-            decode(ms, store, grid, 5.0, d_out).y, target).data)
+            decode(ms, store, grid, 5.0, d_out, n_layers=5).y, target).data)
         perm = [2, 0, 1]
         permuted = objecthead.MergedSlots(
             cprime=Tensor(ms.cprime.data[perm]),
@@ -427,5 +427,5 @@ class TestReconstructionLoss:
             scale=ms.scale[perm],
         )
         got = float(reconstruction_loss(
-            decode(permuted, store, grid, 5.0, d_out).y, target).data)
+            decode(permuted, store, grid, 5.0, d_out, n_layers=5).y, target).data)
         assert got == pytest.approx(base, abs=1e-12)

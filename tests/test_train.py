@@ -112,6 +112,25 @@ class TestTrainingLoop:
         with pytest.raises(FormatError, match=f"payload of '{last}' at byte"):
             load_pipeline(cfg, path)
 
+    @pytest.mark.parametrize("record", ["dec.l0.w", "bind.init.z", "enc.proj.w1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_load_pipeline_refuses_a_non_finite_parameter(self, tmp_path, record, bad):
+        """A non-finite parameter would segment to all-zero masks or fail
+        deep inside tracking; the load names the file and the record. A
+        moment record, which inference steps over, is not read."""
+        cfg = tiny_cfg(tmp_path)
+        saved = init_params(cfg, seed=4)
+        saved.m = {name: np.full_like(t.data, bad) for name, t in saved.params.items()}
+        path = str(tmp_path / "w.ckpt")
+        saved.save(path)
+        train_mod._write_meta(path, cfg, saved, epoch=0)
+        load_pipeline(cfg, path)
+        saved[record].data[0, -1] = bad
+        saved.save(path)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: parameter record '{record}' is not finite")):
+            load_pipeline(cfg, path)
+
     def test_load_pipeline_retains_parameters_only(self, tmp_path):
         # a 128-wide decoder keeps the store's per-array bookkeeping (about
         # 16 KB for its 62 parameters) within the 10% margin
