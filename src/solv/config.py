@@ -152,10 +152,7 @@ class RunConfig:
     def digest(self) -> str:
         """Hash of the sections a trained model depends on: ``model``,
         ``data`` and ``train``. Where files go (``paths``) is not part of it."""
-        shaping = {name: {f.name: getattr(section, f.name)
-                          for f in dataclasses.fields(section)}
-                   for name, section in (("model", self.model), ("data", self.data),
-                                         ("train", self.train))}
+        shaping = {"model": vars(self.model), "data": vars(self.data), "train": vars(self.train)}
         blob = json.dumps(shaping, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -6,9 +6,14 @@ operation keeps the width of its operands. Operations executed inside a ``Tape``
 context are recorded in execution order, one node each; ``Tape.backward``
 replays them once in reverse, accumulating gradients into every tensor
 that requires them, and pops each node as it replays it, which releases
-the arrays the node saved. ``mlp`` records a ReLU MLP as one node that
-saves only its input and post-ReLU activations (``live_elements`` counts
-those and every node output that is not a view of an operand). Nothing
+the arrays the node saved. A node's backward rule takes only the
+gradient of its output and returns one gradient per operand, in the
+operand's shape or in the shape it was broadcast to; the tape sums each
+down to its operand's shape, and keeps only those of operands that
+require gradients.
+``mlp`` records a ReLU MLP as one node that saves only its input and
+post-ReLU activations (``live_elements`` counts those and every node
+output that is not a view of an operand). Nothing
 here is thread-aware: a tape and its tensors belong to a single
 computation.
 """
@@ -242,7 +247,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes = []  # (out, parents, backward_fn, need)
+        self._nodes = []  # (out, parents, backward_fn)
         self._consumed = False
         self.live_elements = 0  # running count of values the nodes hold
 
@@ -255,8 +260,8 @@ class Tape:
             _TAPE_STACK.pop()
         return False
 
-    def _record(self, out: Tensor, parents, backward_fn, need) -> None:
-        self._nodes.append((out, parents, backward_fn, need))
+    def _record(self, out: Tensor, parents, backward_fn) -> None:
+        self._nodes.append((out, parents, backward_fn))
         # a view of an operand (reshape, transpose, slice) holds no values
         owner = _buffer_owner(out.data)
         if not any(_buffer_owner(p.data) is owner for p in parents):
@@ -275,14 +280,14 @@ class Tape:
         nodes = self._nodes
         while nodes:
             # popping drops the node's closure, and with it the arrays it saved
-            out, parents, backward_fn, need = nodes.pop()
+            out, parents, backward_fn = nodes.pop()
             g = out.grad
             if g is None:
                 continue
-            parent_grads = backward_fn(g, need)
-            for p, pg in zip(parents, parent_grads):
-                if pg is None:
+            for p, pg in zip(parents, backward_fn(g)):
+                if not p.requires_grad:  # a constant operand's gradient is dropped
                     continue
+                pg = _unbroadcast(pg, p.data.shape)
                 if p.grad is None:
                     p.grad = pg if pg.dtype == p.data.dtype else pg.astype(p.data.dtype)
                 else:
@@ -304,22 +309,18 @@ def _active_tape():
 def _make(out_data, parents, backward_fn) -> Tensor:
     """Create the result tensor, recording it when a tape is active."""
     tape = _active_tape()
-    if tape is None:
-        need = None
-    else:
-        need = tuple(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.requires_grad = need is not None and any(need)
+    out.requires_grad = tape is not None and any(p.requires_grad for p in parents)
     if out.requires_grad:
-        tape._record(out, parents, backward_fn, need)
+        tape._record(out, parents, backward_fn)
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
-    if g.shape == tuple(shape):
+    if g.shape == shape:
         return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -335,30 +336,22 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    return _make(out, (a, b), lambda g, need: (
-        _unbroadcast(g, a.shape) if need[0] else None,
-        _unbroadcast(g, b.shape) if need[1] else None))
+    return _make(out, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    return _make(out, (a, b), lambda g, need: (
-        _unbroadcast(g, a.shape) if need[0] else None,
-        _unbroadcast(-g, b.shape) if need[1] else None))
+    return _make(out, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    return _make(out, (a, b), lambda g, need: (
-        _unbroadcast(g * b.data, a.shape) if need[0] else None,
-        _unbroadcast(g * a.data, b.shape) if need[1] else None))
+    return _make(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
-    return _make(out, (a, b), lambda g, need: (
-        _unbroadcast(g / b.data, a.shape) if need[0] else None,
-        _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if need[1] else None))
+    return _make(out, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def _check_matmul(a_shape, b_shape) -> None:
@@ -371,36 +364,29 @@ def _check_matmul(a_shape, b_shape) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul(a.shape, b.shape)
     out = a.data @ b.data
-
-    def backward(g, need):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) \
-            if need[0] else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) \
-            if need[1] else None
-        return ga, gb
-
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b), lambda g: (
+        g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g, need: (g * (0.5 / out),))
+    return _make(out, (a,), lambda g: (g * (0.5 / out),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(out, (a,), lambda g, need: (g * out * (1.0 - out),))
+    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _make(out, (a,), lambda g, need: (g * (1.0 - out * out),))
+    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def reduce_sum(a: Tensor, axis: int | None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g, need):
+    def backward(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
@@ -411,7 +397,7 @@ def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
 
-    def backward(g, need):
+    def backward(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, a.shape).copy(),)
 
@@ -431,7 +417,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g, need):
+    def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return ((g - dot) * out,)
 
@@ -440,7 +426,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
-    return _make(out, (a,), lambda g, need: (g.reshape(a.shape),))
+    return _make(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes, contiguous: bool = False) -> Tensor:
@@ -450,15 +436,15 @@ def transpose(a: Tensor, axes, contiguous: bool = False) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     if not contiguous:
-        return _make(a.data.transpose(axes), (a,), lambda g, need: (g.transpose(inv),))
+        return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
     out = np.ascontiguousarray(a.data.transpose(axes))
-    return _make(out, (a,), lambda g, need: (np.ascontiguousarray(g.transpose(inv)),))
+    return _make(out, (a,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
     """A read-only view of ``a`` repeated along new or unit axes."""
     out = np.broadcast_to(a.data, shape)
-    return _make(out, (a,), lambda g, need: (_unbroadcast(g, a.shape),))
+    return _make(out, (a,), lambda g: (g,))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -467,7 +453,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = tuple(sl)
     out = a.data[sl]
 
-    def backward(g, need):
+    def backward(g):
         ga = np.zeros(a.shape, dtype=g.dtype)
         ga[sl] = g
         return (ga,)
@@ -505,20 +491,25 @@ def mlp(x: Tensor, layers) -> Tensor:
             if keep:
                 saved.append(h)
 
-    def backward(g, need):
-        # frees each activation once its mask is taken (a node replays once)
+    def backward(g):
+        # a node replays once, so each hidden activation, once its mask and
+        # its layer's weight gradient are taken, receives its own gradient;
+        # the input x.data is never written. Weight and bias gradients are
+        # summed down here, so that the node holds none unreduced.
         grads = [None] * len(parents)
         for i in range(last, -1, -1):
             w, b = layers[i]
-            if i < last:
-                g = g * (saved.pop() > 0)
-            if need[2 * i + 2]:
-                grads[2 * i + 2] = _unbroadcast(g, b.shape)
-            if need[2 * i + 1]:
-                grads[2 * i + 1] = _unbroadcast(np.swapaxes(saved[i], -1, -2) @ g, w.shape)
-            if i > 0 or need[0]:
-                g = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), saved[i].shape)
-        grads[0] = g if need[0] else None
+            h = saved.pop()  # the input of layer i
+            grads[2 * i + 1] = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w.shape)
+            grads[2 * i + 2] = _unbroadcast(g, b.shape)
+            w_t = np.swapaxes(w.data, -1, -2)
+            if i == 0:
+                grads[0] = g @ w_t
+            else:
+                mask = h > 0
+                fits = np.result_type(g, w_t) == h.dtype
+                g = np.matmul(g, w_t, out=h if fits else None)
+                g *= mask
         return grads
 
     out = _make(h, parents, backward)

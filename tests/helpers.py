@@ -33,7 +33,7 @@ def stack(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     out = np.stack([t.data for t in tensors], axis=axis)
 
-    def backward(g, need):
+    def backward(g):
         parts = np.split(g, len(tensors), axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 

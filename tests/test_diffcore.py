@@ -200,7 +200,7 @@ class TestBackward:
 
 def _relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
-    return dc._make(out, (a,), lambda g, need: (g * (a.data > 0),))
+    return dc._make(out, (a,), lambda g: (g * (a.data > 0),))
 
 
 def _unfused_mlp(x, layers):
@@ -284,16 +284,107 @@ class TestMlp:
         tape = Tape()
         with tape:
             # a probe node recorded before the mlp node, so replayed after it
-            probe = dc._make(x.data.copy(), (x,), lambda g, need: (
+            probe = dc._make(x.data.copy(), (x,), lambda g: (
                 seen.append((hidden_ref(), out_ref())), g)[1:])
             loss = dc.reduce_sum(dc.mlp(probe, layers), axis=None)
-        out, _, fn, _ = tape._nodes[-2]
+        out, _, fn = tape._nodes[-2]
         saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
         hidden_ref, out_ref = weakref.ref(saved[1]), weakref.ref(out.data)
         del out, fn, saved
         assert hidden_ref() is not None and out_ref() is not None
         tape.backward(loss)
         assert seen == [(None, None)] and x.grad is not None
+
+    def test_backward_writes_gradients_into_spent_activations(self):
+        """One backward through 32 -> 256 -> 256 -> 256 -> 8 on 512 f64
+        rows peaks below two hidden activations, weight gradients
+        included: each hidden activation, once its mask and its layer's
+        weight gradient are taken, holds the gradient that flows into it."""
+        x, layers = _mlp_case(np.random.default_rng(25), (512, 32), [256, 256, 256, 8],
+                              np.float64)
+        x_before = x.data.copy()
+        tape = Tape()
+        with tape:
+            loss = dc.reduce_sum(dc.mlp(x, layers), axis=None)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 512 * 256 * 8
+        assert np.array_equal(x.data, x_before)  # the input is never written
+
+    def test_a_wider_gradient_is_not_narrowed_into_an_activation(self):
+        """An f64 last layer after an f32 one: the f64 gradient reaching
+        the f32 hidden activation gets an array of its own."""
+        rng = np.random.default_rng(26)
+        x, layers = _mlp_case(rng, (6, 4), [7, 3], np.float32)
+        w1, b1 = (Tensor(t.data.astype(np.float64), requires_grad=True) for t in layers[1])
+        w0 = layers[0][0]
+        weight = rng.normal(size=(6, 3))
+        _sum_of_weighted(dc.mlp, (x, [layers[0], (w1, b1)]), weight)
+        h = np.maximum(x.data @ w0.data + layers[0][1].data, 0)
+        gh = (weight @ w1.data.T) * (h > 0)
+        assert np.array_equal(w0.grad, (x.data.T @ gh).astype(np.float32))
+
+
+def _sum_of_weighted(f, operands, weight):
+    tape = Tape()
+    with tape:
+        loss = dc.reduce_sum(dc.mul(f(*operands), Tensor(weight)), axis=None)
+    tape.backward(loss)
+
+
+# d sum(W * f(a, b)) / da and / db of each binary primitive, in closed form
+_CLOSED_FORMS = {
+    "add": (dc.add, lambda a, b, w: w, lambda a, b, w: w),
+    "sub": (dc.sub, lambda a, b, w: w, lambda a, b, w: -w),
+    "mul": (dc.mul, lambda a, b, w: w * b, lambda a, b, w: w * a),
+    "div": (dc.div, lambda a, b, w: w / b, lambda a, b, w: -w * a / (b * b)),
+    "matmul": (dc.matmul, lambda a, b, w: w @ b.T, lambda a, b, w: a.T @ w),
+}
+
+
+class TestConstantOperands:
+    """A backward rule returns a gradient for every operand; the tape
+    keeps only those of operands that require gradients, summed down to
+    the operand's shape."""
+
+    @pytest.mark.parametrize("const", [0, 1], ids=["const_a", "const_b"])
+    @pytest.mark.parametrize("op", sorted(_CLOSED_FORMS))
+    def test_binary_primitive(self, op, const):
+        f, *closed = _CLOSED_FORMS[op]
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(3, 5))
+        b = rng.normal(size=(5, 4) if op == "matmul" else (1, 5)) + 3.0  # (1, 5) broadcasts
+        w = rng.normal(size=(3, 4) if op == "matmul" else (3, 5))
+        operands = [Tensor(a, requires_grad=const != 0), Tensor(b, requires_grad=const != 1)]
+        _sum_of_weighted(f, operands, w)
+        param = 1 - const
+        want = closed[param](a, b, w)
+        if want.shape != operands[param].shape:
+            want = want.sum(axis=0, keepdims=True)
+        assert operands[const].grad is None
+        np.testing.assert_allclose(operands[param].grad, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("const", ["x", "w0"])
+    def test_mlp(self, const):
+        rng = np.random.default_rng(32)
+        x, layers = _mlp_case(rng, (6, 4), [7, 3], np.float64)
+        (w0, b0), (w1, b1) = layers
+        {"x": x, "w0": w0}[const].requires_grad = False
+        weight = rng.normal(size=(6, 3))
+        _sum_of_weighted(dc.mlp, (x, layers), weight)
+        h = np.maximum(x.data @ w0.data + b0.data, 0)
+        gh = (weight @ w1.data.T) * (h > 0)
+        want = {"x": gh @ w0.data.T, "w0": x.data.T @ gh, "b0": gh.sum(axis=0),
+                "w1": h.T @ weight, "b1": weight.sum(axis=0)}
+        got = {"x": x, "w0": w0, "b0": b0, "w1": w1, "b1": b1}
+        assert got.pop(const).grad is None
+        for name, t in got.items():
+            np.testing.assert_allclose(t.grad, want[name], rtol=1e-12, atol=1e-15,
+                                       err_msg=name)
 
 
 class TestGru:

@@ -66,6 +66,42 @@ def test_no_process_global_switches():
         f"module-level values functions change: {sorted(mutated)}"
 
 
+def _takes_one_argument(func) -> bool:
+    a = func.args
+    return len(a.posonlyargs + a.args) == 1 and not (a.vararg or a.kwonlyargs or a.kwarg)
+
+
+def test_backward_rules_take_only_the_gradient():
+    """Every backward rule handed to ``diffcore._make``, a lambda or a
+    function defined in the caller, takes exactly one argument, the
+    gradient of the node's output, and returns one gradient per operand:
+    the tape, not the rule, drops those of operands that require none."""
+    rules, found = 0, []
+
+    def visit(node, scopes):
+        nonlocal rules
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "_make":
+                where = f"{path.name}:{child.lineno}"
+                rule = (child.args[2:] or [k.value for k in child.keywords
+                                           if k.arg == "backward_fn"])[0]
+                if isinstance(rule, ast.Name):
+                    rule = next((d for scope in reversed(scopes) for d in scope.body
+                                 if isinstance(d, ast.FunctionDef) and d.name == rule.id),
+                                rule)
+                rules += 1
+                if not isinstance(rule, (ast.Lambda, ast.FunctionDef)):
+                    found.append(f"{where} a rule defined elsewhere")
+                elif not _takes_one_argument(rule):
+                    found.append(f"{where} takes {[x.arg for x in rule.args.args]}")
+            visit(child, scopes + [child] if isinstance(child, ast.FunctionDef) else scopes)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), [])
+    assert rules and not found, f"{rules} rules; not taking only the gradient: {found}"
+
+
 def test_no_module_starts_threads_or_processes():
     """The program runs on one thread: no module imports a threading,
     process or queue library."""
