@@ -84,7 +84,7 @@ def _train_and_score(cfg: RunConfig, eval_clips: int) -> dict:
             yield i, tracked.frames, clip.gt_pixel_labels
 
     report = evalkit.score_videos(segmented())
-    return {"mean_fg_ari": report["mean_fg_ari"], "mean_miou": report["mean_miou"],
+    return {"mean_miou": report["mean_miou"], "mean_fg_ari": report["mean_fg_ari"],
             "mean_k_t": float(np.mean(k_t_means))}
 
 
@@ -98,8 +98,7 @@ def peak_live_values(cfg: RunConfig) -> int:
     pipe = Pipeline(cfg, init_params(cfg))
     tape = Tape()
     with tape:
-        out = pipe.forward_window(features, np.ones(d.frames, bool), kept,
-                                  apply_merge=False)
+        out = pipe.forward_window(features, kept, apply_merge=False)
         objecthead.reconstruction_loss(out.decoded.y, features[d.frames // 2])
     return tape.live_elements
 
@@ -123,8 +122,8 @@ def ablate(axis: str, values, base_cfg: RunConfig, eval_clips: int) -> dict:
 
 
 def format_table(rows: dict) -> str:
-    order = ["mean_miou", "mean_fg_ari", "mean_k_t", "peak_live_values"]
-    present = [c for c in order if any(c in r for r in rows.values())]
+    """One line per row; the columns are the rows' keys in first-seen order."""
+    present = list(dict.fromkeys(c for row in rows.values() for c in row))
     lines = ["  ".join(f"{c:>16}" for c in ["variant"] + present)]
     for name, row in rows.items():
         cells = [f"{name:>16}"]

@@ -11,13 +11,14 @@ computed, pooled over the cluster.
 Both stages take leading batch axes: ``Pipeline.bind_frames`` binds
 (..., N, D) features of many frames to (..., K, D_slot) slots, and
 ``Pipeline.bind_windows`` relates (..., K, T, D_slot) stacked windows to
-their (..., K, D_slot) center slots. Training binds a clip's frames in
-one call and relates them in one call. Unavailable frames are bound like
-the others and masked out of temporal attention, so their features must
-be finite. Inference binds each frame once, ``CHUNK`` frames per call,
-relates ``CHUNK`` windows per call, then merges and decodes frame by
-frame, decoding only the frames that keep two or more slots. A batched
-call gives bitwise the result of one call per frame or window.
+their (..., K, D_slot) center slots. Training's window is a whole clip:
+it binds the clip's frames in one call and relates them in one call.
+Only inference masks frames: its windows run past the video's ends, and
+``bind_windows`` leaves those frames out of temporal attention. Inference
+binds each frame once, ``CHUNK`` frames per call, relates ``CHUNK``
+windows per call, then merges and decodes frame by frame, decoding only
+the frames that keep two or more slots. A batched call gives bitwise the
+result of one call per frame or window.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class Pipeline:
 
     def bind_windows(self, windows: Tensor, availability: np.ndarray) -> Tensor:
         """Per-window stage: temporal binding of stacked windows (..., K, T,
-        D_slot), with zero slots where ``availability`` (..., T) is False.
-        Returns the center frames' slots, (..., K, D_slot)."""
+        D_slot), with the frames where ``availability`` (..., T) is False
+        masked out. Returns the center frames' slots, (..., K, D_slot)."""
         m = self.cfg.model
         return binding.temporal_bind(windows, availability, self.store,
                                      n_layers=m.transformer_layers,
@@ -159,12 +160,11 @@ class Pipeline:
                                  self.cfg.data.d_features,
                                  n_layers=m.decoder_layers)
 
-    def forward_window(self, features: np.ndarray, availability: np.ndarray,
-                       kept: np.ndarray, apply_merge: bool,
+    def forward_window(self, features: np.ndarray, kept: np.ndarray,
+                       apply_merge: bool,
                        init_jitter: np.ndarray | None = None) -> WindowOutput:
-        """features: (window, N, D). Every frame is bound, in one call, and
-        unavailable frames are masked out of temporal attention, so their
-        content is arbitrary but must be finite.
+        """Training's forward of one whole clip, features (window, N, D):
+        every frame is bound, in one call, and the center frame decoded.
 
         Row f of ``kept`` (window, N') holds frame f's kept token
         indices. ``init_jitter`` (K x D_slot) perturbs the shared slot
@@ -172,15 +172,14 @@ class Pipeline:
         so slot identities cannot act as a fixed code across clips.
         """
         m = self.cfg.model
-        center = len(availability) // 2
-        if not availability[center]:
-            raise ValueError("center frame must be available")
+        center = len(features) // 2
         init_z = None
         if init_jitter is not None:
             init_z = self.store["bind.init.z"] + init_jitter
         z, geometry = self.bind_frames(features, kept, init_z)
         if m.use_temporal_binding:  # (T, K, D) frames to one (K, T, D) window
-            c = self.bind_windows(dc.transpose(z, (1, 0, 2)), availability)
+            c = self.bind_windows(dc.transpose(z, (1, 0, 2)),
+                                  np.ones(len(features), bool))
         else:
             c = dc.reshape(dc.slice_axis(z, 0, center, center + 1), z.shape[1:])
         merged = self.merge(c, geometry[center], apply_merge)
@@ -191,9 +190,9 @@ def infer_video(pipe: Pipeline, features: np.ndarray):
     """Sliding center-frame inference over the whole video.
 
     Every frame becomes the center of its own window; frames outside the
-    video are masked via availability. Every frame keeps all its tokens,
-    so each frame is bound once and every window containing it reuses
-    those slots. The video is cast to the store's dtype once. Frames are
+    video are masked out of temporal binding. Every frame keeps all its
+    tokens, so each frame is bound once and every window containing it
+    reuses those slots. The video is cast to the store's dtype once. Frames are
     bound ``CHUNK`` per call and windows related ``CHUNK`` per call;
     merging (always applied) and decoding run per frame, and the decoder
     runs only for frames left with two or more slots: one slot labels

@@ -92,7 +92,6 @@ def train(cfg: RunConfig, max_steps: int | None = None,
 
     result = TrainLog()
     nonfinite_streak = 0
-    availability = np.ones(d.frames, dtype=bool)
     for step in range(total_steps):
         epoch, b = divmod(step, steps_per_epoch)
         apply_merge = merge_gate(epoch, tr.epochs, gate_rng)
@@ -114,9 +113,8 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                     (cfg.model.k_slots, cfg.model.d_slot))
             tape = Tape()
             with tape:
-                out = pipe.forward_window(
-                    clip.features, availability, kept,
-                    apply_merge, init_jitter=jitter)
+                out = pipe.forward_window(clip.features, kept, apply_merge,
+                                          init_jitter=jitter)
                 loss = objecthead.reconstruction_loss(
                     out.decoded.y, clip.features[d.frames // 2])
                 scaled = loss * (1.0 / batch)

@@ -123,3 +123,13 @@ class TestAxes:
         text = format_table(rows)
         assert "x" in text and "0.5000" in text
 
+    def test_format_table_prints_every_key_of_the_rows(self):
+        """The columns are the rows' keys in first-seen order, so a new
+        metric needs no entry elsewhere to be printed."""
+        rows = {"x": {"mean_miou": 0.5, "mean_fg_ari": 0.25, "mean_k_t": 3.0},
+                "y": {"mean_miou": 0.75, "mean_fg_ari": 0.5, "mean_k_t": 2.0,
+                      "frames_per_s": 12.5}}
+        header, x, y = (line.split() for line in format_table(rows).splitlines())
+        assert header == ["variant", "mean_miou", "mean_fg_ari", "mean_k_t", "frames_per_s"]
+        assert x == ["x", "0.5000", "0.2500", "3.0000", "-"]
+        assert y == ["y", "0.7500", "0.5000", "2.0000", "12.5000"]

@@ -163,8 +163,7 @@ class TestAllocationScaling:
             kept = make_drop_plan(d.frames, d.n_tokens, ratio, seed=1)
             tape = Tape()
             with tape:
-                out = pipe.forward_window(clip.features, np.ones(3, bool),
-                                          kept, apply_merge=False)
+                out = pipe.forward_window(clip.features, kept, apply_merge=False)
                 objecthead.reconstruction_loss(out.decoded.y,
                                                clip.features[d.frames // 2])
             counts.append(tape.live_elements)

@@ -17,8 +17,9 @@ BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 # Module-level values a function may change, each with its reason.
 MUTABLE_GLOBALS = {
     "diffcore._TAPE_STACK": "the active tape, which every primitive reads through "
-                            "_make; bench/tracer.py reads it through _active_tape(), "
-                            "and passing a tape explicitly instead is open in ROADMAP.md",
+                            "_make; bench/tracer.py reads it through _active_tape() "
+                            "at every traced layer, so passing a tape explicitly "
+                            "waits for a change to the benchmark (ROADMAP.md)",
 }
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
              "update", "setdefault", "add", "discard", "sort", "reverse"}
@@ -172,7 +173,7 @@ def test_only_score_videos_calls_score_video():
 # only through a value of no declared type, each with the line that reads
 # it on its own class.
 SHARED_FIELD_READERS = {
-    "DecodedFrame.y": "train.py:121",
+    "DecodedFrame.y": "train.py:119",
     "Sprite.y": "datagen.py:144",
     "TrackedSegmentation.frames": "cli.py:55",
 }

@@ -473,7 +473,7 @@ class TestInference:
         report = evaluate_dirs(str(tmp_path / "pred"), str(tmp_path / "gt"),
                                str(tmp_path / "r.json"), "d")
         assert any(set(v["k_t_histogram"]) != {"1"} for v in report["videos"])
-        assert list(row) == ["mean_fg_ari", "mean_miou", "mean_k_t"]
+        assert list(row) == ["mean_miou", "mean_fg_ari", "mean_k_t"]
         assert row["mean_fg_ari"] == report["mean_fg_ari"]
         assert row["mean_miou"] == report["mean_miou"]
         assert row["mean_k_t"] == float(np.mean(k_t_means))
@@ -505,7 +505,12 @@ class TestInference:
 
 
 class TestWindowForward:
-    def test_unavailable_frames_do_not_affect_output(self, tmp_path):
+    """Training forwards whole clips; only the per-window stage,
+    ``Pipeline.bind_windows``, masks frames, for inference's windows
+    that run past a video's ends."""
+
+    def _windows(self, tmp_path):
+        """A pipeline and one clip's bound slots as a (K, T, D_slot) window."""
         cfg = tiny_cfg(tmp_path)
         pipe = Pipeline(cfg, init_params(cfg))
         d = cfg.data
@@ -513,24 +518,22 @@ class TestWindowForward:
                                        d.sigma_noise)
         spec = datagen.random_scene(7, (32, 32), 8, 3, (1, 2))
         clip = datagen.render_clip(spec, oracle)
-        kept = np.tile(np.arange(d.n_tokens), (3, 1))
+        z, _ = pipe.bind_frames(clip.features, np.tile(np.arange(d.n_tokens), (3, 1)))
+        return pipe, z.data.transpose(1, 0, 2)
+
+    def test_unavailable_frames_do_not_affect_output(self, tmp_path):
+        pipe, windows = self._windows(tmp_path)
         avail = np.array([False, True, True])
-        feats_a = clip.features.copy()
-        feats_b = clip.features.copy()
-        feats_b[0] = 123.456  # garbage on the masked frame
-        out_a = pipe.forward_window(feats_a, avail, kept, apply_merge=True)
-        out_b = pipe.forward_window(feats_b, avail, kept, apply_merge=True)
-        np.testing.assert_allclose(out_a.decoded.y.data,
-                                   out_b.decoded.y.data, atol=1e-12)
+        base = pipe.bind_windows(Tensor(windows), avail).data
+        masked, available = windows.copy(), windows.copy()
+        masked[:, 0] = available[:, 2] = 123.456  # garbage slots
+        assert np.array_equal(pipe.bind_windows(Tensor(masked), avail).data, base)
+        assert not np.array_equal(pipe.bind_windows(Tensor(available), avail).data, base)
 
     def test_center_unavailable_rejected(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        pipe = Pipeline(cfg, init_params(cfg))
-        kept = np.tile(np.arange(cfg.data.n_tokens), (3, 1))
-        feats = np.zeros((3, cfg.data.n_tokens, cfg.data.d_features))
+        pipe, windows = self._windows(tmp_path)
         with pytest.raises(ValueError, match="center"):
-            pipe.forward_window(feats, np.array([True, False, True]), kept,
-                                apply_merge=False)
+            pipe.bind_windows(Tensor(windows), np.array([True, False, True]))
 
     def test_init_jitter_changes_output_but_not_params(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -541,11 +544,9 @@ class TestWindowForward:
         spec = datagen.random_scene(9, (32, 32), 8, 3, (1, 2))
         clip = datagen.render_clip(spec, oracle)
         kept = np.tile(np.arange(d.n_tokens), (3, 1))
-        avail = np.ones(3, bool)
-        base = pipe.forward_window(clip.features, avail, kept, False)
+        base = pipe.forward_window(clip.features, kept, False)
         jit = np.random.default_rng(0).normal(size=(3, 16))
-        jittered = pipe.forward_window(clip.features, avail, kept, False,
-                                       init_jitter=jit)
+        jittered = pipe.forward_window(clip.features, kept, False, init_jitter=jit)
         assert not np.array_equal(base.decoded.y.data,
                                   jittered.decoded.y.data)
 
