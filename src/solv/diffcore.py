@@ -12,9 +12,9 @@ operand's shape or in the shape it was broadcast to; the tape sums each
 down to its operand's shape, and keeps only those of operands that
 require gradients.
 ``mlp`` records a ReLU MLP as one node that saves only its input and
-post-ReLU activations (``live_elements`` counts those and every node
-output that is not a view of an operand). Nothing
-here is thread-aware: a tape and its tensors belong to a single
+post-ReLU activations; ``Tape.live_elements``, counted when read, adds
+those to every held node output that shares no memory with an operand.
+Nothing here is thread-aware: a tape and its tensors belong to a single
 computation.
 """
 
@@ -247,9 +247,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes = []  # (out, parents, backward_fn)
+        self._nodes = []  # (out, parents, backward_fn, held)
         self._consumed = False
-        self.live_elements = 0  # running count of values the nodes hold
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -260,12 +259,12 @@ class Tape:
             _TAPE_STACK.pop()
         return False
 
-    def _record(self, out: Tensor, parents, backward_fn) -> None:
-        self._nodes.append((out, parents, backward_fn))
-        # a view of an operand (reshape, transpose, slice) holds no values
-        owner = _buffer_owner(out.data)
-        if not any(_buffer_owner(p.data) is owner for p in parents):
-            self.live_elements += out.data.size
+    @property
+    def live_elements(self) -> int:
+        """Values the held nodes keep: each one's ``held`` and its output,
+        unless that shares memory with an operand (a view holds none)."""
+        return sum(held + (0 if any(np.may_share_memory(out.data, p.data) for p in parents)
+                           else out.data.size) for out, parents, _, held in self._nodes)
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(tensor) into .grad of every reachable tensor."""
@@ -280,7 +279,7 @@ class Tape:
         nodes = self._nodes
         while nodes:
             # popping drops the node's closure, and with it the arrays it saved
-            out, parents, backward_fn = nodes.pop()
+            out, parents, backward_fn, _ = nodes.pop()
             g = out.grad
             if g is None:
                 continue
@@ -295,26 +294,20 @@ class Tape:
             out.grad = None  # free intermediate storage as we go
 
 
-def _buffer_owner(arr: np.ndarray) -> np.ndarray:
-    """The array that owns the memory ``arr`` reads."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr
-
-
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _make(out_data, parents, backward_fn) -> Tensor:
-    """Create the result tensor, recording it when a tape is active."""
+def _make(out_data, parents, backward_fn, held: int = 0) -> Tensor:
+    """Create the result tensor, recording it when a tape is active;
+    ``held`` counts the values ``backward_fn`` saved besides the output."""
     tape = _active_tape()
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.requires_grad = tape is not None and any(p.requires_grad for p in parents)
     if out.requires_grad:
-        tape._record(out, parents, backward_fn)
+        tape._nodes.append((out, parents, backward_fn, held))
     return out
 
 
@@ -408,7 +401,10 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     # Max subtraction for stability; the shift is treated as a constant,
     # which leaves the gradient unchanged (softmax is shift invariant).
     # numpy reduces a last axis one short row at a time; a max is exact in
-    # any order, so there it is the elementwise maximum of the slices.
+    # any order, so there it is the elementwise maximum of the slices: one
+    # call per row element, which pays on short rows only (f32: 15 against
+    # 127 us over (8, 8, 8, 5, 5), 272 against 10 us over (8, 8, 256)). Only
+    # _mha's rows, data.frames long, take it; a softmax over tokens must not.
     if axis % a.ndim == a.ndim - 1:
         top = functools.reduce(np.maximum, np.moveaxis(a.data, -1, 0))[..., None]
     else:
@@ -477,8 +473,7 @@ def mlp(x: Tensor, layers) -> Tensor:
     the same; a ReLU mask is read from its output, which is > 0 exactly
     where the pre-activation is."""
     parents = (x,) + tuple(t for layer in layers for t in layer)
-    tape = _active_tape()
-    keep = tape is not None and any(p.requires_grad for p in parents)
+    keep = _active_tape() is not None and any(p.requires_grad for p in parents)
     saved = [x.data]  # the input of each layer, kept only for a tape
     h = x.data
     last = len(layers) - 1
@@ -512,10 +507,7 @@ def mlp(x: Tensor, layers) -> Tensor:
                 g *= mask
         return grads
 
-    out = _make(h, parents, backward)
-    if out.requires_grad:  # the node also holds the hidden activations
-        tape.live_elements += sum(a.size for a in saved[1:])
-    return out
+    return _make(h, parents, backward, held=sum(a.size for a in saved[1:]))
 
 
 LN_EPS = 1e-6  # added to every layer-norm variance

@@ -9,6 +9,7 @@ from solv.ablate import (
     COMPONENT_VARIANTS, ablate, format_table, peak_live_values,
 )
 from solv.cli import main as cli_main
+from solv.config import RunConfig
 from solv.diffcore import ConfigError
 from solv.train import load_pipeline, train
 from test_train import tiny_cfg
@@ -110,6 +111,12 @@ class TestAxes:
         for ratio, count in counts.items():
             cfg = tiny_cfg(tmp_path, **{"train.drop_ratio": ratio})
             assert peak_live_values(cfg) == count
+
+    @pytest.mark.parametrize("ratio, count", [(0.5, 11_828_897), (0.0, 13_122_337)])
+    def test_peak_live_values_of_the_default_config(self, ratio, count):
+        cfg = RunConfig()
+        cfg.train.drop_ratio = ratio
+        assert peak_live_values(cfg) == count
 
     def test_rerun_determinism(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", **{"train.epochs": 1, "data.clip_count": 4})

@@ -269,9 +269,9 @@ class TestFactoredAttention:
         def shapes_built(iteration):
             shapes = []
 
-            def recording_make(out_data, parents, backward_fn):
+            def recording_make(out_data, parents, backward_fn, held=0):
                 shapes.append(np.shape(out_data))
-                return real_make(out_data, parents, backward_fn)
+                return real_make(out_data, parents, backward_fn, held)
 
             monkeypatch.setattr(binding, "isa_iteration", iteration)
             monkeypatch.setattr(dc, "_make", recording_make)
@@ -312,9 +312,9 @@ class TestFactoredAttention:
         for n_iters in (1, 3):
             shapes, divided = [], []
 
-            def recording_make(out_data, parents, backward_fn):
+            def recording_make(out_data, parents, backward_fn, held=0):
                 shapes.append(np.shape(out_data))
-                return real_make(out_data, parents, backward_fn)
+                return real_make(out_data, parents, backward_fn, held)
 
             def recording_div(a, b):
                 out = real_div(a, b)

@@ -197,6 +197,18 @@ class TestBackward:
         assert views == 0
         assert tape.live_elements - before == 24
 
+    def test_live_elements_count_what_the_tape_holds_now(self):
+        a = Tensor(np.random.default_rng(11).normal(size=(4, 6)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = dc.reduce_sum(dc.mul(a, a), axis=None)
+        assert tape.live_elements == 24 + 1
+        assert tape.live_elements == 24 + 1  # reading it changes nothing
+        with pytest.raises(AttributeError):
+            tape.live_elements = 0
+        tape.backward(loss)
+        assert tape.live_elements == 0  # every node is popped
+
 
 def _relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
@@ -287,7 +299,7 @@ class TestMlp:
             probe = dc._make(x.data.copy(), (x,), lambda g: (
                 seen.append((hidden_ref(), out_ref())), g)[1:])
             loss = dc.reduce_sum(dc.mlp(probe, layers), axis=None)
-        out, _, fn = tape._nodes[-2]
+        out, _, fn, _ = tape._nodes[-2]
         saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
         hidden_ref, out_ref = weakref.ref(saved[1]), weakref.ref(out.data)
         del out, fn, saved

@@ -274,9 +274,9 @@ def test_config_precision_sets_every_dtype(precision, dtype, monkeypatch):
 
     built, real_make = [], dc._make
 
-    def recording_make(out_data, parents, backward_fn):
+    def recording_make(out_data, parents, backward_fn, held=0):
         built.append(np.asarray(out_data).dtype)
-        return real_make(out_data, parents, backward_fn)
+        return real_make(out_data, parents, backward_fn, held)
 
     monkeypatch.setattr(dc, "_make", recording_make)
     tape = Tape()
