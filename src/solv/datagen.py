@@ -5,7 +5,7 @@ carries the unit embedding of the object identity that owns the majority
 of its pixels, plus seeded Gaussian noise. Also provides the binary file
 formats for precomputed features (SOLVTNSR) and label masks (SOLVMASK).
 
-Everything is a pure function of (spec, seed).
+Everything is a pure function of (spec, seed), each frame on its own.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ _FILE_VERSION = 1
 
 @dataclass(frozen=True)
 class Sprite:
-    """One moving object. Positions/velocities are integer pixels so the
-    rasterized region translates exactly between frames."""
+    """One moving object. It moves at a constant integer velocity and
+    reflects off the canvas edges, so its rasterized region translates
+    exactly between frames; ``x``, ``y`` are where it starts."""
     shape: str
     size: int
     vx: int
@@ -80,19 +81,11 @@ def _shape_mask(shape: str, size: int) -> np.ndarray:
     return np.abs(cc - c) <= rr / 2.0 + 1e-9
 
 
-def _reflect_step(pos: int, vel: int, lo: int, hi: int) -> tuple[int, int]:
-    """Advance one integer step with reflective bounds [lo, hi]."""
-    if hi <= lo:  # sprite fills the axis; it cannot move
-        return lo, -vel
-    pos += vel
-    while pos < lo or pos > hi:
-        if pos < lo:
-            pos = 2 * lo - pos
-            vel = -vel
-        elif pos > hi:
-            pos = 2 * hi - pos
-            vel = -vel
-    return pos, vel
+def _reflect(u: int, hi: int) -> int:
+    """Where a point at ``u`` on an unbounded line lies on [0, hi] when it
+    reflects off both ends: a triangle wave of period ``2 * hi``, and 0
+    when ``hi`` is 0, as a sprite that fills the axis cannot move."""
+    return hi - abs(hi - u % (2 * hi)) if hi else 0
 
 
 def patch_labels_from_pixels(pixel_labels: np.ndarray, patch: int) -> np.ndarray:
@@ -126,7 +119,7 @@ class FeatureOracle:
         self.embeddings = np.ascontiguousarray(q.T)  # n_identities x d, orthonormal rows
 
     def frame_features(self, patch_labels: np.ndarray, clip_seed: int, frame: int) -> np.ndarray:
-        feats = self.embeddings[patch_labels.astype(np.int64)].copy()
+        feats = self.embeddings[patch_labels]  # fancy indexing copies
         if self.sigma > 0:
             rng = np.random.default_rng(np.random.SeedSequence([clip_seed, frame, 0x0153]))
             feats += self.sigma * rng.standard_normal(feats.shape)
@@ -134,31 +127,28 @@ class FeatureOracle:
 
 
 def render_clip(spec: SceneSpec, oracle: FeatureOracle) -> ClipBatch:
-    """Rasterize the scene and attach oracle features for every frame."""
+    """Rasterize the scene and attach oracle features for every frame.
+
+    Each sprite's top-left corner at frame t is computed from its start:
+    ``start + velocity * t``, reflected into the canvas on each axis."""
     h, w, p = spec.canvas_h, spec.canvas_w, spec.patch
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC11F]))
-    states = []
+    placed = []
     for s in spec.sprites:
         x_hi, y_hi = w - s.size, h - s.size
         x = s.x if s.x is not None else int(rng.integers(0, x_hi + 1))
         y = s.y if s.y is not None else int(rng.integers(0, y_hi + 1))
         if not (0 <= x <= x_hi and 0 <= y <= y_hi):
             raise ValueError(f"sprite at ({x},{y}) size {s.size} leaves the canvas")
-        states.append([x, y, s.vx, s.vy, _shape_mask(s.shape, s.size), s.identity, s.size])
+        placed.append((s, x, y, _shape_mask(s.shape, s.size)))
 
-    pixel = np.empty((spec.frames, h, w), dtype=np.uint16)
+    pixel = np.zeros((spec.frames, h, w), dtype=np.uint16)
     feats = np.empty((spec.frames, (h // p) * (w // p), oracle.d), dtype=np.float64)
     for t in range(spec.frames):
-        frame = np.zeros((h, w), dtype=np.uint16)
-        for st in states:
-            x, y, _, _, mask, ident, size = st
-            region = frame[y:y + size, x:x + size]
-            region[mask] = ident
-        pixel[t] = frame
-        feats[t] = oracle.frame_features(patch_labels_from_pixels(frame, p), spec.seed, t)
-        for st in states:
-            st[0], st[2] = _reflect_step(st[0], st[2], 0, w - st[6])
-            st[1], st[3] = _reflect_step(st[1], st[3], 0, h - st[6])
+        for s, x0, y0, mask in placed:
+            x, y = _reflect(x0 + s.vx * t, w - s.size), _reflect(y0 + s.vy * t, h - s.size)
+            pixel[t, y:y + s.size, x:x + s.size][mask] = s.identity
+        feats[t] = oracle.frame_features(patch_labels_from_pixels(pixel[t], p), spec.seed, t)
     return ClipBatch(feats, pixel)
 
 

@@ -148,11 +148,11 @@ def train(cfg: RunConfig, max_steps: int | None = None,
                     f"3 consecutive non-finite steps (last at step {step}); "
                     f"lr={lr:.3g}, epoch={epoch}")
         if b == steps_per_epoch - 1 or step == total_steps - 1:
-            if epoch_losses:
-                result.epoch_losses.append(float(np.mean(epoch_losses)))
-                result.k_t_histograms.append(epoch_k_t)
-                log.info("epoch %d: loss %.5f lr %.2e k_t %s",
-                         epoch, result.epoch_losses[-1], lr, epoch_k_t)
+            result.epoch_losses.append(
+                float(np.mean(epoch_losses)) if epoch_losses else math.nan)
+            result.k_t_histograms.append(epoch_k_t)
+            log.info("epoch %d: loss %.5f lr %.2e k_t %s",
+                     epoch, result.epoch_losses[-1], lr, epoch_k_t)
             store.save(latest)
             _write_meta(latest, cfg, store, epoch)
     store.save(final)

@@ -10,7 +10,7 @@ import pytest
 
 from solv import datagen
 from solv.datagen import (
-    FeatureOracle, SceneSpec, Sprite, dataset_split, patch_labels_from_pixels,
+    SHAPES, FeatureOracle, SceneSpec, Sprite, dataset_split, patch_labels_from_pixels,
     read_features, read_masks, render_clip, write_features, write_masks,
 )
 from solv.diffcore import FormatError, write_f32_array
@@ -29,6 +29,46 @@ def patch_labels_loop(pixel_labels, patch):
         for c in range(0, w, patch):
             out.append(np.bincount(pixel_labels[r:r + patch, c:c + patch].ravel()).argmax())
     return np.array(out, dtype=np.uint16)
+
+
+def _reflect_step(pos, vel, lo, hi):
+    """Advance one integer step with reflective bounds [lo, hi]."""
+    if hi <= lo:  # sprite fills the axis; it cannot move
+        return lo, -vel
+    pos += vel
+    while pos < lo or pos > hi:
+        if pos < lo:
+            pos = 2 * lo - pos
+            vel = -vel
+        elif pos > hi:
+            pos = 2 * hi - pos
+            vel = -vel
+    return pos, vel
+
+
+def render_clip_stepping(spec, oracle):
+    """``render_clip`` as a simulation: each sprite's position and
+    velocity are stepped one frame at a time by ``_reflect_step``."""
+    h, w, p = spec.canvas_h, spec.canvas_w, spec.patch
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xC11F]))
+    states = []
+    for s in spec.sprites:
+        x = s.x if s.x is not None else int(rng.integers(0, w - s.size + 1))
+        y = s.y if s.y is not None else int(rng.integers(0, h - s.size + 1))
+        states.append([x, y, s.vx, s.vy, datagen._shape_mask(s.shape, s.size),
+                       s.identity, s.size])
+    pixel = np.empty((spec.frames, h, w), dtype=np.uint16)
+    feats = np.empty((spec.frames, (h // p) * (w // p), oracle.d), dtype=np.float64)
+    for t in range(spec.frames):
+        frame = np.zeros((h, w), dtype=np.uint16)
+        for x, y, _, _, mask, ident, size in states:
+            frame[y:y + size, x:x + size][mask] = ident
+        pixel[t] = frame
+        feats[t] = oracle.frame_features(patch_labels_from_pixels(frame, p), spec.seed, t)
+        for st in states:
+            st[0], st[2] = _reflect_step(st[0], st[2], 0, w - st[6])
+            st[1], st[3] = _reflect_step(st[1], st[3], 0, h - st[6])
+    return datagen.ClipBatch(feats, pixel)
 
 
 class TestRendering:
@@ -80,6 +120,38 @@ class TestRendering:
             want = np.zeros((16, 32), np.uint16)
             want[:, x:x + 16] = 1
             np.testing.assert_array_equal(frame, want)
+
+    def test_motion_equals_the_stepping_rule(self):
+        """Positions computed from the start equal stepping frame by frame,
+        on random scenes with velocities past twice the free span (several
+        reflections in one step), still sprites, sprites that fill an axis,
+        and start positions both given and drawn."""
+        rng = np.random.default_rng(10)
+        oracle = _oracle()
+        cases = set()
+        for seed in range(200):
+            patch = int(rng.choice([4, 8]))
+            h, w = (int(n) * patch for n in rng.integers(2, 7, size=2))
+            sprites = []
+            for identity in range(1, int(rng.integers(0, 5)) + 1):
+                fill = rng.random() < 0.2
+                size = min(h, w) if fill else int(rng.integers(1, min(h, w) + 1))
+                vx, vy = (0 if rng.random() < 0.2 else int(v)
+                          for v in rng.integers(-3 * max(h, w), 3 * max(h, w) + 1, size=2))
+                given = rng.random() < 0.5
+                x = int(rng.integers(0, w - size + 1)) if given else None
+                y = int(rng.integers(0, h - size + 1)) if given else None
+                sprites.append(Sprite(SHAPES[identity % 3], size, vx, vy, identity, x, y))
+                cases |= {"fill"} if fill else set()
+                cases |= {"given" if given else "drawn"}
+                cases |= {"still"} if vx == 0 or vy == 0 else set()
+                if abs(vx) > 2 * (w - size) > 0 or abs(vy) > 2 * (h - size) > 0:
+                    cases.add("several reflections")
+            spec = SceneSpec(h, w, patch, 12, sprites=tuple(sprites), seed=seed)
+            got, want = render_clip(spec, oracle), render_clip_stepping(spec, oracle)
+            np.testing.assert_array_equal(got.gt_pixel_labels, want.gt_pixel_labels)
+            assert got.features.tobytes() == want.features.tobytes()
+        assert cases == {"fill", "given", "drawn", "still", "several reflections"}
 
     def test_oversized_sprite_rejected(self):
         with pytest.raises(ValueError, match="exceeds canvas"):

@@ -121,6 +121,39 @@ def test_no_module_starts_threads_or_processes():
     assert not found, f"thread, process or queue imports: {found}"
 
 
+SEEDED_RANDOM = {"default_rng", "SeedSequence", "Generator"}
+
+
+def test_randomness_is_seeded_generators_only():
+    """Every random draw comes from a generator seeded by the caller:
+    ``np.random`` is used only for ``default_rng``, ``SeedSequence`` and
+    ``Generator``, and no module imports ``random`` or names from
+    ``numpy.random``, as numpy's global generator is process state that
+    two runs need not share."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {id(child): node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                found += [f"{where} import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] == "random"
+                          or alias.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                module = node.module or ""
+                if module.split(".")[0] == "random" or module.startswith("numpy.random") \
+                        or (module == "numpy" and any(a.name == "random" for a in node.names)):
+                    found.append(f"{where} from {module} import ...")
+            elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                use = parent.get(id(node))
+                if not (isinstance(use, ast.Attribute) and use.attr in SEEDED_RANDOM):
+                    found.append(f"{where} np.random.{getattr(use, 'attr', '')}")
+    assert not found, f"randomness outside seeded generators: {found}"
+
+
 def test_json_files_go_through_diffcore():
     """Every JSON file is parsed by ``diffcore.read_json_object`` and
     written by ``diffcore.write_json``: no other module calls
@@ -174,7 +207,7 @@ def test_only_score_videos_calls_score_video():
 # it on its own class.
 SHARED_FIELD_READERS = {
     "DecodedFrame.y": "train.py:119",
-    "Sprite.y": "datagen.py:144",
+    "Sprite.y": "datagen.py:140",
     "TrackedSegmentation.frames": "cli.py:55",
 }
 

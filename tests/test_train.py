@@ -1,6 +1,7 @@
 """Training loop, inference, and orchestration at miniature scale."""
 
 import json
+import math
 import os
 import re
 import threading
@@ -14,6 +15,7 @@ from solv import ablate as ablate_mod
 from solv import datagen, evalkit, objecthead
 from solv import model as model_mod
 from solv import train as train_mod
+from solv.cli import main as cli_main
 from solv.config import (
     DataConfig, ModelConfig, PathsConfig, RunConfig, TrainConfig,
 )
@@ -347,6 +349,38 @@ class TestTrainingFaults:
         _, result = train(cfg, max_steps=2)
         assert result.skipped_steps == 2
         assert threading.active_count() == before
+
+    def test_an_epoch_with_no_finite_step_keeps_its_number(self, tmp_path, monkeypatch,
+                                                           capsys):
+        """Every epoch gets an entry: one whose steps were all skipped logs
+        a NaN loss, so ``solv train`` prints each epoch under its own
+        number."""
+        # 9 training clips in batches of 8: one step per epoch
+        cfg = tiny_cfg(tmp_path, **{"train.epochs": 3, "train.batch_size": 8,
+                                    "data.clip_count": 10})
+        real_loss = objecthead.reconstruction_loss
+        calls = []
+
+        def first_clip_nan(y, target):
+            calls.append(None)
+            return Tensor(np.nan) if len(calls) == 1 else real_loss(y, target)
+
+        monkeypatch.setattr(objecthead, "reconstruction_loss", first_clip_nan)
+        _, result = train(cfg)
+        assert result.skipped_steps == 1 and len(result.step_losses) == 2
+        assert len(result.epoch_losses) == len(result.k_t_histograms) == 3
+        assert math.isnan(result.epoch_losses[0]) and result.k_t_histograms[0] == {}
+        assert result.epoch_losses[1:] == result.step_losses
+
+        calls.clear()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("epoch ")]
+        assert [line.split(":")[0] for line in lines] == ["epoch 0", "epoch 1", "epoch 2"]
+        assert lines[0].startswith("epoch 0: loss nan ")
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(tmp_path)
